@@ -6,12 +6,10 @@ each paired with an independent brute-force check."""
 from .errors import BudgetError, InputError, InternalCheckError, PrecisionError
 from .finite_field import FiniteField, build_field, dlog, order_mod
 from .cyclotomic import (CycInt, complex_embed, cyclotomic_polynomial,
-                         galois_apply, modulus_squared)
-from .padic import (PadicContext, Valuation, ValuationOracle,
-                    build_padic_context, padic_valuation)
+                         modulus_squared)
+from .padic import PadicContext, Valuation, ValuationOracle, padic_valuation
 from .character_sums import (Character, GroupFunction, JacobiCache,
-                             character_table, jacobi_sum, jacobi_sum_naive,
-                             jacobi_sum_table)
+                             jacobi_sum, jacobi_sum_naive, jacobi_sum_table)
 from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      HodgeVector, SlopeMultiset, ZetaData, alpha_count,
                      artin_comparison, brute_force_point_count,
@@ -21,9 +19,10 @@ from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      slope_deficient_count, stickelberger_check,
                      stickelberger_exponent, variety_report, zeta_fermat)
 from .kummer import (AbelianData, EllipticCurve, QuadLattice, abelian_height,
-                     ec_count_points, ec_p_rank, ec_trace, kummer_height,
+                     ec_count_points, ec_p_rank, ec_trace,
                      kummer_example_height, lattice_from_generators,
-                     lattice_index, legendre, period_lattice, product_p_rank,
+                     lattice_index, legendre, period_lattice,
+                     predicted_example_height, product_p_rank,
                      standard_lattice)
 
 __version__ = "0.1.0"

@@ -81,10 +81,6 @@ class Character:
         return result
 
 
-def character_table(field: FiniteField, m: int) -> Character:
-    return Character(field, m)
-
-
 def _check_alpha(alpha: tuple[int, ...], m: int) -> int:
     """Validate an exponent vector; returns r = len(alpha) - 2."""
     if len(alpha) < 3:

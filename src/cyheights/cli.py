@@ -8,7 +8,9 @@ stdout.
 
 Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget or p-adic
-precision limit was exceeded.
+precision limit was exceeded, 4 an internal check failed (a bug, not a
+verdict).  --alpha-budget bounds the exponent vectors zeta and
+stickelberger enumerate and the multisets height and survey enumerate.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Shared plumbing resolved from flags and the environment."""
 
-    command: str
     output_format: str
     cache_dir: str | None
     jobs: int
@@ -78,26 +80,13 @@ def _jacobi_cache(cfg: RunConfig) -> JacobiCache | None:
 
 
 def _cmd_height(cfg: RunConfig, args) -> int:
-    params = fermat.FermatParams.create(args.p, args.m, args.r)
-    count = fermat.slope_deficient_count(args.p, args.m, args.r,
-                                         budget=args.alpha_budget)
-    height = (fermat.HeightValue.finite(count) if count
-              else fermat.INFINITE)
-    predicted = fermat.predicted_height(args.p, args.m, args.r)
-    agree = None if predicted is None else (height == predicted)
-    payload = {
-        "command": "height",
-        "p": params.p, "m": params.m, "r": params.r,
-        "f": params.f, "q": params.q,
-        "alpha_count": fermat.alpha_count(params.m, params.r),
-        "height": height.json(),
-        "slope_deficient_count": count,
-        "predicted_height": None if predicted is None else predicted.json(),
-        "agree": agree,
-    }
-    if args.full:
-        payload.update(fermat.variety_report(args.p, args.m, args.r,
-                                             budget=args.alpha_budget))
+    report = fermat.variety_report(args.p, args.m, args.r,
+                                   budget=args.alpha_budget)
+    payload = {"command": "height", **report}
+    if not args.full:
+        for key in ("slopes", "hodge", "fully_rigged"):
+            del payload[key]
+    agree = payload["agree"]
     if cfg.output_format == "json":
         _emit_json(payload)
     elif cfg.output_format == "csv":
@@ -105,14 +94,15 @@ def _cmd_height(cfg: RunConfig, args) -> int:
                   "slope_deficient_count", "predicted_height", "agree"]
         _emit_csv("height/v1", fields, [{k: payload[k] for k in fields}])
     else:
-        print(f"Fermat variety m={params.m} r={params.r} over "
-              f"GF({params.p}^{params.f}): height {height}")
-        print(f"slope-deficient eigenvalues: {count} of "
+        print(f"Fermat variety m={payload['m']} r={payload['r']} over "
+              f"GF({payload['p']}^{payload['f']}): height {payload['height']}")
+        print(f"slope-deficient eigenvalues: "
+              f"{payload['slope_deficient_count']} of "
               f"{payload['alpha_count']}")
-        if predicted is None:
+        if payload["predicted_height"] is None:
             print("no closed-form prediction applies (needs m = r + 2, r >= 2)")
         else:
-            print(f"predicted height: {predicted}   "
+            print(f"predicted height: {payload['predicted_height']}   "
                   f"agree: {'yes' if agree else 'NO'}")
         if args.full:
             print(f"Newton slopes: "
@@ -229,16 +219,9 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 
 def _height_row(task: tuple[int, int, int]) -> dict:
-    p, m, r = task
-    height = fermat.height_fermat(p, m, r)
-    predicted = fermat.predicted_height(p, m, r)
-    return {
-        "p": p,
-        "f": fermat.order_mod(p, m),
-        "height": height.json(),
-        "predicted_height": None if predicted is None else predicted.json(),
-        "agree": None if predicted is None else height == predicted,
-    }
+    report = fermat.variety_report(*task)
+    return {k: report[k]
+            for k in ("p", "f", "height", "predicted_height", "agree")}
 
 
 def _artin_row(task: tuple[int, int, int]) -> dict:
@@ -251,8 +234,7 @@ def _artin_row(task: tuple[int, int, int]) -> dict:
 def _kummer_row(task: tuple[int, int, int]) -> dict:
     p, _, _ = task
     height = kummer.kummer_example_height(p)
-    predicted = (fermat.HeightValue.finite(1) if p % 3 == 1
-                 else fermat.INFINITE)
+    predicted = kummer.predicted_example_height(p)
     return {"p": p, "height": height.json(),
             "predicted_height": predicted.json(),
             "agree": height == predicted}
@@ -266,6 +248,11 @@ _SURVEY_KINDS = {
     "kummer": (_kummer_row, "survey-kummer/v1",
                ["p", "height", "predicted_height", "agree"]),
 }
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Survey processes, capped: a fork pool starts every worker at once."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def _cmd_survey(cfg: RunConfig, args) -> int:
@@ -284,14 +271,15 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
     tasks = [(p, m, r) for p in primes]
 
     started = time.monotonic()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = _worker_count(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(worker, tasks))
     else:
         rows = [worker(t) for t in tasks]
     rows.sort(key=lambda row: row["p"])
     _diag(f"survey {args.kind}: {len(rows)} rows in "
-          f"{time.monotonic() - started:.2f}s with jobs={cfg.jobs}")
+          f"{time.monotonic() - started:.2f}s with {workers} worker(s)")
 
     payload = {"command": "survey", "kind": args.kind,
                "m": args.m, "r": args.r, "rows": rows}
@@ -318,13 +306,10 @@ def _cmd_kummer(cfg: RunConfig, args) -> int:
     trace = curve.p + 1 - points
     rank = 0 if trace == 0 else 1
     curve_height = 1 if rank == 1 else 2
-    quotient = kummer.kummer_height(
+    quotient = kummer.abelian_height(
         kummer.AbelianData(3, kummer.product_p_rank(rank, rank, rank)))
-    default_curve = (args.a, args.b) == (0, 1)
-    predicted = None
-    if default_curve:
-        predicted = (fermat.HeightValue.finite(1) if args.p % 3 == 1
-                     else fermat.INFINITE)
+    predicted = (kummer.predicted_example_height(args.p)
+                 if (args.a, args.b) == (0, 1) else None)
     agree = None if predicted is None else quotient == predicted
     payload = {
         "command": "kummer",
@@ -363,11 +348,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache-dir", default=None,
                      help=f"cache directory (or ${CACHE_ENV_VAR})")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for surveys "
-                          "(default: CPU count)")
+                     help="worker processes for surveys, capped at the "
+                          "task and CPU counts (default: CPU count)")
     sub.add_argument("--alpha-budget", type=int,
                      default=fermat.DEFAULT_ALPHA_BUDGET,
-                     help="max exponent vectors to enumerate")
+                     help="max exponent vectors (zeta, stickelberger) "
+                          "or exponent multisets (height, survey) to "
+                          "enumerate")
     sub.add_argument("--table-budget", type=int, default=1 << 24,
                      help="max field cardinality for dense tables")
 
@@ -456,7 +443,7 @@ def main(argv=None) -> int:
         if getattr(args, name, 1) < 1:
             _diag(f"error: --{name.replace('_', '-')} must be positive")
             return EXIT_INVALID
-    cfg = RunConfig(args.command, args.format, cache_dir, jobs)
+    cfg = RunConfig(args.format, cache_dir, jobs)
     started = time.monotonic()
     try:
         code = args.run(cfg, args)
@@ -466,6 +453,9 @@ def main(argv=None) -> int:
     except (BudgetError, PrecisionError) as exc:
         _diag(f"error: {exc}")
         return EXIT_BUDGET
+    except Exception as exc:  # InternalCheckError or an uncaught bug
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     _diag(f"{args.command} finished in {time.monotonic() - started:.2f}s")
     return code
 

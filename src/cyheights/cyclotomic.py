@@ -244,13 +244,8 @@ class CycInt:
         return CycInt(self.m, tuple(out))
 
 
-def galois_apply(t: int, z: CycInt) -> CycInt:
-    """The automorphism zeta -> zeta^t applied to z."""
-    return z.galois(t)
-
-
 def modulus_squared(z: CycInt) -> CycInt:
-    """z times its complex conjugate, i.e. z * galois_apply(m-1, z).
+    """z times its complex conjugate, i.e. z * z.galois(m - 1).
 
     For conductor <= 2 conjugation is trivial and this is z*z.
     """

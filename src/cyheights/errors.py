@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit-code contract: invalid input exits 2,
-budget or precision exhaustion exits 3, and a failed theorem check
-(computed values disagreeing with a prediction) exits 1.
+The CLI maps these onto its exit-code contract: a failed theorem check
+exits 1, invalid input 2, budget or precision exhaustion 3, and an
+internal check failure (or any other unexpected exception) 4.
 """
 
 

@@ -14,10 +14,11 @@ from first principles so the closed-form predictions stay testable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, gcd
 
 from .character_sums import Character, JacobiCache, jacobi_sum_table
 from .cyclotomic import CycInt, modulus_squared
@@ -116,14 +117,18 @@ def alpha_count(m: int, r: int) -> int:
     return total // m
 
 
-def exponent_vectors(m: int, r: int, *,
-                     budget: int = DEFAULT_ALPHA_BUDGET) -> list[AlphaVector]:
-    """All (a_0, ..., a_{r+1}) with 0 < a_i < m and sum = 0 mod m, in
-    lexicographic order."""
+def _check_shape(m: int, r: int) -> None:
     if m < 2:
         raise InputError(f"degree m must be >= 2, got {m}")
     if r < 1:
         raise InputError(f"dimension r must be >= 1, got {r}")
+
+
+def exponent_vectors(m: int, r: int, *,
+                     budget: int = DEFAULT_ALPHA_BUDGET) -> list[AlphaVector]:
+    """All (a_0, ..., a_{r+1}) with 0 < a_i < m and sum = 0 mod m, in
+    lexicographic order."""
+    _check_shape(m, r)
     expected = alpha_count(m, r)
     if expected > budget:
         raise BudgetError(
@@ -166,6 +171,37 @@ def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
     return total
 
 
+def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
+                   budget: int) -> tuple[Counter, list[int]]:
+    """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
+    empty) and the Hodge level of all exponent vectors, in one pass.
+
+    a_0 = -sum(head) mod m, so alpha is fixed by its head (a_1..a_{r+1}),
+    whose multiset determines both statistics and stands for its
+    (r+1)!/prod(mult!) orderings.  The budget bounds the multisets walked.
+    """
+    _check_shape(m, r)
+    work = comb(m + r - 1, r + 1)
+    if work > budget:
+        raise BudgetError(
+            f"exponent-vector budget exceeded: {work} multisets > {budget}")
+    tables = [tuple((t * a) % m for a in range(m)) for t in subgroup]
+    exponents: Counter = Counter()
+    hodge = [0] * (r + 1)
+    for head in combinations_with_replacement(range(1, m), r + 1):
+        total = sum(head)
+        if total % m == 0:
+            continue
+        weight = factorial(r + 1)
+        for mult in Counter(head).values():
+            weight //= factorial(mult)
+        exponents[sum(sum(t[a] for a in head) // m for t in tables)] += weight
+        hodge[total // m] += weight
+    if sum(hodge) != alpha_count(m, r):
+        raise InternalCheckError("multiset weights disagree with closed form")
+    return exponents, hodge
+
+
 def slope_deficient_count(p: int, m: int, r: int, *,
                           budget: int = DEFAULT_ALPHA_BUDGET) -> int:
     """Number of exponent vectors whose Stickelberger exponent is below f.
@@ -173,23 +209,7 @@ def slope_deficient_count(p: int, m: int, r: int, *,
     These index the Frobenius eigenvalues of slope in [0, 1), whose count
     is the formal-group height when it is positive.
     """
-    params = FermatParams.create(p, m, r)
-    f = params.f
-    tables = [tuple((t * a) % m for a in range(m))
-              for t in frobenius_subgroup(p, m)]
-    count = 0
-    for alpha in exponent_vectors(m, r, budget=budget):
-        total = 0
-        for tbl in tables:
-            s = 0
-            for a in alpha[1:]:
-                s += tbl[a]
-            total += s // m
-            if total >= f:
-                break
-        else:
-            count += 1
-    return count
+    return newton_slopes(p, m, r, budget=budget).deficient_count()
 
 
 def height_fermat(p: int, m: int, r: int, *,
@@ -202,9 +222,7 @@ def height_fermat(p: int, m: int, r: int, *,
     count is well defined for any valid parameters.
     """
     count = slope_deficient_count(p, m, r, budget=budget)
-    if count == 0:
-        return INFINITE
-    return HeightValue.finite(count)
+    return HeightValue.finite(count) if count else INFINITE
 
 
 def predicted_height(p: int, m: int, r: int) -> HeightValue | None:
@@ -231,34 +249,31 @@ class SlopeMultiset:
     def as_dict(self) -> dict[Fraction, int]:
         return dict(self.entries)
 
+    def deficient_count(self) -> int:
+        """Multiplicity of the slopes in [0, 1)."""
+        return sum(mult for slope, mult in self.entries if slope < 1)
+
     def reflected(self, r: int) -> SlopeMultiset:
         """The multiset with every slope s replaced by r - s."""
         flipped = sorted((r - s, mult) for s, mult in self.entries)
         return SlopeMultiset(tuple(flipped), self.denominator)
 
 
-def newton_slopes(p: int, m: int, r: int, *,
-                  budget: int = DEFAULT_ALPHA_BUDGET) -> SlopeMultiset:
-    """The eigenvalue slopes: Stickelberger exponents divided by f."""
-    params = FermatParams.create(p, m, r)
-    f = params.f
-    tables = [tuple((t * a) % m for a in range(m))
-              for t in frobenius_subgroup(p, m)]
-    counts: dict[int, int] = {}
-    for alpha in exponent_vectors(m, r, budget=budget):
-        a_h = 0
-        for tbl in tables:
-            s = 0
-            for a in alpha[1:]:
-                s += tbl[a]
-            a_h += s // m
-        counts[a_h] = counts.get(a_h, 0) + 1
-    entries = tuple(sorted((Fraction(a_h, f), mult)
-                           for a_h, mult in counts.items()))
+def _slopes(exponents: Counter, f: int, r: int) -> SlopeMultiset:
+    entries = tuple(sorted((Fraction(exponent, f), mult)
+                           for exponent, mult in exponents.items()))
     for slope, _ in entries:
         if not 0 <= slope <= r:
             raise InternalCheckError(f"slope {slope} outside [0, {r}]")
     return SlopeMultiset(entries, f)
+
+
+def newton_slopes(p: int, m: int, r: int, *,
+                  budget: int = DEFAULT_ALPHA_BUDGET) -> SlopeMultiset:
+    """The eigenvalue slopes: Stickelberger exponents divided by f."""
+    params = FermatParams.create(p, m, r)
+    exponents, _ = _slope_profile(m, r, frobenius_subgroup(p, m), budget)
+    return _slopes(exponents, params.f, r)
 
 
 @dataclass(frozen=True)
@@ -273,10 +288,7 @@ class HodgeVector:
 def hodge_numbers_fermat(m: int, r: int, *,
                          budget: int = DEFAULT_ALPHA_BUDGET) -> HodgeVector:
     """Griffiths-style count: alpha contributes to level sum(a_j)/m - 1."""
-    h = [0] * (r + 1)
-    for alpha in exponent_vectors(m, r, budget=budget):
-        h[sum(alpha) // m - 1] += 1
-    return HodgeVector(m, r, tuple(h))
+    return HodgeVector(m, r, tuple(_slope_profile(m, r, (), budget)[1]))
 
 
 def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
@@ -321,13 +333,17 @@ def artin_comparison(p: int, m: int, r: int, *,
 
 def variety_report(p: int, m: int, r: int, *,
                    budget: int = DEFAULT_ALPHA_BUDGET) -> dict:
-    """One JSON-ready record of the slope-level invariants.
+    """One JSON-ready record of the slope-level invariants and the height
+    prediction, all read off one weighted pass over exponent multisets.
 
     Timings are deliberately absent so identical inputs serialize
     identically."""
     params = FermatParams.create(p, m, r)
-    height = height_fermat(p, m, r, budget=budget)
-    slopes = newton_slopes(p, m, r, budget=budget)
+    exponents, hodge = _slope_profile(m, r, frobenius_subgroup(p, m), budget)
+    slopes = _slopes(exponents, params.f, r)
+    count = slopes.deficient_count()
+    height = HeightValue.finite(count) if count else INFINITE
+    predicted = predicted_height(p, m, r)
     rigged = None
     if r % 2 == 0 and m >= 4:
         rigged = fully_rigged_fermat(p, m, r)
@@ -335,9 +351,12 @@ def variety_report(p: int, m: int, r: int, *,
         "p": params.p, "m": params.m, "r": params.r,
         "f": params.f, "q": params.q,
         "height": height.json(),
+        "slope_deficient_count": count,
+        "predicted_height": None if predicted is None else predicted.json(),
+        "agree": None if predicted is None else height == predicted,
         "slopes": [[str(slope), mult] for slope, mult in slopes.entries],
         "alpha_count": alpha_count(m, r),
-        "hodge": list(hodge_numbers_fermat(m, r, budget=budget).h),
+        "hodge": hodge,
         "fully_rigged": rigged,
     }
 

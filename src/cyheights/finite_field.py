@@ -339,13 +339,6 @@ def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
     return field
 
 
-def fermat_field(p: int, m: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
-                 cache_dir: str | None = None) -> FiniteField:
-    """The field GF(p^f) with f the multiplicative order of p mod m."""
-    return build_field(p, order_mod(p, m), table_budget=table_budget,
-                       cache_dir=cache_dir)
-
-
 # --- optional on-disk cache ---
 
 
@@ -354,23 +347,36 @@ def _cache_path(cache_dir: str, p: int, f: int) -> str:
 
 
 def _load_cached(cache_dir: str, p: int, f: int) -> FiniteField | None:
+    """The cached field, or None when the file is missing or does not hold
+    a well-formed table for GF(p^f); the caller then rebuilds it."""
     path = _cache_path(cache_dir, p, f)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (data.get("format") != _CACHE_FORMAT or data.get("p") != p
-            or data.get("f") != f):
+    if (not isinstance(data, dict) or data.get("format") != _CACHE_FORMAT
+            or data.get("p") != p or data.get("f") != f):
         return None
-    dlog_table = tuple(data["dlog"])
     q = p**f
+    dlog_table, modulus = data.get("dlog"), data.get("modulus")
+    generator = data.get("generator")
+    if not (isinstance(dlog_table, list) and len(dlog_table) == q
+            and dlog_table[0] is None
+            and set(map(type, dlog_table[1:])) == {int}
+            and sorted(dlog_table[1:]) == list(range(q - 1))
+            and isinstance(modulus, list) and len(modulus) == f + 1
+            and all(type(c) is int and 0 <= c < p for c in modulus)
+            and modulus[-1] == 1 and type(generator) is int
+            and 0 < generator < q and dlog_table[generator] == 1 % (q - 1)):
+        return None
+    dlog_table = tuple(dlog_table)
     exp = [0] * (q - 1)
     for enc, i in enumerate(dlog_table):
         if i is not None:
             exp[i] = enc
-    return FiniteField(p, f, tuple(data["modulus"]), data["generator"],
-                       tuple(exp), dlog_table)
+    return FiniteField(p, f, tuple(modulus), generator, tuple(exp),
+                       dlog_table)
 
 
 def _store_cached(cache_dir: str, field: FiniteField) -> None:

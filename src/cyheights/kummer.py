@@ -112,14 +112,6 @@ def abelian_height(data: AbelianData) -> HeightValue:
     return INFINITE
 
 
-def kummer_height(data: AbelianData) -> HeightValue:
-    """Height of a Kummer Calabi-Yau built from A; equals that of A.
-
-    The caller attests that the acting group has order prime to p.
-    """
-    return abelian_height(data)
-
-
 def kummer_example_height(p: int, *,
                           budget: int = DEFAULT_PRIME_BUDGET) -> HeightValue:
     """Height for the resolution of E^3 / (diagonal cube-root action),
@@ -129,7 +121,13 @@ def kummer_example_height(p: int, *,
     pattern mod 3 stays an independent check."""
     curve = EllipticCurve.create(p, 0, 1)
     rank = ec_p_rank(curve, budget=budget)
-    return kummer_height(AbelianData(3, product_p_rank(rank, rank, rank)))
+    return abelian_height(AbelianData(3, product_p_rank(rank, rank, rank)))
+
+
+def predicted_example_height(p: int) -> HeightValue:
+    """Closed-form height of the E^3 example: 1 when p = 1 mod 3, else
+    infinite (E is supersingular exactly when p = 2 mod 3)."""
+    return HeightValue.finite(1) if p % 3 == 1 else INFINITE
 
 
 # --- rank-2 lattices in an imaginary quadratic field ---

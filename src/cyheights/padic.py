@@ -133,10 +133,6 @@ class PadicContext:
                 f"m={self.m}, k={self.k})")
 
 
-def build_padic_context(field: FiniteField, m: int, k: int) -> PadicContext:
-    return PadicContext(field, m, k)
-
-
 def default_precision(f: int, r: int) -> int:
     """Working precision f*r + 2: Jacobi-sum valuations are at most f*r."""
     return f * r + 2

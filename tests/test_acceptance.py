@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from cyheights.character_sums import character_table, jacobi_sum_table
+from cyheights.character_sums import Character, jacobi_sum_table
 from cyheights.cyclotomic import CycInt, modulus_squared
 from cyheights.fermat import (FermatParams,
                               alpha_count, artin_comparison,
@@ -50,7 +50,7 @@ def jacobi_data():
     for p, m, r, expected in STICKELBERGER_INSTANCES:
         params = FermatParams.create(p, m, r)
         field = build_field(p, params.f)
-        chi = character_table(field, m)
+        chi = Character(field, m)
         alphas = exponent_vectors(m, r)
         assert len(alphas) == expected
         sums = jacobi_sum_table(chi, alphas)

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from cyheights import cli
 from cyheights.cli import main
+from cyheights.errors import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -196,3 +200,62 @@ def test_height_full_report(capsys):
     assert payload["slopes"] == [["0", 1], ["1", 101], ["2", 101], ["3", 1]]
     assert payload["hodge"] == [1, 101, 101, 1]
     assert payload["fully_rigged"] is None  # r odd: predicate undefined
+
+
+@pytest.mark.parametrize("p,height", [("3", "inf"), ("11", 1)])
+def test_height_beyond_the_vector_count(capsys, p, height):
+    # |A| = 348678441 exponent vectors, enumerated as 24310 multisets
+    code, out, _ = run(capsys, "height", "--p", p, "--m", "10", "--r", "8",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["alpha_count"] == 348678441
+    assert payload["height"] == payload["predicted_height"] == height
+
+
+def test_height_alpha_budget_bounds_multisets(capsys):
+    # (5, 3): 204 exponent vectors, C(7, 4) = 35 multisets
+    args = ["height", "--p", "11", "--m", "5", "--r", "3", "--alpha-budget"]
+    code, out, err = run(capsys, *args, "34")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+    code, _, _ = run(capsys, *args, "35")
+    assert code == 0
+
+
+@pytest.mark.parametrize("exc", [InternalCheckError("forced"),
+                                 IndexError("forced")])
+def test_internal_errors_exit_4(capsys, monkeypatch, exc):
+    def broken(cfg, args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_zeta", broken)
+    code, out, err = run(capsys, "zeta", "--p", "7", "--m", "3", "--r", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: forced\n"
+
+
+def test_corrupt_field_cache_is_rebuilt(capsys, tmp_path):
+    args = ["stickelberger", "--p", "7", "--m", "3", "--r", "1",
+            "--cache-dir", str(tmp_path)]
+    code1, cold, _ = run(capsys, *args)
+    path = tmp_path / "gf_p7_f1_v1.json"
+    data = json.loads(path.read_text())
+    data["dlog"] = data["dlog"][:3]
+    path.write_text(json.dumps(data))
+    code2, warm, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    assert warm == cold
+    assert len(json.loads(path.read_text())["dlog"]) == 7  # overwritten
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count(10**6, 3) == 2
+    assert cli._worker_count(10**9, 1) == 1
+    assert cli._worker_count(1, 50) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._worker_count(10**6, 3) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 10) == 1

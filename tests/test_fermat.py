@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,7 @@ from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               newton_slopes, point_count_from_zeta,
                               predicted_height, slope_deficient_count,
                               stickelberger_check, stickelberger_exponent,
-                              zeta_fermat)
+                              variety_report, zeta_fermat)
 
 
 def test_params_validation():
@@ -252,3 +253,57 @@ def test_stickelberger_check_uses_jacobi_cache(tmp_path):
     assert first.all_equal and second.all_equal
     assert [r.valuation for r in first.rows] == [r.valuation
                                                  for r in second.rows]
+
+
+def _per_vector_oracle(p, m, r):
+    """Slopes, Hodge numbers and deficient count from a literal walk over
+    every exponent vector, one Stickelberger exponent per vector."""
+    f = len(frobenius_subgroup(p, m))
+    exponents = Counter()
+    hodge = [0] * (r + 1)
+    for alpha in exponent_vectors(m, r):
+        exponents[stickelberger_exponent(alpha, p, m)] += 1
+        hodge[sum(alpha) // m - 1] += 1
+    slopes = tuple(sorted((Fraction(e, f), n) for e, n in exponents.items()))
+    deficient = sum(n for e, n in exponents.items() if e < f)
+    return slopes, hodge, deficient
+
+
+# r = 1 curves, non-Calabi-Yau shapes, f > 1, and even-dimensional
+# Calabi-Yau cases where the Artin comparison applies
+ORACLE_GRID = [(7, 3, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (3, 5, 2),
+               (3, 4, 2), (5, 4, 2), (2, 5, 3), (11, 5, 3), (2, 7, 3),
+               (5, 6, 3), (3, 8, 2), (5, 6, 4), (7, 6, 4), (3, 8, 4)]
+
+
+@pytest.mark.parametrize("p,m,r", ORACLE_GRID)
+def test_slope_views_match_per_vector_oracle(p, m, r):
+    slopes, hodge, deficient = _per_vector_oracle(p, m, r)
+    height = HeightValue.finite(deficient) if deficient else INFINITE
+    assert newton_slopes(p, m, r).entries == slopes
+    assert hodge_numbers_fermat(m, r).h == tuple(hodge)
+    assert slope_deficient_count(p, m, r) == deficient
+    assert height_fermat(p, m, r) == height
+    report = variety_report(p, m, r)
+    assert report["slopes"] == [[str(s), n] for s, n in slopes]
+    assert report["hodge"] == hodge
+    assert report["slope_deficient_count"] == deficient
+    assert report["height"] == height.json()
+    if r % 2 == 0 and m == r + 2:
+        assert artin_comparison(p, m, r).additive_type == (deficient == 0)
+
+
+def test_slope_budget_counts_multisets():
+    # (8, 6) has 720601 exponent vectors but only C(13, 7) = 1716 multisets
+    with pytest.raises(BudgetError):
+        height_fermat(3, 8, 6, budget=100)
+    with pytest.raises(BudgetError):
+        hodge_numbers_fermat(8, 6, budget=1715)
+    assert height_fermat(3, 8, 6, budget=1716) == INFINITE
+
+
+def test_hodge_rejects_bad_shape():
+    with pytest.raises(InputError):
+        hodge_numbers_fermat(1, 2)
+    with pytest.raises(InputError):
+        hodge_numbers_fermat(5, 0)

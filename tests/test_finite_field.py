@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cyheights.errors import BudgetError, InputError
@@ -165,6 +167,31 @@ def test_cache_ignores_corrupt_file(tmp_path):
     path.write_text("not json")
     field = build_field(7, 2, cache_dir=str(tmp_path))
     assert field.q == 49
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: {**d, "dlog": d["dlog"][:3]},
+    lambda d: {**d, "dlog": [0] + d["dlog"][1:]},
+    lambda d: {**d, "dlog": d["dlog"][:2] + [0] + d["dlog"][3:]},
+    lambda d: {**d, "dlog": [None, 0.0] + d["dlog"][2:]},
+    lambda d: {**d, "dlog": [None] + [str(i) for i in d["dlog"][1:]]},
+    lambda d: {**d, "modulus": "x^2+1"},
+    lambda d: {**d, "modulus": [1, 1]},
+    lambda d: {**d, "generator": None},
+    lambda d: {**d, "generator": 49},
+    lambda d: {**d, "generator": d["dlog"].index(2)},
+    lambda d: list(d),
+], ids=["short", "dlog0", "not-permutation", "float", "str", "modulus-type",
+        "modulus-degree", "generator-type", "generator-range",
+        "generator-not-dlog-1", "not-an-object"])
+def test_cache_rejects_malformed_tables(tmp_path, corrupt):
+    cold = build_field(7, 2, cache_dir=str(tmp_path))
+    path = tmp_path / "gf_p7_f2_v1.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    warm = build_field(7, 2, cache_dir=str(tmp_path))
+    assert (warm.modulus, warm.generator, warm.exp, warm.dlog) == (
+        cold.modulus, cold.generator, cold.exp, cold.dlog)
+    assert json.loads(path.read_text())["dlog"] == list(cold.dlog)
 
 
 def test_coeffs_encode_roundtrip():

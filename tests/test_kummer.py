@@ -7,7 +7,7 @@ from cyheights.errors import BudgetError, InputError
 from cyheights.fermat import INFINITE, HeightValue, height_fermat
 from cyheights.kummer import (AbelianData, EllipticCurve, abelian_height,
                               ec_count_points, ec_p_rank, ec_trace,
-                              kummer_example_height, kummer_height,
+                              kummer_example_height,
                               lattice_from_generators, lattice_index,
                               legendre, period_lattice, product_p_rank,
                               standard_lattice)
@@ -84,10 +84,12 @@ def test_abelian_height_three_cases():
         AbelianData(3, -1)
 
 
-def test_kummer_height_transfers():
-    for n, rank in [(3, 3), (3, 2), (3, 1), (2, 2), (4, 0)]:
-        assert kummer_height(AbelianData(n, rank)) == abelian_height(
-            AbelianData(n, rank))
+def test_abelian_height_other_dimensions():
+    for n, rank, height in [(2, 2, HeightValue.finite(1)),
+                            (2, 1, HeightValue.finite(2)), (2, 0, INFINITE),
+                            (4, 4, HeightValue.finite(1)),
+                            (4, 3, HeightValue.finite(2)), (4, 0, INFINITE)]:
+        assert abelian_height(AbelianData(n, rank)) == height
 
 
 def test_product_p_rank():
