@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
 
@@ -64,6 +65,27 @@ def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:
     for row in rows:
         writer.writerow(row)
     sys.stdout.write(out.getvalue())
+
+
+@contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's limit on decimal digits in int-to-str
+    conversion while output is formatted, restoring it on exit.
+
+    P(T) coefficients outgrow the default limit of 4300 digits, e.g. at
+    (p, m, r) = (13, 6, 4).  The limit stays in force for library callers
+    and for parsing cache files.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the limit
+        yield
+        return
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _diag(msg: str) -> None:
@@ -141,22 +163,24 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
         "checks": checks,
         "all_match": all_match,
     }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
-                  "match"]
-        rows = [{"p": zeta.p, "m": zeta.m, "r": zeta.r, **c} for c in checks]
-        _emit_csv("zeta-checks/v1", fields, rows)
-    else:
-        poles = " ".join(f"(1-q^{i}T)" for i in zeta.pole_q_powers)
-        print(f"Z(T) = P(T)^{zeta.sign_exponent} / [{poles}],  "
-              f"q = {zeta.q}, deg P = {zeta.degree}")
-        print(f"P(T) coefficients: {list(zeta.poly_coeffs)}")
-        for c in checks:
-            flag = "match" if c["match"] else "MISMATCH"
-            print(f"N_{c['s']}: zeta {c['zeta_count']} vs brute force "
-                  f"{c['brute_force_count']}  [{flag}]")
+    with _int_digits_unlimited():
+        if cfg.output_format == "json":
+            _emit_json(payload)
+        elif cfg.output_format == "csv":
+            fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
+                      "match"]
+            rows = [{"p": zeta.p, "m": zeta.m, "r": zeta.r, **c}
+                    for c in checks]
+            _emit_csv("zeta-checks/v1", fields, rows)
+        else:
+            poles = " ".join(f"(1-q^{i}T)" for i in zeta.pole_q_powers)
+            print(f"Z(T) = P(T)^{zeta.sign_exponent} / [{poles}],  "
+                  f"q = {zeta.q}, deg P = {zeta.degree}")
+            print(f"P(T) coefficients: {list(zeta.poly_coeffs)}")
+            for c in checks:
+                flag = "match" if c["match"] else "MISMATCH"
+                print(f"N_{c['s']}: zeta {c['zeta_count']} vs brute force "
+                      f"{c['brute_force_count']}  [{flag}]")
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
@@ -382,10 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--check", type=_parse_s_list, default=[],
                      help="comma-separated extension degrees s to verify "
-                          "against brute-force counts")
+                          "against convolution point counts")
     sub.add_argument("--point-budget", type=int,
                      default=fermat.DEFAULT_POINT_BUDGET,
-                     help="max candidate tuples for brute-force counting")
+                     help="max field subtractions per point count, "
+                          "(r+1)(d+1)(Q-1)/d with Q = q^s and "
+                          "d = gcd(m, Q-1)")
     _add_common(sub)
     sub.set_defaults(run=_cmd_zeta)
 

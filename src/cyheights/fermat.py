@@ -386,10 +386,15 @@ def zeta_fermat(p: int, m: int, r: int, *,
                 alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                 table_budget: int = DEFAULT_TABLE_BUDGET,
                 cache_dir: str | None = None) -> ZetaData:
-    """Expand P(T) = prod (1 - j(alpha) T) exactly in Z[zeta_m][T].
+    """P(T) = prod (1 - j(alpha) T), assembled from the distinct eigenvalues.
 
-    Every coefficient must land in the rational integers and every
-    eigenvalue must satisfy |j|^2 = q^r exactly; both are hard checks.
+    j(t alpha) = sigma_t(j(alpha)), so the eigenvalue multiset is stable
+    under (Z/m)^*.  Each Galois orbit of distinct eigenvalues contributes
+    its norm polynomial N_i(T) = prod_{beta in orbit} (1 - beta T) to the
+    power e_i, its multiplicity, and P = prod N_i^e_i is expanded over Z.
+    Hard checks: |j|^2 = q^r for every distinct eigenvalue, one
+    multiplicity along each orbit, norm polynomials in Z[T], exact
+    division in the expansion and deg P = |A|.
     """
     params = FermatParams.create(p, m, r)
     field = build_field(p, params.f, table_budget=table_budget,
@@ -397,26 +402,93 @@ def zeta_fermat(p: int, m: int, r: int, *,
     chi = Character(field, m)
     alphas = exponent_vectors(m, r, budget=alpha_budget)
     sums = jacobi_sum_table(chi, alphas, cache=cache)
+    multiplicity = Counter(sums.values())
 
     q_to_r = CycInt.integer(m, params.q**r)
-    coeffs = [CycInt.one(m)]
-    for alpha in alphas:
-        j = sums[alpha]
+    for j in multiplicity:
         if modulus_squared(j) != q_to_r:
             raise InternalCheckError(
-                f"|j({alpha})|^2 != q^r; eigenvalue check failed")
+                f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
+
+    units = [t for t in range(1, m) if gcd(t, m) == 1]
+    factors: list[tuple[list[int], int]] = []
+    seen: set[CycInt] = set()
+    for j, mult in multiplicity.items():
+        if j in seen:
+            continue
+        orbit = {j.galois(t) for t in units}
+        if any(multiplicity[beta] != mult for beta in orbit):
+            raise InternalCheckError(
+                f"eigenvalue multiplicities differ along the Galois orbit "
+                f"of {j!r}")
+        seen |= orbit
+        factors.append((_norm_polynomial(orbit, m), mult))
+    coeffs = _expand_power_product(factors, alpha_count(m, r))
+    return ZetaData(p, m, r, params.q, coeffs,
+                    tuple(range(r + 1)), 1 if (r - 1) % 2 == 0 else -1)
+
+
+def _norm_polynomial(orbit, m: int) -> list[int]:
+    """prod over the orbit of (1 - beta T), which must lie in Z[T]."""
+    coeffs = [CycInt.one(m)]
+    for beta in orbit:
         coeffs.append(CycInt.zero(m))
         for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] = coeffs[i] - j * coeffs[i - 1]
-
-    integral: list[int] = []
+            coeffs[i] = coeffs[i] - beta * coeffs[i - 1]
     for i, c in enumerate(coeffs):
         if not c.is_rational_integer():
             raise InternalCheckError(
-                f"coefficient of T^{i} is not a rational integer: {c!r}")
-        integral.append(c.as_rational_integer())
-    return ZetaData(p, m, r, params.q, tuple(integral),
-                    tuple(range(r + 1)), 1 if (r - 1) % 2 == 0 else -1)
+                f"coefficient of T^{i} in a Galois-orbit norm is not a "
+                f"rational integer: {c!r}")
+    return [c.as_rational_integer() for c in coeffs]
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _expand_power_product(factors: list[tuple[list[int], int]],
+                          degree: int) -> tuple[int, ...]:
+    """prod N_i^e_i for integer polynomials with N_i(0) = 1.
+
+    P'/P = E/D with D = prod N_i and E = sum e_i N_i' D / N_i, so
+    D P' = P E; its T^(k-1) coefficient gives
+    k P_k = sum_{i=1..deg D} (E_{i-1} - (k - i) D_i) P_{k-i},
+    O(deg D) integer operations per coefficient.  The division by k must
+    be exact and deg P must equal the expected degree.
+    """
+    total = sum(mult * (len(norm) - 1) for norm, mult in factors)
+    if total != degree:
+        raise InternalCheckError(
+            f"orbit factors have degree {total}, expected {degree}")
+    d = [1]
+    for norm, _ in factors:
+        d = _int_poly_mul(d, norm)
+    width = len(d) - 1
+    e = [0] * width
+    for i, (norm, mult) in enumerate(factors):
+        term = [k * c for k, c in enumerate(norm)][1:]
+        for j, (other, _) in enumerate(factors):
+            if j != i:
+                term = _int_poly_mul(term, other)
+        for k, c in enumerate(term):
+            e[k] += mult * c
+    coeffs = [1]
+    for k in range(1, total + 1):
+        acc = 0
+        for i in range(1, min(width, k) + 1):
+            acc += (e[i - 1] - (k - i) * d[i]) * coeffs[k - i]
+        quotient, remainder = divmod(acc, k)
+        if remainder:
+            raise InternalCheckError(
+                f"coefficient of T^{k} is not an integer in the expansion")
+        coeffs.append(quotient)
+    return tuple(coeffs)
 
 
 def eigenvalue_power_sums(poly_coeffs: tuple[int, ...], s: int) -> list[int]:
@@ -448,40 +520,46 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
                             budget: int = DEFAULT_POINT_BUDGET,
                             table_budget: int = DEFAULT_TABLE_BUDGET,
                             cache_dir: str | None = None) -> int:
-    """Projective solutions of sum x_i^m = 0 over GF(q^s), enumerated.
+    """Projective solutions of sum x_i^m = 0 over GF(Q), Q = q^s, counted
+    from field arithmetic alone: no characters, no Jacobi sums.
 
-    Representatives are normalized so the first nonzero coordinate is 1.
-    The candidate count (Q^(r+2) - 1)/(Q - 1) must stay within budget.
+    h(y) = #{x : x^m = y} is 1 at 0 and d = gcd(m, Q - 1) on the nonzero
+    m-th powers, and the affine solution count is the value at 0 of h
+    convolved with itself r + 1 times.  Every partial convolution is
+    invariant under scaling by nonzero m-th powers, so it is held as its
+    value at 0 plus one value per coset of those powers.  A convolution
+    step evaluates these d + 1 values, each over the (Q - 1)/d nonzero
+    m-th powers; the budget bounds the (r + 1)(d + 1)(Q - 1)/d field
+    subtractions this takes.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
     params = FermatParams.create(p, m, r)
     big_q = params.q**s
-    candidates = (big_q ** (r + 2) - 1) // (big_q - 1)
-    if candidates > budget:
+    d = gcd(m, big_q - 1)
+    work = (r + 1) * (d + 1) * ((big_q - 1) // d)
+    if work > budget:
         raise BudgetError(
-            f"point-enumeration budget exceeded: {candidates} candidate "
-            f"tuples > {budget}")
+            f"point-count budget exceeded: {work} field subtractions "
+            f"> {budget}")
     field = build_field(p, params.f * s, table_budget=table_budget,
                         cache_dir=cache_dir)
-    q_minus = big_q - 1
-    mth = [0] * big_q
-    for x in range(1, big_q):
-        mth[x] = field.exp[(m * field.dlog[x]) % q_minus]
-    add = field.add
+    exp, dlog, sub = field.exp, field.dlog, field.sub
+    powers = [exp[k] for k in range(0, big_q - 1, d)]
+    representatives = [0] + [exp[c] for c in range(d)]
 
-    def count_tails(positions: int, acc: int) -> int:
-        if positions == 0:
-            return 1 if acc == 0 else 0
-        total = 0
-        for x in range(big_q):
-            total += count_tails(positions - 1, add(acc, mth[x]))
-        return total
+    def slot(x: int) -> int:  # 0 for zero, 1 + c for the coset of g^c
+        return 0 if x == 0 else 1 + dlog[x] % d
 
-    total = 0
-    for lead in range(r + 2):
-        total += count_tails(r + 1 - lead, 1)  # leading coordinate fixed to 1
-    return total
+    conv = [1, d] + [0] * (d - 1)  # h itself
+    for _ in range(r + 1):
+        conv = [conv[i] + d * sum(conv[slot(sub(y, z))] for z in powers)
+                for i, y in enumerate(representatives)]
+    projective, remainder = divmod(conv[0] - 1, big_q - 1)
+    if remainder:
+        raise InternalCheckError(
+            f"affine solution count {conv[0]} is not 1 mod Q - 1")
+    return projective
 
 
 # --- the Stickelberger cross-check ---

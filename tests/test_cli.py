@@ -1,8 +1,10 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 
-from cyheights import cli
+from cyheights import cli, fermat
 from cyheights.cli import main
 from cyheights.errors import InternalCheckError
 
@@ -259,3 +261,56 @@ def test_worker_count_is_capped(monkeypatch):
     assert cli._worker_count(10**6, 3) == 3
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(8, 10) == 1
+
+
+def test_zeta_writes_coefficients_beyond_the_digit_limit(capsys):
+    # P(T) at (13, 6, 4) has coefficients of about 5800 decimal digits,
+    # beyond the interpreter's default int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "zeta", "--p", "13", "--m", "6", "--r", "4",
+                       "--check", "1", "--format", "json")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    payload = json.loads(out, parse_int=str)
+    assert int(payload["degree"]) == 2605
+    assert max(len(c.lstrip("-")) for c in payload["poly_coeffs"]) > 4300
+    check = payload["checks"][0]
+    assert int(check["zeta_count"]) == int(check["brute_force_count"]) == 87570
+    assert payload["all_match"] is True
+
+    code, out, _ = run(capsys, "zeta", "--p", "13", "--m", "6", "--r", "4",
+                       "--format", "text")
+    assert code == 0
+    assert "P(T) coefficients: [1, -56629, " in out
+
+
+def test_zeta_reports_a_corrupted_coefficient_as_mismatch(capsys,
+                                                         monkeypatch):
+    real = fermat.zeta_fermat
+
+    def off_by_one(*args, **kwargs):
+        zeta = real(*args, **kwargs)
+        coeffs = list(zeta.poly_coeffs)
+        coeffs[1] += 1
+        return dataclasses.replace(zeta, poly_coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(fermat, "zeta_fermat", off_by_one)
+    code, out, _ = run(capsys, "zeta", "--p", "7", "--m", "3", "--r", "1",
+                       "--check", "1")
+    assert code == cli.EXIT_MISMATCH == 1
+    assert "N_1: zeta 10 vs brute force 9  [MISMATCH]" in out
+
+
+def test_zeta_on_corrupted_jacobi_cache_is_internal_error(capsys, tmp_path):
+    args = ["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", "1",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, *args)[0] == 0
+    path = tmp_path / "jacobi_sums_v1.json"
+    data = json.loads(path.read_text())
+    assert data["entries"]["7,3,1:1,1,1"] == [1, 3]
+    data["entries"]["7,3,1:1,1,1"] = [8, 3]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *args)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "InternalCheckError" in err

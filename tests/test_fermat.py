@@ -5,7 +5,10 @@ from math import gcd
 
 import pytest
 
-from cyheights.errors import BudgetError, InputError
+from cyheights import fermat
+from cyheights.character_sums import Character, jacobi_sum_table
+from cyheights.cyclotomic import CycInt
+from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               HeightValue, alpha_count, artin_comparison,
                               brute_force_point_count, exponent_vectors,
@@ -15,6 +18,7 @@ from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               predicted_height, slope_deficient_count,
                               stickelberger_check, stickelberger_exponent,
                               variety_report, zeta_fermat)
+from cyheights.finite_field import build_field
 
 
 def test_params_validation():
@@ -307,3 +311,100 @@ def test_hodge_rejects_bad_shape():
         hodge_numbers_fermat(1, 2)
     with pytest.raises(InputError):
         hodge_numbers_fermat(5, 0)
+
+
+def _product_oracle(p, m, r):
+    """P(T) = prod (1 - j(alpha) T) multiplied out factor by factor in
+    Z[zeta_m][T], one linear factor per exponent vector."""
+    field = build_field(p, FermatParams.create(p, m, r).f)
+    alphas = exponent_vectors(m, r)
+    sums = jacobi_sum_table(Character(field, m), alphas)
+    coeffs = [CycInt.one(m)]
+    for alpha in alphas:
+        coeffs.append(CycInt.zero(m))
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] = coeffs[i] - sums[alpha] * coeffs[i - 1]
+    return tuple(c.as_rational_integer() for c in coeffs)
+
+
+def _enumeration_oracle(p, m, r, s):
+    """Projective solutions of sum x_i^m = 0 over GF(q^s), enumerated with
+    the first nonzero coordinate normalized to 1."""
+    field = build_field(p, FermatParams.create(p, m, r).f * s)
+    big_q = field.q
+    mth = [0] + [field.exp[(m * field.dlog[x]) % (big_q - 1)]
+                 for x in range(1, big_q)]
+
+    def count_tails(positions, acc):
+        if positions == 0:
+            return 1 if acc == 0 else 0
+        return sum(count_tails(positions - 1, field.add(acc, y)) for y in mth)
+
+    return sum(count_tails(r + 1 - lead, 1) for lead in range(r + 2))
+
+
+# p = 2, f > 1, r odd and even, m prime and composite
+ZETA_GRID = [(7, 3, 1), (2, 3, 1), (2, 3, 2), (3, 4, 1), (3, 4, 2),
+             (5, 4, 2), (13, 4, 3), (2, 5, 1), (2, 5, 2), (11, 5, 2),
+             (7, 6, 2), (5, 6, 2), (2, 7, 1), (3, 8, 1), (2, 9, 1),
+             (3, 10, 1)]
+
+
+@pytest.mark.parametrize("p,m,r", ZETA_GRID)
+def test_zeta_matches_product_oracle(p, m, r):
+    assert zeta_fermat(p, m, r).poly_coeffs == _product_oracle(p, m, r)
+
+
+POINT_GRID = [(7, 3, 1, 1), (7, 3, 1, 2), (2, 3, 1, 2), (2, 3, 2, 2),
+              (3, 4, 1, 2), (3, 4, 2, 1), (5, 4, 2, 2), (2, 5, 1, 1),
+              (2, 5, 3, 1), (11, 5, 2, 1), (7, 6, 2, 1), (13, 4, 3, 1),
+              (3, 8, 1, 2)]
+
+
+@pytest.mark.parametrize("p,m,r,s", POINT_GRID)
+def test_point_count_matches_enumeration(p, m, r, s):
+    assert brute_force_point_count(p, m, r, s) == _enumeration_oracle(p, m,
+                                                                      r, s)
+
+
+def test_point_budget_counts_field_subtractions():
+    # (r + 1)(d + 1)(Q - 1)/d with Q = 49, d = gcd(3, 48) = 3
+    with pytest.raises(BudgetError):
+        brute_force_point_count(7, 3, 1, 2, budget=127)
+    assert brute_force_point_count(7, 3, 1, 2, budget=128) == 63
+
+
+def test_zeta_rejects_uneven_orbit_multiplicity(monkeypatch):
+    # j(2,2,2) = conj j(1,1,1); a table giving both vectors the same value
+    # passes the Weil check but breaks Galois stability
+    real = fermat.jacobi_sum_table
+
+    def skewed(chi, alphas, cache=None):
+        table = real(chi, alphas, cache=cache)
+        table[(2, 2, 2)] = table[(1, 1, 1)]
+        return table
+
+    monkeypatch.setattr(fermat, "jacobi_sum_table", skewed)
+    with pytest.raises(InternalCheckError, match="Galois orbit"):
+        zeta_fermat(7, 3, 1)
+
+
+def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch):
+    real = fermat.jacobi_sum_table
+
+    def corrupted(chi, alphas, cache=None):
+        table = real(chi, alphas, cache=cache)
+        table[(1, 1, 1)] = CycInt.from_coeffs(3, (8, 3))
+        return table
+
+    monkeypatch.setattr(fermat, "jacobi_sum_table", corrupted)
+    with pytest.raises(InternalCheckError, match="q\\^r"):
+        zeta_fermat(7, 3, 1)
+
+
+def test_power_product_expansion():
+    # (1 - T)^2 (1 + T + 7T^2)
+    assert fermat._expand_power_product([([1, -1], 2), ([1, 1, 7], 1)],
+                                        4) == (1, -1, 6, -13, 7)
+    with pytest.raises(InternalCheckError):
+        fermat._expand_power_product([([1, -1], 2)], 3)

@@ -44,6 +44,15 @@ def test_point_counts_by_enumeration():
     assert ec_count_points(EllipticCurve.create(7, 0, 1)) == 12
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 997, 10007])
+def test_residue_table_count_matches_legendre_sweep(p):
+    for a, b in [(0, 1), (2, 3), (1, 1), (-1, 0), (5, 7)]:
+        if (4 * a**3 + 27 * b**2) % p == 0:
+            continue  # singular reduction
+        sweep = p + 1 + sum(legendre(x**3 + a * x + b, p) for x in range(p))
+        assert ec_count_points(EllipticCurve.create(p, a, b)) == sweep
+
+
 def test_trace_and_hasse():
     assert ec_trace(EllipticCurve.create(5, 0, 1)) == 0
     assert ec_trace(EllipticCurve.create(7, 0, 1)) == -4
