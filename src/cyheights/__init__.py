@@ -4,12 +4,12 @@ formal-group heights, supersingularity predicates and period lattices,
 each paired with an independent brute-force check."""
 
 from .errors import BudgetError, InputError, InternalCheckError, PrecisionError
-from .finite_field import FiniteField, build_field, dlog, order_mod
+from .finite_field import FiniteField, build_field, order_mod
 from .cyclotomic import (CycInt, complex_embed, cyclotomic_polynomial,
                          modulus_squared)
 from .padic import PadicContext, Valuation, ValuationOracle, padic_valuation
-from .character_sums import (Character, GroupFunction, JacobiCache,
-                             jacobi_sum, jacobi_sum_naive, jacobi_sum_table)
+from .character_sums import (Character, jacobi_sum, jacobi_sum_naive,
+                             jacobi_sum_table)
 from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      HodgeVector, SlopeMultiset, ZetaData, alpha_count,
                      artin_comparison, brute_force_point_count,

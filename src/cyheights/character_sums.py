@@ -24,11 +24,9 @@ independent check is the literal enumeration in jacobi_sum_naive.
 
 from __future__ import annotations
 
-import json
-import os
 from math import gcd
 
-from .cyclotomic import CycInt, degree
+from .cyclotomic import CycInt
 from .errors import BudgetError, InputError
 from .finite_field import FiniteField
 
@@ -169,132 +167,23 @@ def scaled_alpha(t: int, alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple((t * a) % m for a in alpha)
 
 
-def jacobi_sum_table(chi: Character, alphas, *,
-                     cache: JacobiCache | None = None) -> dict:
+def jacobi_sum_table(chi: Character, alphas) -> dict:
     """Jacobi sums for a family of exponent vectors.
 
     One representative per Galois orbit is evaluated; the rest of the
-    orbit is filled via j(t*alpha) = sigma_t(j(alpha)).  An optional
-    on-disk cache is consulted first and updated with new values.
+    orbit is filled via j(t*alpha) = sigma_t(j(alpha)).
     """
     m = chi.m
-    field = chi.field
     wanted = list(alphas)
     table: dict[tuple[int, ...], CycInt] = {}
     units = [t for t in range(1, m) if gcd(t, m) == 1]
-    dirty = False
     for alpha in wanted:
         if alpha in table:
             continue
-        j = cache.get(field.p, m, alpha) if cache is not None else None
-        if j is None:
-            j = jacobi_sum(alpha, chi)
-            dirty = True
+        j = jacobi_sum(alpha, chi)
         table[alpha] = j
         for t in units[1:]:
             talpha = scaled_alpha(t, alpha, m)
             if talpha not in table:
                 table[talpha] = j.galois(t)
-    if cache is not None and dirty:
-        for alpha in wanted:
-            cache.put(field.p, m, alpha, table[alpha])
-        cache.save()
     return {alpha: table[alpha] for alpha in wanted}
-
-
-class GroupFunction:
-    """A dense table F_q -> Z[zeta_m], convolved over the additive group.
-
-    The quadratic-time convolution here is the reference semantics for
-    jacobi_sum; it is also what the associativity and commutativity
-    spot-tests run against.  Fine for q up to a few hundred.
-    """
-
-    __slots__ = ("field", "m", "values")
-
-    def __init__(self, field: FiniteField, m: int, values):
-        values = list(values)
-        if len(values) != field.q:
-            raise InputError("table length must equal q")
-        self.field = field
-        self.m = m
-        self.values = values
-
-    @classmethod
-    def character_power(cls, chi: Character, a: int) -> GroupFunction:
-        """The table x -> chi(x)^a with value 0 at x = 0."""
-        vals = [CycInt.zero(chi.m)]
-        for x in range(1, chi.field.q):
-            vals.append(CycInt.root_of_unity(chi.m, chi.exponent[x] * a))
-        return cls(chi.field, chi.m, vals)
-
-    def convolve(self, other: GroupFunction) -> GroupFunction:
-        if self.field is not other.field or self.m != other.m:
-            raise InputError("convolution operands live on different groups")
-        field = self.field
-        q = field.q
-        out = [CycInt.zero(self.m) for _ in range(q)]
-        for x in range(q):
-            fx = self.values[x]
-            if not fx:
-                continue
-            for y in range(q):
-                gy = other.values[y]
-                if gy:
-                    z = field.add(x, y)
-                    out[z] = out[z] + fx * gy
-        return GroupFunction(field, self.m, out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupFunction) and self.m == other.m
-                and self.field is other.field and self.values == other.values)
-
-    def __call__(self, x: int) -> CycInt:
-        return self.values[x]
-
-
-class JacobiCache:
-    """Versioned JSON store of Jacobi-sum coefficient vectors.
-
-    Keys are (p, m, r, alpha); values are power-basis coordinates.
-    Writes go through an atomic replace, so concurrent writers can only
-    race to store identical data.
-    """
-
-    FORMAT = 1
-
-    def __init__(self, path: str):
-        self.path = path
-        self.entries: dict[str, list[int]] = {}
-        self._load()
-
-    @staticmethod
-    def _key(p: int, m: int, alpha: tuple[int, ...]) -> str:
-        r = len(alpha) - 2
-        return f"{p},{m},{r}:" + ",".join(str(a) for a in alpha)
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return
-        if data.get("format") == self.FORMAT:
-            self.entries = dict(data.get("entries", {}))
-
-    def get(self, p: int, m: int, alpha: tuple[int, ...]) -> CycInt | None:
-        coeffs = self.entries.get(self._key(p, m, alpha))
-        if coeffs is None or len(coeffs) != degree(m):
-            return None
-        return CycInt.from_coeffs(m, coeffs)
-
-    def put(self, p: int, m: int, alpha: tuple[int, ...], value: CycInt) -> None:
-        self.entries[self._key(p, m, alpha)] = list(value.coeffs)
-
-    def save(self) -> None:
-        payload = {"format": self.FORMAT, "entries": self.entries}
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        tmp = f"{self.path}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, self.path)

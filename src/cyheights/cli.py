@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import fermat, kummer
-from .character_sums import JacobiCache
 from .errors import BudgetError, InputError, PrecisionError
-from .finite_field import is_prime
+from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
 CACHE_ENV_VAR = "CYHEIGHTS_CACHE_DIR"
 
@@ -92,12 +91,6 @@ def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _jacobi_cache(cfg: RunConfig) -> JacobiCache | None:
-    if cfg.cache_dir is None:
-        return None
-    return JacobiCache(os.path.join(cfg.cache_dir, "jacobi_sums_v1.json"))
-
-
 # --- height ---
 
 
@@ -139,7 +132,6 @@ def _cmd_height(cfg: RunConfig, args) -> int:
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
     zeta = fermat.zeta_fermat(args.p, args.m, args.r,
-                              cache=_jacobi_cache(cfg),
                               alpha_budget=args.alpha_budget,
                               table_budget=args.table_budget,
                               cache_dir=cfg.cache_dir)
@@ -189,7 +181,6 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
 
 def _cmd_stickelberger(cfg: RunConfig, args) -> int:
     report = fermat.stickelberger_check(args.p, args.m, args.r,
-                                        cache=_jacobi_cache(cfg),
                                         precision=args.precision,
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget,
@@ -370,7 +361,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default: text)")
     sub.add_argument("--cache-dir", default=None,
-                     help=f"cache directory (or ${CACHE_ENV_VAR})")
+                     help=f"directory for cached field tables "
+                          f"(or ${CACHE_ENV_VAR})")
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for surveys, capped at the "
                           "task and CPU counts (default: CPU count)")
@@ -379,8 +371,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="max exponent vectors (zeta, stickelberger) "
                           "or exponent multisets (height, survey) to "
                           "enumerate")
-    sub.add_argument("--table-budget", type=int, default=1 << 24,
-                     help="max field cardinality for dense tables")
+    sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
+                     help="max cardinality of a field given dense exp/dlog "
+                          "tables, counted in field elements, not bytes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd
 
-from .character_sums import Character, JacobiCache, jacobi_sum_table
+from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, modulus_squared
 from .errors import BudgetError, InputError, InternalCheckError, PrecisionError
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field, is_prime,
@@ -381,8 +381,29 @@ class ZetaData:
         return len(self.poly_coeffs) - 1
 
 
+def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
+                         table_budget: int, cache_dir: str | None):
+    """The field and the Jacobi sum of every exponent vector, keyed in
+    lexicographic order, with |j|^2 = q^r checked once per distinct value.
+
+    The check catches a field table that is inconsistent in a way that
+    moves some j off the circle of radius q^(r/2), e.g. a cache file
+    with two dlog entries swapped; it is not a proof that the table is
+    right, which would take a walk over the whole group.
+    """
+    field = build_field(params.p, params.f, table_budget=table_budget,
+                        cache_dir=cache_dir)
+    alphas = exponent_vectors(params.m, params.r, budget=alpha_budget)
+    sums = jacobi_sum_table(Character(field, params.m), alphas)
+    q_to_r = CycInt.integer(params.m, params.q**params.r)
+    for j in set(sums.values()):
+        if modulus_squared(j) != q_to_r:
+            raise InternalCheckError(
+                f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
+    return field, sums
+
+
 def zeta_fermat(p: int, m: int, r: int, *,
-                cache: JacobiCache | None = None,
                 alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                 table_budget: int = DEFAULT_TABLE_BUDGET,
                 cache_dir: str | None = None) -> ZetaData:
@@ -397,18 +418,9 @@ def zeta_fermat(p: int, m: int, r: int, *,
     division in the expansion and deg P = |A|.
     """
     params = FermatParams.create(p, m, r)
-    field = build_field(p, params.f, table_budget=table_budget,
-                        cache_dir=cache_dir)
-    chi = Character(field, m)
-    alphas = exponent_vectors(m, r, budget=alpha_budget)
-    sums = jacobi_sum_table(chi, alphas, cache=cache)
+    _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
+                                   cache_dir)
     multiplicity = Counter(sums.values())
-
-    q_to_r = CycInt.integer(m, params.q**r)
-    for j in multiplicity:
-        if modulus_squared(j) != q_to_r:
-            raise InternalCheckError(
-                f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
 
     units = [t for t in range(1, m) if gcd(t, m) == 1]
     factors: list[tuple[list[int], int]] = []
@@ -600,7 +612,6 @@ class StickelbergerReport:
 
 
 def stickelberger_check(p: int, m: int, r: int, *,
-                        cache: JacobiCache | None = None,
                         precision: int | None = None,
                         alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                         table_budget: int = DEFAULT_TABLE_BUDGET,
@@ -610,22 +621,21 @@ def stickelberger_check(p: int, m: int, r: int, *,
 
     The left side is computed from the Jacobi sum through the lifted
     root of unity, the right side from integer arithmetic alone; the
-    two share nothing but the field construction.
+    two share nothing but the field construction.  Every distinct Jacobi
+    sum must satisfy |j|^2 = q^r first, so a table fault that breaks it
+    is an internal error rather than a mismatch.
     """
     params = FermatParams.create(p, m, r)
-    field = build_field(p, params.f, table_budget=table_budget,
-                        cache_dir=cache_dir)
-    chi = Character(field, m)
-    alphas = exponent_vectors(m, r, budget=alpha_budget)
-    sums = jacobi_sum_table(chi, alphas, cache=cache)
+    field, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
+                                       cache_dir)
     k0 = precision if precision is not None else default_precision(params.f, r)
     oracle = ValuationOracle(field, m, k0)
 
     rows = []
-    for alpha in alphas:
+    for alpha, j in sums.items():
         expected = stickelberger_exponent(alpha, p, m)
         try:
-            val = oracle.valuation(sums[alpha])
+            val = oracle.valuation(j)
             rows.append(StickelbergerRow(alpha, expected, val, None))
         except PrecisionError as exc:
             rows.append(StickelbergerRow(alpha, expected, None, str(exc)))

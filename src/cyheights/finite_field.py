@@ -248,13 +248,6 @@ class FiniteField:
         return range(1, self.q)
 
 
-def dlog(field: FiniteField, x: int) -> int:
-    """Discrete log of x against the field's canonical generator."""
-    if x == 0:
-        raise InputError("dlog of 0 is undefined")
-    return field.dlog[x]
-
-
 def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
                     modulus: list[int], p: int) -> bool:
     """True iff enc has multiplicative order exactly q - 1."""

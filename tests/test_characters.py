@@ -2,15 +2,65 @@ import random
 
 import pytest
 
-from cyheights.character_sums import (Character, GroupFunction, JacobiCache,
-                                      jacobi_sum,
+from cyheights.character_sums import (Character, jacobi_sum,
                                       jacobi_sum_naive, jacobi_sum_table,
                                       scaled_alpha)
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import BudgetError, InputError
 from cyheights.fermat import exponent_vectors
-from cyheights.finite_field import build_field
+from cyheights.finite_field import FiniteField, build_field
 from cyheights.padic import ValuationOracle
+
+
+class GroupFunction:
+    """A dense table F_q -> Z[zeta_m], convolved over the additive group.
+
+    The quadratic-time convolution here is the reference semantics for
+    jacobi_sum; it is also what the associativity and commutativity
+    spot-tests run against.  Fine for q up to a few hundred.
+    """
+
+    __slots__ = ("field", "m", "values")
+
+    def __init__(self, field: FiniteField, m: int, values):
+        values = list(values)
+        if len(values) != field.q:
+            raise InputError("table length must equal q")
+        self.field = field
+        self.m = m
+        self.values = values
+
+    @classmethod
+    def character_power(cls, chi: Character, a: int) -> "GroupFunction":
+        """The table x -> chi(x)^a with value 0 at x = 0."""
+        vals = [CycInt.zero(chi.m)]
+        for x in range(1, chi.field.q):
+            vals.append(CycInt.root_of_unity(chi.m, chi.exponent[x] * a))
+        return cls(chi.field, chi.m, vals)
+
+    def convolve(self, other: "GroupFunction") -> "GroupFunction":
+        if self.field is not other.field or self.m != other.m:
+            raise InputError("convolution operands live on different groups")
+        field = self.field
+        q = field.q
+        out = [CycInt.zero(self.m) for _ in range(q)]
+        for x in range(q):
+            fx = self.values[x]
+            if not fx:
+                continue
+            for y in range(q):
+                gy = other.values[y]
+                if gy:
+                    z = field.add(x, y)
+                    out[z] = out[z] + fx * gy
+        return GroupFunction(field, self.m, out)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GroupFunction) and self.m == other.m
+                and self.field is other.field and self.values == other.values)
+
+    def __call__(self, x: int) -> CycInt:
+        return self.values[x]
 
 
 @pytest.fixture(scope="module")
@@ -172,22 +222,3 @@ def test_jacobi_sum_table_matches_pointwise(chi_9_4):
     assert set(table) == set(alphas)
     for alpha in alphas:
         assert table[alpha] == jacobi_sum(alpha, chi_9_4)
-
-
-def test_jacobi_cache_roundtrip(tmp_path, chi_9_4):
-    path = str(tmp_path / "jacobi.json")
-    alphas = exponent_vectors(4, 2)
-    first = jacobi_sum_table(chi_9_4, alphas, cache=JacobiCache(path))
-    assert (tmp_path / "jacobi.json").exists()
-    warm_cache = JacobiCache(path)
-    assert len(warm_cache.entries) == len(alphas)
-    second = jacobi_sum_table(chi_9_4, alphas, cache=warm_cache)
-    assert first == second
-
-
-def test_jacobi_cache_survives_corruption(tmp_path, chi_9_4):
-    path = tmp_path / "jacobi.json"
-    path.write_text("{broken")
-    table = jacobi_sum_table(chi_9_4, exponent_vectors(4, 2)[:3],
-                             cache=JacobiCache(str(path)))
-    assert len(table) == 3

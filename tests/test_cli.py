@@ -157,7 +157,7 @@ def test_warm_cache_is_byte_identical(capsys, tmp_path):
     args = ["zeta", "--p", "3", "--m", "4", "--r", "2", "--check", "1",
             "--format", "json", "--cache-dir", str(tmp_path)]
     code1, cold, _ = run(capsys, *args)
-    assert (tmp_path / "jacobi_sums_v1.json").exists()
+    assert (tmp_path / "gf_p3_f2_v1.json").exists()
     code2, warm, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert cold == warm
@@ -171,7 +171,7 @@ def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "stickelberger", "--p", "3", "--m", "4",
                      "--r", "2")
     assert code == 0
-    assert (tmp_path / "jacobi_sums_v1.json").exists()
+    assert (tmp_path / "gf_p3_f2_v1.json").exists()
 
 
 def test_diagnostics_go_to_stderr_only(capsys):
@@ -301,16 +301,48 @@ def test_zeta_reports_a_corrupted_coefficient_as_mismatch(capsys,
     assert "N_1: zeta 10 vs brute force 9  [MISMATCH]" in out
 
 
-def test_zeta_on_corrupted_jacobi_cache_is_internal_error(capsys, tmp_path):
-    args = ["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", "1",
-            "--cache-dir", str(tmp_path)]
-    assert run(capsys, *args)[0] == 0
-    path = tmp_path / "jacobi_sums_v1.json"
+def _rewrite_field_cache(path, edit):
     data = json.loads(path.read_text())
-    assert data["entries"]["7,3,1:1,1,1"] == [1, 3]
-    data["entries"]["7,3,1:1,1,1"] = [8, 3]
+    edit(data)
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, *args)
-    assert code == cli.EXIT_INTERNAL == 4
-    assert out == ""
-    assert "InternalCheckError" in err
+
+
+def test_permuted_field_cache_is_internal_error(capsys, tmp_path):
+    # swapping two dlog entries keeps the table a permutation with
+    # dlog[g] = 1, so the cache loads, but it moves some Jacobi sums off
+    # |j|^2 = q^r; unchecked, stickelberger would print 6 mismatches
+    args = ["--p", "31", "--m", "5", "--r", "1", "--cache-dir", str(tmp_path)]
+    assert run(capsys, "stickelberger", *args)[0] == 0
+
+    def swap(data):
+        dlog = data["dlog"]
+        dlog[2], dlog[4] = dlog[4], dlog[2]
+
+    _rewrite_field_cache(tmp_path / "gf_p31_f1_v1.json", swap)
+    for command in ("stickelberger", "zeta"):
+        code, out, err = run(capsys, command, *args)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert "InternalCheckError" in err and "q^r" in err
+
+
+def test_field_cache_from_another_generator_gives_the_same_output(capsys,
+                                                                  tmp_path):
+    # a consistent table for the generator 11 instead of 3: P is pinned
+    # from the same table as the character, so every verdict stands
+    def regenerate(data):
+        data["generator"] = 11
+        data["dlog"] = [None] * 31
+        for i in range(30):
+            data["dlog"][pow(11, i, 31)] = i
+
+    for command in ("stickelberger", "zeta"):
+        args = [command, "--p", "31", "--m", "5", "--r", "1",
+                "--format", "json", "--cache-dir", str(tmp_path / command)]
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        path = tmp_path / command / "gf_p31_f1_v1.json"
+        _rewrite_field_cache(path, regenerate)
+        code, warm, _ = run(capsys, *args)
+        assert (code, warm) == (0, cold)
+        assert json.loads(path.read_text())["generator"] == 11

@@ -249,16 +249,6 @@ def test_variety_report_shape():
     assert variety_report(11, 5, 3)["fully_rigged"] is None
 
 
-def test_stickelberger_check_uses_jacobi_cache(tmp_path):
-    from cyheights.character_sums import JacobiCache
-    path = str(tmp_path / "jac.json")
-    first = stickelberger_check(3, 4, 2, cache=JacobiCache(path))
-    second = stickelberger_check(3, 4, 2, cache=JacobiCache(path))
-    assert first.all_equal and second.all_equal
-    assert [r.valuation for r in first.rows] == [r.valuation
-                                                 for r in second.rows]
-
-
 def _per_vector_oracle(p, m, r):
     """Slopes, Hodge numbers and deficient count from a literal walk over
     every exponent vector, one Stickelberger exponent per vector."""
@@ -379,8 +369,8 @@ def test_zeta_rejects_uneven_orbit_multiplicity(monkeypatch):
     # passes the Weil check but breaks Galois stability
     real = fermat.jacobi_sum_table
 
-    def skewed(chi, alphas, cache=None):
-        table = real(chi, alphas, cache=cache)
+    def skewed(chi, alphas):
+        table = real(chi, alphas)
         table[(2, 2, 2)] = table[(1, 1, 1)]
         return table
 
@@ -389,17 +379,19 @@ def test_zeta_rejects_uneven_orbit_multiplicity(monkeypatch):
         zeta_fermat(7, 3, 1)
 
 
-def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch):
+@pytest.mark.parametrize("check", [zeta_fermat, stickelberger_check],
+                         ids=lambda check: check.__name__)
+def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch, check):
     real = fermat.jacobi_sum_table
 
-    def corrupted(chi, alphas, cache=None):
-        table = real(chi, alphas, cache=cache)
+    def corrupted(chi, alphas):
+        table = real(chi, alphas)
         table[(1, 1, 1)] = CycInt.from_coeffs(3, (8, 3))
         return table
 
     monkeypatch.setattr(fermat, "jacobi_sum_table", corrupted)
     with pytest.raises(InternalCheckError, match="q\\^r"):
-        zeta_fermat(7, 3, 1)
+        check(7, 3, 1)
 
 
 def test_power_product_expansion():

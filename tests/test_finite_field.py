@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import build_field, dlog, is_prime, order_mod
+from cyheights.finite_field import build_field, is_prime, order_mod
 
 
 def test_order_mod_examples():
@@ -48,17 +48,16 @@ def test_f2_degenerate():
     field = build_field(2, 1)
     assert field.generator == 1
     assert field.q == 2
-    assert dlog(field, 1) == 0
+    assert field.dlog[1] == 0
 
 
 def test_dlog_examples_and_errors():
     field = build_field(3, 2)
     g = field.generator
-    assert dlog(field, 1) == 0
-    assert dlog(field, g) == 1
-    assert dlog(field, field.mul(g, g)) == 2
-    with pytest.raises(InputError):
-        dlog(field, 0)
+    assert field.dlog[1] == 0
+    assert field.dlog[g] == 1
+    assert field.dlog[field.mul(g, g)] == 2
+    assert field.dlog[0] is None
 
 
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 2), (7, 1)])
