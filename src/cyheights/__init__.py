@@ -3,18 +3,19 @@ in positive characteristic: Jacobi sums, zeta functions, Newton slopes,
 formal-group heights, supersingularity predicates and period lattices,
 each paired with an independent brute-force check."""
 
-from .errors import BudgetError, InputError, InternalCheckError, PrecisionError
+from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import FiniteField, build_field, order_mod
 from .cyclotomic import (CycInt, complex_embed, cyclotomic_polynomial,
                          modulus_squared)
-from .padic import PadicContext, Valuation, ValuationOracle, padic_valuation
+from .padic import PadicContext, Valuation, padic_valuation
 from .character_sums import (Character, jacobi_sum, jacobi_sum_naive,
                              jacobi_sum_table)
 from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      HodgeVector, SlopeMultiset, ZetaData, alpha_count,
                      artin_comparison, brute_force_point_count,
-                     exponent_vectors, frobenius_subgroup, fully_rigged_fermat,
-                     height_fermat, hodge_numbers_fermat, newton_slopes,
+                     exponent_multisets, exponent_vectors,
+                     frobenius_subgroup, fully_rigged_fermat, height_fermat,
+                     hodge_numbers_fermat, newton_slopes,
                      point_count_from_zeta, predicted_height,
                      slope_deficient_count, stickelberger_check,
                      stickelberger_exponent, variety_report, zeta_fermat)

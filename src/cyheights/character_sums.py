@@ -160,30 +160,24 @@ def jacobi_sum_naive(alpha: tuple[int, ...], chi: Character, *,
     return total
 
 
-def scaled_alpha(t: int, alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Componentwise t*alpha mod m, components kept in (0, m)."""
-    if gcd(t, m) != 1:
-        raise InputError(f"t={t} is not a unit modulo {m}")
-    return tuple((t * a) % m for a in alpha)
+def jacobi_sum_table(chi: Character, multisets) -> dict:
+    """Jacobi sums of exponent multisets, each given as its sorted vector.
 
-
-def jacobi_sum_table(chi: Character, alphas) -> dict:
-    """Jacobi sums for a family of exponent vectors.
-
-    One representative per Galois orbit is evaluated; the rest of the
-    orbit is filled via j(t*alpha) = sigma_t(j(alpha)).
+    j(alpha) is a product of Gauss sums, one per component, so it is
+    symmetric in all r + 2 components and one value serves a multiset.
+    One multiset per (Z/m)^*-orbit is evaluated; the rest of its orbit is
+    filled via j(t*alpha) = sigma_t(j(alpha)) under the sorted key of
+    t*alpha.  The table holds every multiset in the orbits asked for.
     """
     m = chi.m
-    wanted = list(alphas)
-    table: dict[tuple[int, ...], CycInt] = {}
     units = [t for t in range(1, m) if gcd(t, m) == 1]
-    for alpha in wanted:
+    table: dict[tuple[int, ...], CycInt] = {}
+    for alpha in multisets:
         if alpha in table:
             continue
         j = jacobi_sum(alpha, chi)
-        table[alpha] = j
-        for t in units[1:]:
-            talpha = scaled_alpha(t, alpha, m)
-            if talpha not in table:
-                table[talpha] = j.galois(t)
-    return {alpha: table[alpha] for alpha in wanted}
+        for t in units:
+            key = tuple(sorted((t * a) % m for a in alpha))
+            if key not in table:
+                table[key] = j.galois(t)
+    return table

@@ -7,10 +7,11 @@ stderr, so re-running a command with a warm cache is byte-identical on
 stdout.
 
 Exit codes: 0 all requested checks passed, 1 a computed value disagreed
-with a theorem prediction, 2 invalid input, 3 a size budget or p-adic
-precision limit was exceeded, 4 an internal check failed (a bug, not a
-verdict).  --alpha-budget bounds the exponent vectors zeta and
-stickelberger enumerate and the multisets height and survey enumerate.
+with a theorem prediction, 2 invalid input, 3 a size budget was
+exceeded, 4 an internal check failed (a bug, not a verdict).
+--alpha-budget bounds |A|, the exponent-vector count, for zeta and
+stickelberger (deg P and the row count), and the heads of the multiset
+walk for height.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import fermat, kummer
-from .errors import BudgetError, InputError, PrecisionError
+from .errors import BudgetError, InputError
 from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
 CACHE_ENV_VAR = "CYHEIGHTS_CACHE_DIR"
@@ -181,7 +182,6 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
 
 def _cmd_stickelberger(cfg: RunConfig, args) -> int:
     report = fermat.stickelberger_check(args.p, args.m, args.r,
-                                        precision=args.precision,
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget,
                                         cache_dir=cfg.cache_dir)
@@ -193,11 +193,11 @@ def _cmd_stickelberger(cfg: RunConfig, args) -> int:
         "total": len(report.rows),
         "equal_count": equal,
         "all_equal": report.all_equal,
-        "precision_failures": len(report.precision_failures),
+        "precision_failures": 0,  # stickelberger/v1 field; always 0
         "rows": [
             {"alpha": list(row.alpha), "exponent": row.exponent,
              "valuation": row.valuation, "equal": row.equal,
-             "error": row.error}
+             "error": None}
             for row in report.rows
         ],
     }
@@ -207,7 +207,7 @@ def _cmd_stickelberger(cfg: RunConfig, args) -> int:
         fields = ["alpha", "exponent", "valuation", "equal", "error"]
         rows = [{"alpha": " ".join(map(str, row.alpha)),
                  "exponent": row.exponent, "valuation": row.valuation,
-                 "equal": row.equal, "error": row.error}
+                 "equal": row.equal, "error": None}
                 for row in report.rows]
         _emit_csv("stickelberger/v1", fields, rows)
     else:
@@ -217,13 +217,7 @@ def _cmd_stickelberger(cfg: RunConfig, args) -> int:
         for row in report.mismatches:
             print(f"  MISMATCH alpha={row.alpha}: exponent {row.exponent}, "
                   f"valuation {row.valuation}")
-        for row in report.precision_failures:
-            print(f"  PRECISION alpha={row.alpha}: {row.error}")
-    if report.mismatches:
-        return EXIT_MISMATCH
-    if report.precision_failures:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 
 # --- survey ---
@@ -368,9 +362,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "task and CPU counts (default: CPU count)")
     sub.add_argument("--alpha-budget", type=int,
                      default=fermat.DEFAULT_ALPHA_BUDGET,
-                     help="max exponent vectors (zeta, stickelberger) "
-                          "or exponent multisets (height, survey) to "
-                          "enumerate")
+                     help="max exponent vectors |A| (zeta, "
+                          "stickelberger) or multiset-walk heads (height)")
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
                      help="max cardinality of a field given dense exp/dlog "
                           "tables, counted in field elements, not bytes")
@@ -414,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--precision", type=int, default=None,
-                     help="initial p-adic working precision")
     _add_common(sub)
     sub.set_defaults(run=_cmd_stickelberger)
 
@@ -469,7 +460,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID
-    except (BudgetError, PrecisionError) as exc:
+    except BudgetError as exc:
         _diag(f"error: {exc}")
         return EXIT_BUDGET
     except Exception as exc:  # InternalCheckError or an uncaught bug

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto its exit-code contract: a failed theorem check
-exits 1, invalid input 2, budget or precision exhaustion 3, and an
-internal check failure (or any other unexpected exception) 4.
+exits 1, invalid input 2, budget exhaustion 3, and an internal check
+failure (or any other unexpected exception) 4.
 """
 
 
@@ -16,10 +16,6 @@ class BudgetError(RuntimeError):
     The message always names the budget so scripts can tell which knob
     to raise.
     """
-
-
-class PrecisionError(RuntimeError):
-    """A p-adic valuation stayed a lower bound after all allowed retries."""
 
 
 class InternalCheckError(RuntimeError):

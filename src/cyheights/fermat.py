@@ -7,9 +7,12 @@ Stickelberger exponent gives the P-adic valuation of each eigenvalue,
 the valuations normalized by f are the Newton slopes, the slopes in
 [0, 1) count the height of the formal group attached to H^r(X, O_X),
 and the full eigenvalue product is the interesting factor of the zeta
-function.  When m = r + 2 the hypersurface is Calabi-Yau and the height
-is the invariant the theorems here are about; everything is computed
-from first principles so the closed-form predictions stay testable.
+function.  The Jacobi sum, its Stickelberger exponent and its Hodge
+level are symmetric in all r + 2 components, so every invariant is read
+off one walk over exponent multisets (exponent_multisets).  When
+m = r + 2 the hypersurface is Calabi-Yau and the height is the invariant
+the theorems here are about; everything is computed from first
+principles so the closed-form predictions stay testable.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from math import comb, factorial, gcd
 
 from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, modulus_squared
-from .errors import BudgetError, InputError, InternalCheckError, PrecisionError
+from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field, is_prime,
                            order_mod)
-from .padic import ValuationOracle, default_precision
+from .padic import PadicContext, default_precision, padic_valuation
 
 DEFAULT_ALPHA_BUDGET = 10**6
 DEFAULT_POINT_BUDGET = 10**8
@@ -124,15 +127,20 @@ def _check_shape(m: int, r: int) -> None:
         raise InputError(f"dimension r must be >= 1, got {r}")
 
 
+def _alpha_budget_check(m: int, r: int, budget: int) -> int:
+    expected = alpha_count(m, r)
+    if expected > budget:
+        raise BudgetError(
+            f"exponent-vector budget exceeded: |A| = {expected} > {budget}")
+    return expected
+
+
 def exponent_vectors(m: int, r: int, *,
                      budget: int = DEFAULT_ALPHA_BUDGET) -> list[AlphaVector]:
     """All (a_0, ..., a_{r+1}) with 0 < a_i < m and sum = 0 mod m, in
     lexicographic order."""
     _check_shape(m, r)
-    expected = alpha_count(m, r)
-    if expected > budget:
-        raise BudgetError(
-            f"exponent-vector budget exceeded: |A| = {expected} > {budget}")
+    expected = _alpha_budget_check(m, r, budget)
     out: list[AlphaVector] = []
     for head in product(range(1, m), repeat=r + 1):
         last = (-sum(head)) % m
@@ -140,6 +148,32 @@ def exponent_vectors(m: int, r: int, *,
             out.append(head + (last,))
     if len(out) != expected:
         raise InternalCheckError("enumeration disagrees with closed form")
+    return out
+
+
+def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
+    """Each S_{r+2}-orbit of exponent vectors once: its sorted vector
+    mapped to the orbit size (r+2)!/prod(mult!), in walk order.
+
+    The walk visits the C(m+r-1, r+1) sorted heads a_1 <= ... <= a_{r+1}
+    and keeps a head when a_0 = -sum(head) mod m is at least a_{r+1}, so
+    every multiset appears once, with a largest entry as a_0.  Callers
+    bound the walk in their own unit before calling.
+    """
+    _check_shape(m, r)
+    top = factorial(r + 2)
+    out: dict[AlphaVector, int] = {}
+    for head in combinations_with_replacement(range(1, m), r + 1):
+        last = (-sum(head)) % m
+        if last < head[-1]:  # also skips last = 0
+            continue
+        alpha = head + (last,)
+        weight = top
+        for mult in Counter(alpha).values():
+            weight //= factorial(mult)
+        out[alpha] = weight
+    if sum(out.values()) != alpha_count(m, r):
+        raise InternalCheckError("multiset weights disagree with closed form")
     return out
 
 
@@ -176,9 +210,10 @@ def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
     """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
     empty) and the Hodge level of all exponent vectors, in one pass.
 
-    a_0 = -sum(head) mod m, so alpha is fixed by its head (a_1..a_{r+1}),
-    whose multiset determines both statistics and stands for its
-    (r+1)!/prod(mult!) orderings.  The budget bounds the multisets walked.
+    Both are symmetric functions of alpha: the exponent is
+    sum_t (sum_i <t a_i>_m / m - 1) and the level sum_i a_i / m - 1, so
+    each multiset stands for its whole orbit.  The budget bounds the
+    heads the multiset walk visits.
     """
     _check_shape(m, r)
     work = comb(m + r - 1, r + 1)
@@ -188,17 +223,10 @@ def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
     tables = [tuple((t * a) % m for a in range(m)) for t in subgroup]
     exponents: Counter = Counter()
     hodge = [0] * (r + 1)
-    for head in combinations_with_replacement(range(1, m), r + 1):
-        total = sum(head)
-        if total % m == 0:
-            continue
-        weight = factorial(r + 1)
-        for mult in Counter(head).values():
-            weight //= factorial(mult)
-        exponents[sum(sum(t[a] for a in head) // m for t in tables)] += weight
-        hodge[total // m] += weight
-    if sum(hodge) != alpha_count(m, r):
-        raise InternalCheckError("multiset weights disagree with closed form")
+    for alpha, weight in exponent_multisets(m, r).items():
+        exponents[sum(sum(t[a] for a in alpha) // m - 1
+                      for t in tables)] += weight
+        hodge[sum(alpha) // m - 1] += weight
     return exponents, hodge
 
 
@@ -383,24 +411,27 @@ class ZetaData:
 
 def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
                          table_budget: int, cache_dir: str | None):
-    """The field and the Jacobi sum of every exponent vector, keyed in
-    lexicographic order, with |j|^2 = q^r checked once per distinct value.
+    """The field, the exponent multisets with their orbit sizes, and the
+    Jacobi sum of every multiset, with |j|^2 = q^r checked once per
+    distinct value.  The budget bounds |A|, the degree of P(T) and the
+    number of Stickelberger rows.
 
     The check catches a field table that is inconsistent in a way that
     moves some j off the circle of radius q^(r/2), e.g. a cache file
     with two dlog entries swapped; it is not a proof that the table is
     right, which would take a walk over the whole group.
     """
+    _alpha_budget_check(params.m, params.r, alpha_budget)
     field = build_field(params.p, params.f, table_budget=table_budget,
                         cache_dir=cache_dir)
-    alphas = exponent_vectors(params.m, params.r, budget=alpha_budget)
-    sums = jacobi_sum_table(Character(field, params.m), alphas)
+    weights = exponent_multisets(params.m, params.r)
+    sums = jacobi_sum_table(Character(field, params.m), weights)
     q_to_r = CycInt.integer(params.m, params.q**params.r)
     for j in set(sums.values()):
         if modulus_squared(j) != q_to_r:
             raise InternalCheckError(
                 f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
-    return field, sums
+    return field, weights, sums
 
 
 def zeta_fermat(p: int, m: int, r: int, *,
@@ -418,9 +449,11 @@ def zeta_fermat(p: int, m: int, r: int, *,
     division in the expansion and deg P = |A|.
     """
     params = FermatParams.create(p, m, r)
-    _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
-                                   cache_dir)
-    multiplicity = Counter(sums.values())
+    _, weights, sums = _checked_jacobi_sums(params, alpha_budget,
+                                            table_budget, cache_dir)
+    multiplicity: Counter = Counter()
+    for alpha, weight in weights.items():
+        multiplicity[sums[alpha]] += weight
 
     units = [t for t in range(1, m) if gcd(t, m) == 1]
     factors: list[tuple[list[int], int]] = []
@@ -581,8 +614,7 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
 class StickelbergerRow:
     alpha: AlphaVector
     exponent: int
-    valuation: int | None
-    error: str | None
+    valuation: int
 
     @property
     def equal(self) -> bool:
@@ -604,15 +636,10 @@ class StickelbergerReport:
 
     @property
     def mismatches(self) -> list[StickelbergerRow]:
-        return [row for row in self.rows if row.error is None and not row.equal]
-
-    @property
-    def precision_failures(self) -> list[StickelbergerRow]:
-        return [row for row in self.rows if row.error is not None]
+        return [row for row in self.rows if not row.equal]
 
 
 def stickelberger_check(p: int, m: int, r: int, *,
-                        precision: int | None = None,
                         alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                         table_budget: int = DEFAULT_TABLE_BUDGET,
                         cache_dir: str | None = None) -> StickelbergerReport:
@@ -620,23 +647,27 @@ def stickelberger_check(p: int, m: int, r: int, *,
     for every exponent vector.
 
     The left side is computed from the Jacobi sum through the lifted
-    root of unity, the right side from integer arithmetic alone; the
-    two share nothing but the field construction.  Every distinct Jacobi
-    sum must satisfy |j|^2 = q^r first, so a table fault that breaks it
-    is an internal error rather than a mismatch.
+    root of unity, once per multiset, the right side from integer
+    arithmetic alone for each vector; the two share nothing but the
+    field construction.  Every distinct Jacobi sum must satisfy
+    |j|^2 = q^r first, so a table fault that breaks it is an internal
+    error rather than a mismatch.  That check also bounds ord_P(j) by
+    ord_P(q^r) = f*r, below the working precision f*r + 2, so every
+    valuation is exact or the table is at fault.
     """
     params = FermatParams.create(p, m, r)
-    field, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
-                                       cache_dir)
-    k0 = precision if precision is not None else default_precision(params.f, r)
-    oracle = ValuationOracle(field, m, k0)
-
-    rows = []
-    for alpha, j in sums.items():
-        expected = stickelberger_exponent(alpha, p, m)
-        try:
-            val = oracle.valuation(j)
-            rows.append(StickelbergerRow(alpha, expected, val, None))
-        except PrecisionError as exc:
-            rows.append(StickelbergerRow(alpha, expected, None, str(exc)))
-    return StickelbergerReport(p, m, r, params.f, params.q, tuple(rows))
+    field, _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
+                                          cache_dir)
+    ctx = PadicContext(field, m, default_precision(params.f, r))
+    valuations = {}
+    for key, j in sums.items():
+        val = padic_valuation(j, ctx)
+        if not val.exact:
+            raise InternalCheckError(
+                f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
+                f"{params.f * r}")
+        valuations[key] = val.value
+    rows = tuple(StickelbergerRow(alpha, stickelberger_exponent(alpha, p, m),
+                                  valuations[tuple(sorted(alpha))])
+                 for alpha in exponent_vectors(m, r, budget=alpha_budget))
+    return StickelbergerReport(p, m, r, params.f, params.q, rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import CycInt, degree
-from .errors import InputError, InternalCheckError, PrecisionError
+from .errors import InputError, InternalCheckError
 from .finite_field import FiniteField
 
 
@@ -169,37 +169,3 @@ def padic_valuation(z: CycInt, ctx: PadicContext) -> Valuation:
     if best is None:
         return Valuation.at_least(ctx.k)
     return Valuation.of(best)
-
-
-class ValuationOracle:
-    """Exact ord_P with automatic precision growth.
-
-    Starts from k0 (default f*r + 2) and doubles the precision on every
-    'at least k' answer, at most max_doublings times, before giving up
-    with PrecisionError.
-    """
-
-    def __init__(self, field: FiniteField, m: int, k0: int, *,
-                 max_doublings: int = 8):
-        self._ctx = PadicContext(field, m, k0)
-        self._max_doublings = max_doublings
-
-    @property
-    def context(self) -> PadicContext:
-        return self._ctx
-
-    def valuation(self, z: CycInt) -> int:
-        if not z:
-            raise InputError("ord_P of 0 is infinite")
-        val = padic_valuation(z, self._ctx)
-        doublings = 0
-        while not val.exact:
-            if doublings >= self._max_doublings:
-                raise PrecisionError(
-                    f"valuation still >= {self._ctx.k} after "
-                    f"{doublings} precision doublings")
-            doublings += 1
-            self._ctx = PadicContext(self._ctx.field, self._ctx.m,
-                                     2 * self._ctx.k)
-            val = padic_valuation(z, self._ctx)
-        return val.value

@@ -1,15 +1,15 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from cyheights.character_sums import (Character, jacobi_sum,
-                                      jacobi_sum_naive, jacobi_sum_table,
-                                      scaled_alpha)
+                                      jacobi_sum_naive, jacobi_sum_table)
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import BudgetError, InputError
-from cyheights.fermat import exponent_vectors
+from cyheights.fermat import exponent_multisets, exponent_vectors
 from cyheights.finite_field import FiniteField, build_field
-from cyheights.padic import ValuationOracle
+from cyheights.padic import PadicContext, Valuation, padic_valuation
 
 
 class GroupFunction:
@@ -124,8 +124,8 @@ def test_fermat_cubic_jacobi_sum(chi_7_3):
 def test_supersingular_k3_valuation(chi_9_4):
     j = jacobi_sum((1, 1, 1, 1), chi_9_4)
     assert jacobi_sum_naive((1, 1, 1, 1), chi_9_4) == j
-    oracle = ValuationOracle(chi_9_4.field, 4, 6)
-    assert oracle.valuation(j) == 2  # slope 1: exponent = f = 2
+    ctx = PadicContext(chi_9_4.field, 4, 6)
+    assert padic_valuation(j, ctx) == Valuation.of(2)  # slope 1: f = 2
 
 
 def test_oracle_equivalence_quartic_surface(chi_9_4):
@@ -162,16 +162,8 @@ def test_weil_modulus_exact(chi_9_4, chi_7_3):
 def test_galois_equivariance(chi_9_4):
     for alpha in exponent_vectors(4, 2):
         j = jacobi_sum(alpha, chi_9_4)
-        assert jacobi_sum(scaled_alpha(3, alpha, 4), chi_9_4) == j.galois(3)
-
-
-def test_scaled_alpha_stays_in_range():
-    alpha = (1, 2, 3, 4, 4, 1)
-    scaled = scaled_alpha(3, alpha, 5)
-    assert all(0 < a < 5 for a in scaled)
-    assert sum(scaled) % 5 == 0
-    with pytest.raises(InputError):
-        scaled_alpha(5, alpha, 5)
+        scaled = tuple((3 * a) % 4 for a in alpha)
+        assert jacobi_sum(scaled, chi_9_4) == j.galois(3)
 
 
 def test_alpha_validation(chi_9_4):
@@ -217,8 +209,22 @@ def test_group_function_validation(chi_9_4):
 
 
 def test_jacobi_sum_table_matches_pointwise(chi_9_4):
-    alphas = exponent_vectors(4, 2)
-    table = jacobi_sum_table(chi_9_4, alphas)
-    assert set(table) == set(alphas)
-    for alpha in alphas:
-        assert table[alpha] == jacobi_sum(alpha, chi_9_4)
+    multisets = list(exponent_multisets(4, 2))
+    table = jacobi_sum_table(chi_9_4, multisets)
+    assert set(table) == set(multisets)
+    for alpha in exponent_vectors(4, 2):
+        assert table[tuple(sorted(alpha))] == jacobi_sum(alpha, chi_9_4)
+
+
+@pytest.mark.parametrize("p,f,m,r", [(3, 2, 4, 2), (7, 1, 3, 1),
+                                     (13, 1, 4, 2), (2, 4, 5, 2)])
+def test_jacobi_sum_is_symmetric_in_all_components(p, f, m, r):
+    # literal enumeration, which excludes a_0 from the summand, gives one
+    # value on every ordering of a multiset, a_0 included
+    chi = Character(build_field(p, f), m)
+    multisets = list(exponent_multisets(m, r))
+    table = jacobi_sum_table(chi, multisets)
+    for alpha in multisets:
+        values = {jacobi_sum_naive(perm, chi)
+                  for perm in set(permutations(alpha))}
+        assert values == {table[alpha]}

@@ -346,3 +346,30 @@ def test_field_cache_from_another_generator_gives_the_same_output(capsys,
         code, warm, _ = run(capsys, *args)
         assert (code, warm) == (0, cold)
         assert json.loads(path.read_text())["generator"] == 11
+
+
+@pytest.mark.parametrize("command", ["zeta", "stickelberger"])
+@pytest.mark.parametrize("p,m,r", [("7", "3", "1"), ("5", "4", "2")])
+def test_alpha_budget_counts_exponent_vectors(capsys, command, p, m, r):
+    # |A| is deg P and the row count: 2 at (7, 3, 1), whose multiset walk
+    # visits 3 heads, and 21 at (5, 4, 2), which has 10 heads
+    count = fermat.alpha_count(int(m), int(r))
+    args = [command, "--p", p, "--m", m, "--r", r, "--alpha-budget"]
+    code, out, err = run(capsys, *args, str(count - 1))
+    assert code == 3
+    assert out == ""
+    assert f"|A| = {count}" in err
+    code, _, _ = run(capsys, *args, str(count))
+    assert code == 0
+
+
+def test_inexact_valuation_exits_4(capsys, monkeypatch):
+    # every valuation at (3, 4, 2) is 2, invisible at precision 1; the
+    # working precision is exact by the |j|^2 = q^r check, so this can
+    # only be a fault
+    monkeypatch.setattr(fermat, "default_precision", lambda f, r: 1)
+    code, out, err = run(capsys, "stickelberger", "--p", "3", "--m", "4",
+                         "--r", "2")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "ord_P" in err

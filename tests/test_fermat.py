@@ -1,23 +1,25 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
 
 from cyheights import fermat
-from cyheights.character_sums import Character, jacobi_sum_table
+from cyheights.character_sums import Character, jacobi_sum
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               HeightValue, alpha_count, artin_comparison,
-                              brute_force_point_count, exponent_vectors,
-                              frobenius_subgroup, fully_rigged_fermat,
-                              height_fermat, hodge_numbers_fermat,
-                              newton_slopes, point_count_from_zeta,
-                              predicted_height, slope_deficient_count,
-                              stickelberger_check, stickelberger_exponent,
-                              variety_report, zeta_fermat)
+                              brute_force_point_count, exponent_multisets,
+                              exponent_vectors, frobenius_subgroup,
+                              fully_rigged_fermat, height_fermat,
+                              hodge_numbers_fermat, newton_slopes,
+                              point_count_from_zeta, predicted_height,
+                              slope_deficient_count, stickelberger_check,
+                              stickelberger_exponent, variety_report,
+                              zeta_fermat)
 from cyheights.finite_field import build_field
 
 
@@ -71,6 +73,22 @@ def test_alpha_count_closed_form(m, r):
 def test_exponent_vectors_budget():
     with pytest.raises(BudgetError):
         exponent_vectors(7, 5, budget=100)
+
+
+@pytest.mark.parametrize("m,r", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 3),
+                                 (6, 2), (7, 1), (8, 2)])
+def test_multiset_weights_match_vector_walk(m, r):
+    vectors = Counter(tuple(sorted(a)) for a in exponent_vectors(m, r))
+    multisets = exponent_multisets(m, r)
+    assert multisets == dict(vectors)
+    assert all(list(alpha) == sorted(alpha) for alpha in multisets)
+
+
+def test_stickelberger_exponent_is_permutation_invariant():
+    for p, m, r in [(2, 5, 2), (3, 8, 1), (7, 5, 2), (2, 7, 2), (5, 6, 2)]:
+        for alpha in exponent_multisets(m, r):
+            assert len({stickelberger_exponent(perm, p, m)
+                        for perm in set(permutations(alpha))}) == 1
 
 
 def test_frobenius_subgroup_examples():
@@ -234,7 +252,6 @@ def test_stickelberger_check_report():
     assert report.all_equal
     assert len(report.rows) == 21
     assert not report.mismatches
-    assert not report.precision_failures
     assert {row.exponent for row in report.rows} == {2}
 
 
@@ -305,15 +322,15 @@ def test_hodge_rejects_bad_shape():
 
 def _product_oracle(p, m, r):
     """P(T) = prod (1 - j(alpha) T) multiplied out factor by factor in
-    Z[zeta_m][T], one linear factor per exponent vector."""
-    field = build_field(p, FermatParams.create(p, m, r).f)
-    alphas = exponent_vectors(m, r)
-    sums = jacobi_sum_table(Character(field, m), alphas)
+    Z[zeta_m][T], one linear factor and one Jacobi sum per exponent
+    vector."""
+    chi = Character(build_field(p, FermatParams.create(p, m, r).f), m)
     coeffs = [CycInt.one(m)]
-    for alpha in alphas:
+    for alpha in exponent_vectors(m, r):
+        j = jacobi_sum(alpha, chi)
         coeffs.append(CycInt.zero(m))
         for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] = coeffs[i] - sums[alpha] * coeffs[i - 1]
+            coeffs[i] = coeffs[i] - j * coeffs[i - 1]
     return tuple(c.as_rational_integer() for c in coeffs)
 
 
@@ -400,3 +417,26 @@ def test_power_product_expansion():
                                         4) == (1, -1, 6, -13, 7)
     with pytest.raises(InternalCheckError):
         fermat._expand_power_product([([1, -1], 2)], 3)
+
+
+@pytest.mark.parametrize("p,m,r", [(7, 3, 1), (5, 4, 2), (2, 5, 2)])
+def test_alpha_budget_counts_exponent_vectors(p, m, r):
+    # |A| is deg P and the row count; the multiset walk is smaller at
+    # (5, 4, 2) and (2, 5, 2), and visits more heads than |A| at (7, 3, 1)
+    count = alpha_count(m, r)
+    for check in (zeta_fermat, stickelberger_check):
+        with pytest.raises(BudgetError, match="budget"):
+            check(p, m, r, alpha_budget=count - 1)
+        check(p, m, r, alpha_budget=count)
+
+
+def test_invariants_never_walk_exponent_vectors(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("exponent_vectors called")
+
+    monkeypatch.setattr(fermat, "exponent_vectors", refuse)
+    assert zeta_fermat(7, 3, 1).poly_coeffs == (1, 1, 7)
+    assert zeta_fermat(3, 4, 2).degree == 21
+    assert variety_report(11, 5, 3)["height"] == 1
+    assert newton_slopes(3, 4, 2).entries == ((Fraction(1), 21),)
+    assert hodge_numbers_fermat(5, 3).h == (1, 101, 101, 1)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
-from cyheights.errors import InputError, PrecisionError
+from cyheights.errors import InputError
 from cyheights.finite_field import build_field
-from cyheights.padic import (PadicContext, Valuation, ValuationOracle,
-                             default_precision, padic_valuation)
+from cyheights.padic import (PadicContext, Valuation, default_precision,
+                             padic_valuation)
 
 
 @pytest.fixture(scope="module")
@@ -96,22 +96,6 @@ def test_conductor_mismatch(f9):
 
 def test_default_precision():
     assert default_precision(4, 3) == 14
-
-
-def test_oracle_doubles_precision(f9):
-    k0 = 3
-    oracle = ValuationOracle(f9, 4, k0)
-    # valuation 7 is invisible at k = 3; two doublings reach k = 12
-    assert oracle.valuation(CycInt.integer(4, 3**7)) == 7
-    assert oracle.context.k == 12
-
-
-def test_oracle_gives_up_cleanly(f9):
-    oracle = ValuationOracle(f9, 4, 2, max_doublings=1)
-    with pytest.raises(PrecisionError):
-        oracle.valuation(CycInt.integer(4, 3**40))
-    with pytest.raises(InputError):
-        oracle.valuation(CycInt.zero(4))
 
 
 def test_larger_conductor_context():
