@@ -17,13 +17,17 @@ g = f_{a_1} * ... * f_{a_s} is scaling-equivariant,
 g(lambda*z) = chi(lambda)^(a_1+...+a_s) * g(z), hence is determined by
 the pair (g(0), g(1)).  Folding in one more factor costs a single
 two-variable Jacobi sum J(s, b) = sum_{y != 0,1} chi(1-y)^s chi(y)^b,
-an O(q) count reused across exponent vectors.  The values produced are
+reused across exponent vectors.  Each J(s, b) is read off the cyclotomic
+numbers (i, j)_m = #{y != 0,1 : e(1-y) = i, e(y) = j}, which one O(q)
+pass per character fills (Berndt-Evans-Williams, Gauss and Jacobi Sums,
+ch. 2); a J then costs O(min(q, m^2)).  The values produced are
 identical, coefficient for coefficient, to the dense convolution; the
 independent check is the literal enumeration in jacobi_sum_naive.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from .cyclotomic import CycInt
@@ -36,7 +40,8 @@ DEFAULT_NAIVE_BUDGET = 10**7
 class Character:
     """The canonical order-m multiplicative character of a finite field."""
 
-    __slots__ = ("field", "m", "exponent", "_minus_one_exp", "_two_var_cache")
+    __slots__ = ("field", "m", "exponent", "_minus_one_exp",
+                 "_cyclotomic", "_two_var_cache")
 
     def __init__(self, field: FiniteField, m: int):
         if m < 1:
@@ -48,10 +53,11 @@ class Character:
         self.m = m
         # exponent[x] = dlog(x) mod m for x != 0; index 0 is unused
         exponent = [0] * field.q
-        for enc in range(1, field.q):
-            exponent[enc] = field.dlog[enc] % m
+        for i, enc in enumerate(field.exp):
+            exponent[enc] = i % m
         self.exponent = tuple(exponent)
         self._minus_one_exp = self.exponent[field.neg(1)]
+        self._cyclotomic: list[tuple[int, int, int]] | None = None
         self._two_var_cache: dict[tuple[int, int], CycInt] = {}
 
     def value(self, x: int, power: int = 1) -> CycInt:
@@ -60,20 +66,36 @@ class Character:
             raise InputError("chi(0) is undefined")
         return CycInt.root_of_unity(self.m, self.exponent[x] * power)
 
+    def cyclotomic_numbers(self) -> list[tuple[int, int, int]]:
+        """The nonzero cyclotomic numbers as (i, j, count) triples:
+        count = #{y outside {0, 1} : e(1-y) = i, e(y) = j}.
+
+        One pass over the field fills them.  Only the constant digit of
+        y changes in y - 1, so its encoding is y - 1, or y + p - 1 when
+        that digit is 0, and e(1-y) = e(-1) + e(y-1) mod m.
+        """
+        if self._cyclotomic is None:
+            m, e, p = self.m, self.exponent, self.field.p
+            minus_one = self._minus_one_exp
+            counts = Counter(
+                (minus_one + e[y - 1 if y % p else y + p - 1]) % m * m + e[y]
+                for y in range(2, self.field.q))
+            self._cyclotomic = [
+                (key // m, key % m, count) for key, count in counts.items()]
+        return self._cyclotomic
+
     def two_variable_sum(self, s: int, b: int) -> CycInt:
-        """J(s, b) = sum over y outside {0, 1} of chi(1-y)^s chi(y)^b."""
+        """J(s, b) = sum over y outside {0, 1} of chi(1-y)^s chi(y)^b,
+        read off the cyclotomic numbers in O(min(q, m^2))."""
         key = (s % self.m, b % self.m)
         cached = self._two_var_cache.get(key)
         if cached is not None:
             return cached
-        field, m, e = self.field, self.m, self.exponent
+        m = self.m
         s, b = key
         counts = [0] * m
-        one = 1  # encoding of the field element 1
-        for y in range(1, field.q):
-            if y == one:
-                continue
-            counts[(s * e[field.sub(one, y)] + b * e[y]) % m] += 1
+        for i, j, count in self.cyclotomic_numbers():
+            counts[(s * i + b * j) % m] += count
         result = CycInt.from_exponent_counts(m, counts)
         self._two_var_cache[key] = result  # idempotent under races
         return result

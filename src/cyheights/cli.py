@@ -11,7 +11,7 @@ with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
 --alpha-budget bounds |A|, the exponent-vector count, for zeta and
 stickelberger (deg P and the row count), and the heads of the multiset
-walk for height.
+walk for height and every row of survey height|artin.
 """
 
 from __future__ import annotations
@@ -227,21 +227,22 @@ def _primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi) if is_prime(p)]
 
 
-def _height_row(task: tuple[int, int, int]) -> dict:
-    report = fermat.variety_report(*task)
+def _height_row(task: tuple[int, int, int, int]) -> dict:
+    p, m, r, budget = task
+    report = fermat.variety_report(p, m, r, budget=budget)
     return {k: report[k]
             for k in ("p", "f", "height", "predicted_height", "agree")}
 
 
-def _artin_row(task: tuple[int, int, int]) -> dict:
-    p, m, r = task
-    cmp = fermat.artin_comparison(p, m, r)
+def _artin_row(task: tuple[int, int, int, int]) -> dict:
+    p, m, r, budget = task
+    cmp = fermat.artin_comparison(p, m, r, budget=budget)
     return {"p": p, "additive_type": cmp.additive_type,
             "fully_rigged": cmp.fully_rigged}
 
 
-def _kummer_row(task: tuple[int, int, int]) -> dict:
-    p, _, _ = task
+def _kummer_row(task: tuple[int, int, int, int]) -> dict:
+    p = task[0]
     height = kummer.kummer_example_height(p)
     predicted = kummer.predicted_example_height(p)
     return {"p": p, "height": height.json(),
@@ -277,7 +278,7 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
                   if gcd(p, m) == 1]
     if not primes:
         raise InputError("empty prime range")
-    tasks = [(p, m, r) for p in primes]
+    tasks = [(p, m, r, args.alpha_budget) for p in primes]
 
     started = time.monotonic()
     workers = _worker_count(cfg.jobs, len(tasks))
@@ -363,7 +364,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha-budget", type=int,
                      default=fermat.DEFAULT_ALPHA_BUDGET,
                      help="max exponent vectors |A| (zeta, "
-                          "stickelberger) or multiset-walk heads (height)")
+                          "stickelberger) or multiset-walk heads (height, "
+                          "survey height|artin)")
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
                      help="max cardinality of a field given dense exp/dlog "
                           "tables, counted in field elements, not bytes")

@@ -416,10 +416,9 @@ def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
     distinct value.  The budget bounds |A|, the degree of P(T) and the
     number of Stickelberger rows.
 
-    The check catches a field table that is inconsistent in a way that
-    moves some j off the circle of radius q^(r/2), e.g. a cache file
-    with two dlog entries swapped; it is not a proof that the table is
-    right, which would take a walk over the whole group.
+    A cached field table has already passed the walk that builds one
+    (exp[i+1] = g * exp[i] over the whole group), so the check guards the
+    Jacobi-sum code and the character table, not the cache file.
     """
     _alpha_budget_check(params.m, params.r, alpha_budget)
     field = build_field(params.p, params.f, table_budget=table_budget,

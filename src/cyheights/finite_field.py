@@ -254,6 +254,8 @@ def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
     n = q - 1
 
     def powmod(base_enc: int, e: int) -> int:
+        if len(modulus) == 2:  # f = 1: elements are residues mod p
+            return pow(base_enc, e, p)
         base = _poly_from_enc(base_enc, p)
         result = [1]
         while e:
@@ -269,6 +271,68 @@ def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
         if powmod(enc, n // ell) == 1:
             return False
     return True
+
+
+def _multiplier(p: int, f: int, modulus, generator: int):
+    """The map x -> generator * x on encodings, as plain integer work.
+
+    Multiplication by g is F_p-linear, so it is fixed by the images
+    g * x^i (i < f), computed once with the polynomial helpers.  Each
+    image is packed one coefficient per bit slot, and the digits of x are
+    read in chunks of at most 256 values, each looked up in a table of
+    the summed images for that chunk.  For p = 2 a slot is one bit and
+    the sum is XOR, so the result is the encoding itself; for odd p the
+    slots hold unreduced sums and are reduced mod p at the end.
+    """
+    if f == 1:
+        return lambda x: x * generator % p
+    gen_poly = _poly_from_enc(generator, p)
+    images = [_poly_rem(_poly_mul([0] * i + [1], gen_poly, p),
+                        list(modulus), p) for i in range(f)]
+    width = 1 if p == 2 else (f * (p - 1) ** 2).bit_length()
+    packed = [sum(c << (width * k) for k, c in enumerate(image))
+              for image in images]
+    digits = 1  # digits per chunk
+    while p ** (digits + 1) <= 256:
+        digits += 1
+    tables = []
+    for start in range(0, f, digits):
+        table = [0]
+        for row in packed[start:start + digits]:
+            if p == 2:
+                table += [t ^ row for t in table]
+            else:
+                table = [t + d * row for d in range(p) for t in table]
+        tables.append(table)
+
+    if p == 2:
+        if len(tables) == 1:
+            return tables[0].__getitem__
+
+        low = (1 << digits) - 1
+
+        def step(x: int) -> int:
+            out = 0
+            for table in tables:
+                out ^= table[x & low]
+                x >>= digits
+            return out
+        return step
+
+    chunk = p**digits
+    mask = (1 << width) - 1
+    shifts = [width * k for k in reversed(range(f))]
+
+    def step(x: int) -> int:
+        acc = 0
+        for table in tables:
+            x, d = divmod(x, chunk)
+            acc += table[d]
+        out = 0
+        for shift in shifts:
+            out = out * p + (acc >> shift & mask) % p
+        return out
+    return step
 
 
 def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
@@ -313,17 +377,17 @@ def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
     assert generator is not None
 
     # Walk the cyclic group once to fill both tables.
-    exp = [0] * (q - 1)
-    dlog_table: list[int | None] = [None] * q
-    gen_poly = _poly_from_enc(generator, p)
-    cur = [1]
-    for i in range(q - 1):
-        enc = _enc_from_poly(cur, p)
-        exp[i] = enc
-        dlog_table[enc] = i
-        cur = _poly_rem(_poly_mul(cur, gen_poly, p), modulus, p)
-    if _enc_from_poly(cur, p) != 1:
+    step = _multiplier(p, f, modulus, generator)
+    exp = [1] * (q - 1)
+    cur = 1
+    for i in range(1, q - 1):
+        cur = step(cur)
+        exp[i] = cur
+    if step(cur) != 1:
         raise InternalCheckError("generator order check failed")
+    dlog_table: list[int | None] = [None] * q
+    for i, enc in enumerate(exp):
+        dlog_table[enc] = i
 
     field = FiniteField(p, f, tuple(modulus), generator, tuple(exp),
                         tuple(dlog_table))
@@ -341,7 +405,9 @@ def _cache_path(cache_dir: str, p: int, f: int) -> str:
 
 def _load_cached(cache_dir: str, p: int, f: int) -> FiniteField | None:
     """The cached field, or None when the file is missing or does not hold
-    a well-formed table for GF(p^f); the caller then rebuilds it."""
+    the discrete-log table of its own modulus and generator; the caller
+    then rebuilds it.  The table is checked by the walk a build takes:
+    exp[0] = 1, exp[i+1] = g * exp[i] and g * exp[q-2] = 1."""
     path = _cache_path(cache_dir, p, f)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -363,27 +429,40 @@ def _load_cached(cache_dir: str, p: int, f: int) -> FiniteField | None:
             and modulus[-1] == 1 and type(generator) is int
             and 0 < generator < q and dlog_table[generator] == 1 % (q - 1)):
         return None
-    dlog_table = tuple(dlog_table)
     exp = [0] * (q - 1)
     for enc, i in enumerate(dlog_table):
         if i is not None:
             exp[i] = enc
+    step = _multiplier(p, f, modulus, generator)
+    if exp[0] != 1 or list(map(step, exp)) != exp[1:] + [1]:
+        return None
     return FiniteField(p, f, tuple(modulus), generator, tuple(exp),
-                       dlog_table)
+                       tuple(dlog_table))
+
+
+# dlog entries per json.dumps call: json.dump encodes in pure Python, and
+# one json.dumps of the whole payload holds all of its text at once
+_STORE_SLICE = 4096
 
 
 def _store_cached(cache_dir: str, field: FiniteField) -> None:
+    """Write the cache file; the bytes are those of json.dump(payload)."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, field.p, field.f)
-    payload = {
+    head = json.dumps({
         "format": _CACHE_FORMAT,
         "p": field.p,
         "f": field.f,
         "modulus": list(field.modulus),
         "generator": field.generator,
-        "dlog": list(field.dlog),
-    }
+    })
+    dlog = field.dlog
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(head[:-1] + ', "dlog": [')
+        for start in range(0, len(dlog), _STORE_SLICE):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(dlog[start:start + _STORE_SLICE])[1:-1])
+        fh.write("]}")
     os.replace(tmp, path)  # atomic; concurrent writers are idempotent

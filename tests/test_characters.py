@@ -228,3 +228,42 @@ def test_jacobi_sum_is_symmetric_in_all_components(p, f, m, r):
         values = {jacobi_sum_naive(perm, chi)
                   for perm in set(permutations(alpha))}
         assert values == {table[alpha]}
+
+
+def _two_variable_reference(chi):
+    """Every J(s, b) by the O(q) loop through FiniteField.sub that
+    two_variable_sum ran before the cyclotomic numbers; the pairs
+    (e(1-y), e(y)) are listed once and reused for each (s, b)."""
+    field, m, e = chi.field, chi.m, chi.exponent
+    pairs = [(e[field.sub(1, y)], e[y]) for y in range(2, field.q)]
+    sums = {}
+    for s in range(m):
+        for b in range(m):
+            counts = [0] * m
+            for i, j in pairs:
+                counts[(s * i + b * j) % m] += 1
+            sums[s, b] = CycInt.from_exponent_counts(m, counts)
+    return sums
+
+
+# m^2 > q, so the cyclotomic numbers are sparse, everywhere but (5, 3, 4)
+@pytest.mark.parametrize("p,f,m", [(3, 2, 8), (3, 2, 4), (2, 4, 15),
+                                   (2, 6, 63), (5, 3, 31), (5, 3, 4),
+                                   (7, 3, 57)])
+def test_two_variable_sums_match_the_field_loop(p, f, m):
+    chi = Character(build_field(p, f), m)
+    reference = _two_variable_reference(chi)
+    assert {(s, b): chi.two_variable_sum(s, b)
+            for s in range(m) for b in range(m)} == reference
+    numbers = chi.cyclotomic_numbers()
+    assert sum(count for _, _, count in numbers) == chi.field.q - 2
+    assert all(count > 0 for _, _, count in numbers)
+    assert len(numbers) <= min(chi.field.q - 2, m * m)
+
+
+@pytest.mark.parametrize("p,f,m", [(3, 2, 8), (2, 4, 15), (2, 6, 63),
+                                   (5, 3, 31), (13, 1, 12), (3, 1, 2)])
+def test_jacobi_sums_match_the_enumeration_at_r1(p, f, m):
+    chi = Character(build_field(p, f), m)
+    for alpha in exponent_multisets(m, 1):
+        assert jacobi_sum(alpha, chi) == jacobi_sum_naive(alpha, chi)

@@ -226,6 +226,23 @@ def test_height_alpha_budget_bounds_multisets(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind,m,r,rows", [("height", "5", "3", 5),
+                                           ("artin", "4", "2", 5)])
+def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
+    # C(7, 4) = 35 multisets at (5, 3) and C(5, 3) = 10 at (4, 2)
+    heads = {"5": 35, "4": 10}[m]
+    args = ["survey", kind, "--m", m, "--r", r, "--p-max", "14",
+            "--jobs", jobs, "--format", "json", "--alpha-budget"]
+    code, out, err = run(capsys, *args, str(heads - 1))
+    assert code == 3
+    assert out == ""
+    assert f"{heads} multisets > {heads - 1}" in err
+    code, out, _ = run(capsys, *args, str(heads))
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == rows
+
+
 @pytest.mark.parametrize("exc", [InternalCheckError("forced"),
                                  IndexError("forced")])
 def test_internal_errors_exit_4(capsys, monkeypatch, exc):
@@ -307,23 +324,34 @@ def _rewrite_field_cache(path, edit):
     path.write_text(json.dumps(data))
 
 
-def test_permuted_field_cache_is_internal_error(capsys, tmp_path):
-    # swapping two dlog entries keeps the table a permutation with
-    # dlog[g] = 1, so the cache loads, but it moves some Jacobi sums off
-    # |j|^2 = q^r; unchecked, stickelberger would print 6 mismatches
-    args = ["--p", "31", "--m", "5", "--r", "1", "--cache-dir", str(tmp_path)]
-    assert run(capsys, "stickelberger", *args)[0] == 0
-
+def test_permuted_field_cache_is_rebuilt(capsys, tmp_path):
+    # a permuted dlog table stays a permutation with dlog[g] = 1, so only
+    # the walk exp[i+1] = g * exp[i] tells it from the discrete log.  A
+    # swap at (31, 5, 1) moved some |j|^2 off q^r, and a 3-cycle at
+    # (13, 3, 1) kept every |j|^2 = q^r and printed two mismatches; both
+    # files are rebuilt now
     def swap(data):
         dlog = data["dlog"]
         dlog[2], dlog[4] = dlog[4], dlog[2]
 
-    _rewrite_field_cache(tmp_path / "gf_p31_f1_v1.json", swap)
-    for command in ("stickelberger", "zeta"):
-        code, out, err = run(capsys, command, *args)
-        assert code == cli.EXIT_INTERNAL == 4
-        assert out == ""
-        assert "InternalCheckError" in err and "q^r" in err
+    def cycle(data):
+        dlog = data["dlog"]
+        assert (dlog[5], dlog[7], dlog[3]) == (9, 11, 4)
+        dlog[5], dlog[7], dlog[3] = 11, 4, 9
+
+    for (p, m), edit in (((31, 5), swap), ((13, 3), cycle)):
+        for command in ("stickelberger", "zeta"):
+            cache = tmp_path / f"{command}{p}"
+            args = [command, "--p", str(p), "--m", str(m), "--r", "1",
+                    "--cache-dir", str(cache)]
+            code, cold, _ = run(capsys, *args)
+            assert code == 0
+            path = cache / f"gf_p{p}_f1_v1.json"
+            clean = path.read_text()
+            _rewrite_field_cache(path, edit)
+            code, warm, _ = run(capsys, *args)
+            assert (code, warm) == (0, cold)
+            assert path.read_text() == clean
 
 
 def test_field_cache_from_another_generator_gives_the_same_output(capsys,

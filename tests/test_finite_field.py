@@ -3,7 +3,55 @@ import json
 import pytest
 
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import build_field, is_prime, order_mod
+from cyheights.finite_field import (_enc_from_poly, _factorize, _poly_from_enc,
+                                    _poly_mul, _poly_rem, _smallest_irreducible,
+                                    build_field, is_prime, order_mod)
+
+
+def _reference_field(p, f):
+    """GF(p^f) by polynomial arithmetic alone: the generator is found by
+    polynomial powering and the tables by one _poly_mul + _poly_rem per
+    element, the walk build_field made before it became a linear map."""
+    q = p**f
+    modulus = [0, 1] if f == 1 else _smallest_irreducible(p, f)
+
+    def times(a, b):
+        return _poly_rem(_poly_mul(a, b, p), modulus, p)
+
+    def power(enc, e):
+        base, result = _poly_from_enc(enc, p), [1]
+        while e:
+            if e & 1:
+                result = times(result, base)
+            base = times(base, base)
+            e >>= 1
+        return _enc_from_poly(result, p)
+
+    n = q - 1
+    generator = 1 if q == 2 else next(
+        c for c in range(1, q) if power(c, n) == 1
+        and all(power(c, n // ell) != 1 for ell in _factorize(n)))
+    exp, dlog = [], [None] * q
+    gen_poly, cur = _poly_from_enc(generator, p), [1]
+    for i in range(n):
+        enc = _enc_from_poly(cur, p)
+        exp.append(enc)
+        dlog[enc] = i
+        cur = times(cur, gen_poly)
+    assert _enc_from_poly(cur, p) == 1
+    return tuple(modulus), generator, tuple(exp), tuple(dlog)
+
+
+# p = 2 across the 8-bit chunk edges, odd p at f = 1, 2 and 3 and 3^7 (a
+# table of 3^5 = 243 entries and one of 3^2), and a prime near 10^5
+@pytest.mark.parametrize("p,f", [
+    (2, 1), (2, 7), (2, 8), (2, 9), (2, 16),
+    (3, 1), (13, 1), (3, 2), (7, 2), (131, 2), (3, 3), (5, 3), (3, 7),
+    (100003, 1)])
+def test_tables_match_the_polynomial_walk(p, f):
+    field = build_field(p, f)
+    assert (field.modulus, field.generator, field.exp, field.dlog) == (
+        _reference_field(p, f))
 
 
 def test_order_mod_examples():
@@ -161,6 +209,17 @@ def test_cache_roundtrip(tmp_path):
     assert warm.dlog == cold.dlog
 
 
+@pytest.mark.parametrize("p,f", [(2, 1), (7, 2), (2, 13), (7, 5)])
+def test_cache_file_is_the_json_dump_of_the_table(tmp_path, p, f):
+    # written in slices of dlog entries, across slice edges at 8192 and
+    # 16807 entries, with the bytes of one json.dump
+    field = build_field(p, f, cache_dir=str(tmp_path))
+    payload = {"format": 1, "p": p, "f": f, "modulus": list(field.modulus),
+               "generator": field.generator, "dlog": list(field.dlog)}
+    text = (tmp_path / f"gf_p{p}_f{f}_v1.json").read_text(encoding="utf-8")
+    assert text == json.dumps(payload)
+
+
 def test_cache_ignores_corrupt_file(tmp_path):
     path = tmp_path / "gf_p7_f2_v1.json"
     path.write_text("not json")
@@ -180,9 +239,18 @@ def test_cache_ignores_corrupt_file(tmp_path):
     lambda d: {**d, "generator": 49},
     lambda d: {**d, "generator": d["dlog"].index(2)},
     lambda d: list(d),
+    # well-formed permutations with dlog[g] = 1 that only the walk rejects
+    # (the modulus is x^2 + 1 and the generator 9)
+    lambda d: {**d, "dlog": d["dlog"][:5] + d["dlog"][6:7] + d["dlog"][5:6]
+               + d["dlog"][7:]},
+    lambda d: {**d, "dlog": d["dlog"][:2] + d["dlog"][3:5] + d["dlog"][2:3]
+               + d["dlog"][5:]},
+    lambda d: {**d, "modulus": [2, 0, 1]},
+    lambda d: {**d, "modulus": [6, 0, 1]},
 ], ids=["short", "dlog0", "not-permutation", "float", "str", "modulus-type",
         "modulus-degree", "generator-type", "generator-range",
-        "generator-not-dlog-1", "not-an-object"])
+        "generator-not-dlog-1", "not-an-object", "swap", "3-cycle",
+        "other-irreducible-modulus", "reducible-modulus"])
 def test_cache_rejects_malformed_tables(tmp_path, corrupt):
     cold = build_field(7, 2, cache_dir=str(tmp_path))
     path = tmp_path / "gf_p7_f2_v1.json"
