@@ -5,8 +5,7 @@ each paired with an independent brute-force check."""
 
 from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import FiniteField, build_field, order_mod
-from .cyclotomic import (CycInt, complex_embed, cyclotomic_polynomial,
-                         modulus_squared)
+from .cyclotomic import CycInt, cyclotomic_polynomial, modulus_squared
 from .padic import PadicContext, Valuation, padic_valuation
 from .character_sums import (Character, jacobi_sum, jacobi_sum_naive,
                              jacobi_sum_table)
@@ -20,10 +19,8 @@ from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      slope_deficient_count, stickelberger_check,
                      stickelberger_exponent, variety_report, zeta_fermat)
 from .kummer import (AbelianData, EllipticCurve, QuadLattice, abelian_height,
-                     ec_count_points, ec_p_rank, ec_trace,
-                     kummer_example_height, lattice_from_generators,
-                     lattice_index, legendre, period_lattice,
-                     predicted_example_height, product_p_rank,
+                     ec_count_points, kummer_report, lattice_from_generators,
+                     lattice_index, period_lattice, predicted_example_height,
                      standard_lattice)
 
 __version__ = "0.1.0"

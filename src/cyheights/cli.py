@@ -3,8 +3,7 @@
 Commands answer single-instance queries (height, zeta, stickelberger,
 kummer) or sweep a prime range (survey).  Primary output goes to stdout
 in the requested format; anything diagnostic, including timings, goes to
-stderr, so re-running a command with a warm cache is byte-identical on
-stdout.
+stderr, so re-running a command is byte-identical on stdout.
 
 Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
@@ -32,8 +31,6 @@ from . import fermat, kummer
 from .errors import BudgetError, InputError
 from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
-CACHE_ENV_VAR = "CYHEIGHTS_CACHE_DIR"
-
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
@@ -43,10 +40,9 @@ EXIT_INTERNAL = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared plumbing resolved from flags and the environment."""
+    """Shared plumbing resolved from the flags."""
 
     output_format: str
-    cache_dir: str | None
     jobs: int
 
 
@@ -73,8 +69,7 @@ def _int_digits_unlimited():
     conversion while output is formatted, restoring it on exit.
 
     P(T) coefficients outgrow the default limit of 4300 digits, e.g. at
-    (p, m, r) = (13, 6, 4).  The limit stays in force for library callers
-    and for parsing cache files.
+    (p, m, r) = (13, 6, 4).  The limit stays in force for library callers.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters without the limit
@@ -134,14 +129,13 @@ def _cmd_height(cfg: RunConfig, args) -> int:
 def _cmd_zeta(cfg: RunConfig, args) -> int:
     zeta = fermat.zeta_fermat(args.p, args.m, args.r,
                               alpha_budget=args.alpha_budget,
-                              table_budget=args.table_budget,
-                              cache_dir=cfg.cache_dir)
+                              table_budget=args.table_budget)
     checks = []
     for s in args.check:
         n_zeta = fermat.point_count_from_zeta(zeta, s)
         n_brute = fermat.brute_force_point_count(
             args.p, args.m, args.r, s, budget=args.point_budget,
-            table_budget=args.table_budget, cache_dir=cfg.cache_dir)
+            table_budget=args.table_budget)
         checks.append({"s": s, "zeta_count": n_zeta,
                        "brute_force_count": n_brute,
                        "match": n_zeta == n_brute})
@@ -183,8 +177,7 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
 def _cmd_stickelberger(cfg: RunConfig, args) -> int:
     report = fermat.stickelberger_check(args.p, args.m, args.r,
                                         alpha_budget=args.alpha_budget,
-                                        table_budget=args.table_budget,
-                                        cache_dir=cfg.cache_dir)
+                                        table_budget=args.table_budget)
     equal = sum(1 for row in report.rows if row.equal)
     payload = {
         "command": "stickelberger",
@@ -242,12 +235,10 @@ def _artin_row(task: tuple[int, int, int, int]) -> dict:
 
 
 def _kummer_row(task: tuple[int, int, int, int]) -> dict:
-    p = task[0]
-    height = kummer.kummer_example_height(p)
-    predicted = kummer.predicted_example_height(p)
-    return {"p": p, "height": height.json(),
-            "predicted_height": predicted.json(),
-            "agree": height == predicted}
+    report = kummer.kummer_report(task[0])
+    return {"p": report["p"], "height": report["quotient_height"],
+            "predicted_height": report["predicted_height"],
+            "agree": report["agree"]}
 
 
 _SURVEY_KINDS = {
@@ -311,26 +302,9 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
 
 
 def _cmd_kummer(cfg: RunConfig, args) -> int:
-    curve = kummer.EllipticCurve.create(args.p, args.a, args.b)
-    points = kummer.ec_count_points(curve)
-    trace = curve.p + 1 - points
-    rank = 0 if trace == 0 else 1
-    curve_height = 1 if rank == 1 else 2
-    quotient = kummer.abelian_height(
-        kummer.AbelianData(3, kummer.product_p_rank(rank, rank, rank)))
-    predicted = (kummer.predicted_example_height(args.p)
-                 if (args.a, args.b) == (0, 1) else None)
-    agree = None if predicted is None else quotient == predicted
-    payload = {
-        "command": "kummer",
-        "p": args.p, "a": curve.a, "b": curve.b,
-        "points": points, "trace": trace, "p_rank": rank,
-        "abelian_dim": 3,
-        "curve_formal_height": curve_height,
-        "quotient_height": quotient.json(),
-        "predicted_height": None if predicted is None else predicted.json(),
-        "agree": agree,
-    }
+    payload = {"command": "kummer",
+               **kummer.kummer_report(args.p, args.a, args.b)}
+    predicted, agree = payload["predicted_height"], payload["agree"]
     if cfg.output_format == "json":
         _emit_json(payload)
     elif cfg.output_format == "csv":
@@ -339,10 +313,12 @@ def _cmd_kummer(cfg: RunConfig, args) -> int:
                   "predicted_height", "agree"]
         _emit_csv("kummer/v1", fields, [{k: payload[k] for k in fields}])
     else:
-        print(f"E: y^2 = x^3 + {curve.a}x + {curve.b} over GF({args.p}): "
-              f"#E = {points}, a_p = {trace}, p-rank {rank}")
-        print(f"formal-group height of E: {curve_height}")
-        print(f"height of the E^3 Kummer quotient: {quotient}")
+        print(f"E: y^2 = x^3 + {payload['a']}x + {payload['b']} over "
+              f"GF({args.p}): #E = {payload['points']}, "
+              f"a_p = {payload['trace']}, p-rank {payload['p_rank']}")
+        print(f"formal-group height of E: {payload['curve_formal_height']}")
+        print(f"height of the E^3 Kummer quotient: "
+              f"{payload['quotient_height']}")
         if predicted is not None:
             print(f"predicted (p mod 3 = {args.p % 3}): {predicted}   "
                   f"agree: {'yes' if agree else 'NO'}")
@@ -355,9 +331,8 @@ def _cmd_kummer(cfg: RunConfig, args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default: text)")
-    sub.add_argument("--cache-dir", default=None,
-                     help=f"directory for cached field tables "
-                          f"(or ${CACHE_ENV_VAR})")
+    sub.add_argument("--cache-dir",
+                     help="ignored; field tables are always built")
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker processes for surveys, capped at the "
                           "task and CPU counts (default: CPU count)")
@@ -444,7 +419,6 @@ def _parse_s_list(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
     jobs = args.jobs
     if jobs is None:
         jobs = (os.cpu_count() or 1) if args.command == "survey" else 1
@@ -455,7 +429,7 @@ def main(argv=None) -> int:
         if getattr(args, name, 1) < 1:
             _diag(f"error: --{name.replace('_', '-')} must be positive")
             return EXIT_INVALID
-    cfg = RunConfig(args.format, cache_dir, jobs)
+    cfg = RunConfig(args.format, jobs)
     started = time.monotonic()
     try:
         code = args.run(cfg, args)

@@ -410,19 +410,14 @@ class ZetaData:
 
 
 def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
-                         table_budget: int, cache_dir: str | None):
+                         table_budget: int):
     """The field, the exponent multisets with their orbit sizes, and the
     Jacobi sum of every multiset, with |j|^2 = q^r checked once per
     distinct value.  The budget bounds |A|, the degree of P(T) and the
     number of Stickelberger rows.
-
-    A cached field table has already passed the walk that builds one
-    (exp[i+1] = g * exp[i] over the whole group), so the check guards the
-    Jacobi-sum code and the character table, not the cache file.
     """
     _alpha_budget_check(params.m, params.r, alpha_budget)
-    field = build_field(params.p, params.f, table_budget=table_budget,
-                        cache_dir=cache_dir)
+    field = build_field(params.p, params.f, table_budget=table_budget)
     weights = exponent_multisets(params.m, params.r)
     sums = jacobi_sum_table(Character(field, params.m), weights)
     q_to_r = CycInt.integer(params.m, params.q**params.r)
@@ -435,8 +430,7 @@ def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
 
 def zeta_fermat(p: int, m: int, r: int, *,
                 alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                table_budget: int = DEFAULT_TABLE_BUDGET,
-                cache_dir: str | None = None) -> ZetaData:
+                table_budget: int = DEFAULT_TABLE_BUDGET) -> ZetaData:
     """P(T) = prod (1 - j(alpha) T), assembled from the distinct eigenvalues.
 
     j(t alpha) = sigma_t(j(alpha)), so the eigenvalue multiset is stable
@@ -448,8 +442,7 @@ def zeta_fermat(p: int, m: int, r: int, *,
     division in the expansion and deg P = |A|.
     """
     params = FermatParams.create(p, m, r)
-    _, weights, sums = _checked_jacobi_sums(params, alpha_budget,
-                                            table_budget, cache_dir)
+    _, weights, sums = _checked_jacobi_sums(params, alpha_budget, table_budget)
     multiplicity: Counter = Counter()
     for alpha, weight in weights.items():
         multiplicity[sums[alpha]] += weight
@@ -562,8 +555,7 @@ def point_count_from_zeta(z: ZetaData, s: int) -> int:
 
 def brute_force_point_count(p: int, m: int, r: int, s: int, *,
                             budget: int = DEFAULT_POINT_BUDGET,
-                            table_budget: int = DEFAULT_TABLE_BUDGET,
-                            cache_dir: str | None = None) -> int:
+                            table_budget: int = DEFAULT_TABLE_BUDGET) -> int:
     """Projective solutions of sum x_i^m = 0 over GF(Q), Q = q^s, counted
     from field arithmetic alone: no characters, no Jacobi sums.
 
@@ -586,8 +578,7 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
         raise BudgetError(
             f"point-count budget exceeded: {work} field subtractions "
             f"> {budget}")
-    field = build_field(p, params.f * s, table_budget=table_budget,
-                        cache_dir=cache_dir)
+    field = build_field(p, params.f * s, table_budget=table_budget)
     exp, dlog, sub = field.exp, field.dlog, field.sub
     powers = [exp[k] for k in range(0, big_q - 1, d)]
     representatives = [0] + [exp[c] for c in range(d)]
@@ -640,8 +631,8 @@ class StickelbergerReport:
 
 def stickelberger_check(p: int, m: int, r: int, *,
                         alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                        table_budget: int = DEFAULT_TABLE_BUDGET,
-                        cache_dir: str | None = None) -> StickelbergerReport:
+                        table_budget: int = DEFAULT_TABLE_BUDGET
+                        ) -> StickelbergerReport:
     """Verify that ord_P(j(alpha)) equals the Stickelberger exponent,
     for every exponent vector.
 
@@ -655,8 +646,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
     valuation is exact or the table is at fault.
     """
     params = FermatParams.create(p, m, r)
-    field, _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget,
-                                          cache_dir)
+    field, _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     valuations = {}
     for key, j in sums.items():

@@ -12,16 +12,12 @@ Polynomials over GF(p) are coefficient lists with the constant term first.
 
 from __future__ import annotations
 
-import json
-import os
 from math import gcd
 
 from .errors import BudgetError, InputError, InternalCheckError
 
 # Largest field the dense exp/dlog tables may hold, as a cardinality.
 DEFAULT_TABLE_BUDGET = 1 << 24
-
-_CACHE_FORMAT = 1
 
 
 def is_prime(n: int) -> bool:
@@ -150,7 +146,8 @@ def _smallest_irreducible(p: int, f: int) -> list[int]:
 class FiniteField:
     """Immutable GF(p^f) with exp/dlog tables against a fixed generator.
 
-    All arithmetic works on integer encodings.  Instances are safe to
+    Addition works on integer encodings; multiplication goes through the
+    exp and dlog tables.  Instances are safe to
     share between threads or processes; nothing is mutated after
     construction.
     """
@@ -203,29 +200,6 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.dlog[a] + self.dlog[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[(-self.dlog[a]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self.exp[(self.dlog[a] * e) % (self.q - 1)]
-
-    def pth_power(self, a: int) -> int:
-        """The Frobenius map x -> x^p."""
-        return self.pow(a, self.p)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{f-1}) of an encoded element."""
         p = self.p
@@ -240,12 +214,6 @@ class FiniteField:
         for c in reversed(list(coeffs)):
             enc = enc * self.p + (c % self.p)
         return enc
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
 
 
 def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
@@ -335,15 +303,13 @@ def _multiplier(p: int, f: int, modulus, generator: int):
     return step
 
 
-def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
-                cache_dir: str | None = None) -> FiniteField:
+def build_field(p: int, f: int, *,
+                table_budget: int = DEFAULT_TABLE_BUDGET) -> FiniteField:
     """Construct GF(p^f) deterministically.
 
     The modulus is the lexicographically smallest monic irreducible of
     degree f (coefficient tuple compared leading term first) and the
     generator is the smallest encoding of multiplicative order q - 1.
-    When cache_dir is given, a versioned JSON sidecar keyed by (p, f)
-    short-circuits the table build.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
@@ -354,11 +320,6 @@ def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
         raise BudgetError(
             f"table-size budget exceeded: q = {p}^{f} = {q} > {table_budget}"
         )
-
-    if cache_dir is not None:
-        cached = _load_cached(cache_dir, p, f)
-        if cached is not None:
-            return cached
 
     if f == 1:
         modulus = [0, 1]  # the linear polynomial x; elements are residues mod p
@@ -389,80 +350,6 @@ def build_field(p: int, f: int, *, table_budget: int = DEFAULT_TABLE_BUDGET,
     for i, enc in enumerate(exp):
         dlog_table[enc] = i
 
-    field = FiniteField(p, f, tuple(modulus), generator, tuple(exp),
-                        tuple(dlog_table))
-    if cache_dir is not None:
-        _store_cached(cache_dir, field)
-    return field
-
-
-# --- optional on-disk cache ---
-
-
-def _cache_path(cache_dir: str, p: int, f: int) -> str:
-    return os.path.join(cache_dir, f"gf_p{p}_f{f}_v{_CACHE_FORMAT}.json")
-
-
-def _load_cached(cache_dir: str, p: int, f: int) -> FiniteField | None:
-    """The cached field, or None when the file is missing or does not hold
-    the discrete-log table of its own modulus and generator; the caller
-    then rebuilds it.  The table is checked by the walk a build takes:
-    exp[0] = 1, exp[i+1] = g * exp[i] and g * exp[q-2] = 1."""
-    path = _cache_path(cache_dir, p, f)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (not isinstance(data, dict) or data.get("format") != _CACHE_FORMAT
-            or data.get("p") != p or data.get("f") != f):
-        return None
-    q = p**f
-    dlog_table, modulus = data.get("dlog"), data.get("modulus")
-    generator = data.get("generator")
-    if not (isinstance(dlog_table, list) and len(dlog_table) == q
-            and dlog_table[0] is None
-            and set(map(type, dlog_table[1:])) == {int}
-            and sorted(dlog_table[1:]) == list(range(q - 1))
-            and isinstance(modulus, list) and len(modulus) == f + 1
-            and all(type(c) is int and 0 <= c < p for c in modulus)
-            and modulus[-1] == 1 and type(generator) is int
-            and 0 < generator < q and dlog_table[generator] == 1 % (q - 1)):
-        return None
-    exp = [0] * (q - 1)
-    for enc, i in enumerate(dlog_table):
-        if i is not None:
-            exp[i] = enc
-    step = _multiplier(p, f, modulus, generator)
-    if exp[0] != 1 or list(map(step, exp)) != exp[1:] + [1]:
-        return None
     return FiniteField(p, f, tuple(modulus), generator, tuple(exp),
                        tuple(dlog_table))
 
-
-# dlog entries per json.dumps call: json.dump encodes in pure Python, and
-# one json.dumps of the whole payload holds all of its text at once
-_STORE_SLICE = 4096
-
-
-def _store_cached(cache_dir: str, field: FiniteField) -> None:
-    """Write the cache file; the bytes are those of json.dump(payload)."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, field.p, field.f)
-    head = json.dumps({
-        "format": _CACHE_FORMAT,
-        "p": field.p,
-        "f": field.f,
-        "modulus": list(field.modulus),
-        "generator": field.generator,
-    })
-    dlog = field.dlog
-    tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ', "dlog": [')
-        for start in range(0, len(dlog), _STORE_SLICE):
-            if start:
-                fh.write(", ")
-            fh.write(json.dumps(dlog[start:start + _STORE_SLICE])[1:-1])
-        fh.write("]}")
-    os.replace(tmp, path)  # atomic; concurrent writers are idempotent

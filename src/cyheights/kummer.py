@@ -78,18 +78,6 @@ def ec_count_points(curve: EllipticCurve, *,
     return total
 
 
-def ec_trace(curve: EllipticCurve, *,
-             budget: int = DEFAULT_PRIME_BUDGET) -> int:
-    """The Frobenius trace a_p = p + 1 - #E(F_p)."""
-    return curve.p + 1 - ec_count_points(curve, budget=budget)
-
-
-def ec_p_rank(curve: EllipticCurve, *,
-              budget: int = DEFAULT_PRIME_BUDGET) -> int:
-    """1 for ordinary, 0 for supersingular (a_p = 0; valid since p >= 5)."""
-    return 0 if ec_trace(curve, budget=budget) == 0 else 1
-
-
 def product_p_rank(*ranks: int) -> int:
     """p-rank of a product abelian variety: the sum of the factors'."""
     return sum(ranks)
@@ -119,22 +107,35 @@ def abelian_height(data: AbelianData) -> HeightValue:
     return INFINITE
 
 
-def kummer_example_height(p: int, *,
-                          budget: int = DEFAULT_PRIME_BUDGET) -> HeightValue:
-    """Height for the resolution of E^3 / (diagonal cube-root action),
-    with E: y^2 = x^3 + 1 over GF(p).
-
-    The p-rank is measured by counting points on E, so the closed-form
-    pattern mod 3 stays an independent check."""
-    curve = EllipticCurve.create(p, 0, 1)
-    rank = ec_p_rank(curve, budget=budget)
-    return abelian_height(AbelianData(3, product_p_rank(rank, rank, rank)))
-
-
 def predicted_example_height(p: int) -> HeightValue:
     """Closed-form height of the E^3 example: 1 when p = 1 mod 3, else
     infinite (E is supersingular exactly when p = 2 mod 3)."""
     return HeightValue.finite(1) if p % 3 == 1 else INFINITE
+
+
+def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
+    """One JSON-ready record for E: y^2 = x^3 + a*x + b over GF(p) and the
+    resolution of E^3 / (diagonal cube-root action), from one point count.
+
+    The p-rank of E is 0 exactly when a_p = 0 (valid since p >= 5), and
+    E^3 has p-rank 3 * rank.  For the standard curve (a, b) = (0, 1) the
+    closed-form pattern mod 3 is an independent check on the counted
+    height; for other curves no prediction applies."""
+    curve = EllipticCurve.create(p, a, b)
+    points = ec_count_points(curve)
+    trace = p + 1 - points
+    rank = 0 if trace == 0 else 1
+    quotient = abelian_height(AbelianData(3, product_p_rank(rank, rank, rank)))
+    predicted = predicted_example_height(p) if (a, b) == (0, 1) else None
+    return {
+        "p": p, "a": curve.a, "b": curve.b,
+        "points": points, "trace": trace, "p_rank": rank,
+        "abelian_dim": 3,
+        "curve_formal_height": 1 if rank == 1 else 2,
+        "quotient_height": quotient.json(),
+        "predicted_height": None if predicted is None else predicted.json(),
+        "agree": None if predicted is None else quotient == predicted,
+    }
 
 
 # --- rank-2 lattices in an imaginary quadratic field ---

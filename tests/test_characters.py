@@ -82,15 +82,15 @@ def test_character_basic_values(chi_9_4):
     assert chi_9_4.value(g, 4) == CycInt.one(4)
     assert chi_9_4.value(g, 2) != CycInt.one(4)
     # chi(g^2) = zeta^2 = -1
-    assert chi_9_4.value(field.mul(g, g)) == CycInt.integer(4, -1)
+    assert chi_9_4.value(field.exp[2]) == CycInt.integer(4, -1)
 
 
 def test_character_is_multiplicative(chi_9_4):
     field = chi_9_4.field
-    for x in field.units():
-        for y in field.units():
-            assert (chi_9_4.value(field.mul(x, y))
-                    == chi_9_4.value(x) * chi_9_4.value(y))
+    for x in range(1, field.q):
+        for y in range(1, field.q):
+            xy = field.exp[(field.dlog[x] + field.dlog[y]) % (field.q - 1)]
+            assert chi_9_4.value(xy) == chi_9_4.value(x) * chi_9_4.value(y)
 
 
 def test_character_rejections(chi_9_4):

@@ -20,7 +20,7 @@ from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               slope_deficient_count, stickelberger_check,
                               stickelberger_exponent, variety_report,
                               zeta_fermat)
-from cyheights.finite_field import build_field
+from cyheights.finite_field import FiniteField, build_field
 
 
 def test_params_validation():
@@ -409,6 +409,23 @@ def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch, check):
     monkeypatch.setattr(fermat, "jacobi_sum_table", corrupted)
     with pytest.raises(InternalCheckError, match="q\\^r"):
         check(7, 3, 1)
+
+
+def test_zeta_and_valuations_do_not_depend_on_the_generator(monkeypatch):
+    # a consistent GF(31) table for the generator 11 instead of 3: the
+    # character and the valuation prime are pinned from the same table,
+    # so P(T) and every valuation stand
+    zeta, report = zeta_fermat(31, 5, 1), stickelberger_check(31, 5, 1)
+    assert build_field(31, 1).generator == 3
+    exp = tuple(pow(11, i, 31) for i in range(30))
+    dlog = [None] * 31
+    for i, enc in enumerate(exp):
+        dlog[enc] = i
+    assert None not in dlog[1:]  # 11 is a primitive root mod 31
+    other = FiniteField(31, 1, (0, 1), 11, exp, tuple(dlog))
+    monkeypatch.setattr(fermat, "build_field", lambda p, f, **_: other)
+    assert zeta_fermat(31, 5, 1) == zeta
+    assert stickelberger_check(31, 5, 1) == report
 
 
 def test_power_product_expansion():

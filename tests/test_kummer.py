@@ -6,8 +6,7 @@ import pytest
 from cyheights.errors import BudgetError, InputError
 from cyheights.fermat import INFINITE, HeightValue, height_fermat
 from cyheights.kummer import (AbelianData, EllipticCurve, abelian_height,
-                              ec_count_points, ec_p_rank, ec_trace,
-                              kummer_example_height,
+                              ec_count_points, kummer_report,
                               lattice_from_generators, lattice_index,
                               legendre, period_lattice, product_p_rank,
                               standard_lattice)
@@ -54,12 +53,12 @@ def test_residue_table_count_matches_legendre_sweep(p):
 
 
 def test_trace_and_hasse():
-    assert ec_trace(EllipticCurve.create(5, 0, 1)) == 0
-    assert ec_trace(EllipticCurve.create(7, 0, 1)) == -4
+    assert kummer_report(5)["trace"] == 0
+    assert kummer_report(7)["trace"] == -4
     for p in _primes(5, 200):
         if (4 * 8 + 27 * 9) % p == 0:
             continue  # y^2 = x^3 + 2x + 3 degenerates at p | 275
-        trace = ec_trace(EllipticCurve.create(p, 2, 3))
+        trace = kummer_report(p, 2, 3)["trace"]
         assert trace * trace <= 4 * p
 
 
@@ -69,14 +68,14 @@ def test_point_count_budget():
 
 
 def test_p_rank_examples():
-    assert ec_p_rank(EllipticCurve.create(5, 0, 1)) == 0
-    assert ec_p_rank(EllipticCurve.create(7, 0, 1)) == 1
-    assert ec_p_rank(EllipticCurve.create(13, 0, 1)) == 1
+    assert kummer_report(5)["p_rank"] == 0
+    assert kummer_report(7)["p_rank"] == 1
+    assert kummer_report(13)["p_rank"] == 1
 
 
 def test_supersingular_pattern_mod_3():
     for p in _primes(5, 1000):
-        rank = ec_p_rank(EllipticCurve.create(p, 0, 1))
+        rank = kummer_report(p)["p_rank"]
         assert (rank == 0) == (p % 3 == 2)
 
 
@@ -108,13 +107,24 @@ def test_product_p_rank():
 
 
 def test_kummer_example_heights():
-    assert kummer_example_height(7) == HeightValue.finite(1)
-    assert kummer_example_height(5) == INFINITE
-    assert kummer_example_height(13) == HeightValue.finite(1)
+    assert kummer_report(7)["quotient_height"] == 1
+    assert kummer_report(5)["quotient_height"] == "inf"
+    assert kummer_report(13)["quotient_height"] == 1
     with pytest.raises(InputError):
-        kummer_example_height(4)
+        kummer_report(4)
     with pytest.raises(InputError):
-        kummer_example_height(3)
+        kummer_report(3)
+
+
+def test_kummer_report_predicts_only_the_standard_curve():
+    assert kummer_report(7) == {
+        "p": 7, "a": 0, "b": 1, "points": 12, "trace": -4, "p_rank": 1,
+        "abelian_dim": 3, "curve_formal_height": 1, "quotient_height": 1,
+        "predicted_height": 1, "agree": True}
+    report = kummer_report(11, 12, 3)  # a is reduced mod p
+    assert (report["a"], report["b"]) == (1, 3)
+    assert report["predicted_height"] is None and report["agree"] is None
+    assert report["points"] == ec_count_points(EllipticCurve.create(11, 1, 3))
 
 
 def test_kummer_example_agrees_with_fermat_cubic():
@@ -123,10 +133,10 @@ def test_kummer_example_agrees_with_fermat_cubic():
     for p in _primes(5, 100):
         if p % 3 == 0:
             continue
-        quotient = kummer_example_height(p)
+        quotient = kummer_report(p)["quotient_height"]
         cubic = height_fermat(p, 3, 1)
-        if quotient.is_finite:
-            assert quotient == HeightValue.finite(1)
+        if quotient != "inf":
+            assert quotient == 1
             assert cubic == HeightValue.finite(1)
         else:
             assert cubic == HeightValue.finite(2)

@@ -38,7 +38,7 @@ def test_lifted_root_reduces_to_order_m_element(f9):
     acc = residue
     for _ in range(3):
         powers.add(acc)
-        acc = f9.mul(acc, residue)
+        acc = f9.exp[(f9.dlog[acc] + f9.dlog[residue]) % 8]
     assert acc == 1 and len(powers) == 4
 
 
