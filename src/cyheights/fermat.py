@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd
 
@@ -177,8 +178,12 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
     return out
 
 
+@lru_cache(maxsize=256)
 def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:
-    """The cyclic subgroup {p^j mod m} of (Z/m)^*, in power order."""
+    """The cyclic subgroup {p^j mod m} of (Z/m)^*, in power order.
+
+    Cached: stickelberger_exponent asks for it once per exponent vector.
+    """
     if gcd(p, m) != 1:
         raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
     powers = [1]

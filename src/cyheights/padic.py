@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
@@ -86,7 +87,7 @@ class PadicContext:
     """
 
     __slots__ = ("field", "m", "k", "pk", "modulus", "zeta_hat",
-                 "_zeta_powers")
+                 "_zeta_columns")
 
     def __init__(self, field: FiniteField, m: int, k: int):
         p, f, q = field.p, field.f, field.q
@@ -126,7 +127,8 @@ class PadicContext:
         for _ in range(degree(m) - 1):
             powers.append(_rk_mul(powers[-1], list(self.zeta_hat),
                                   self.modulus, self.pk))
-        self._zeta_powers = tuple(tuple(w) for w in powers)
+        # column i holds coordinate i of zeta_hat^0, ..., zeta_hat^(phi-1)
+        self._zeta_columns = tuple(zip(*powers))
 
     def __repr__(self) -> str:
         return (f"PadicContext(p={self.field.p}, f={self.field.f}, "
@@ -141,18 +143,16 @@ def default_precision(f: int, r: int) -> int:
 def padic_valuation(z: CycInt, ctx: PadicContext) -> Valuation:
     """ord_P of z at the canonical prime, or a lower bound >= k.
 
-    The image of z in R_k is computed on the power basis; since R_k is
-    unramified, ord_P is the minimum of the coordinate valuations.
+    The image of z in R_k is computed on the power basis, one coordinate
+    at a time as the dot product of z's coordinates with a column of the
+    powers of zeta_hat; since R_k is unramified, ord_P is the minimum of
+    the coordinate valuations.
     """
     if z.m != ctx.m:
         raise InputError(f"conductor mismatch: {z.m} vs context {ctx.m}")
-    f = ctx.field.f
     pk = ctx.pk
-    image = [0] * f
-    for c, power in zip(z.coeffs, ctx._zeta_powers):
-        if c:
-            for i in range(f):
-                image[i] = (image[i] + c * power[i]) % pk
+    image = [sum(map(mul, z.coeffs, column)) % pk
+             for column in ctx._zeta_columns]
     p = ctx.field.p
     best = None
     for coord in image:

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cyheights.cyclotomic import (CycInt, complex_embed,
+from cyheights.cyclotomic import (CycInt, _kronecker_product, complex_embed,
                                   cyclotomic_polynomial, degree,
                                   modulus_squared)
 from cyheights.errors import InputError
@@ -17,6 +17,7 @@ def test_cyclotomic_polynomial_small():
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert -2 in cyclotomic_polynomial(105)  # the least m with |c| > 1
 
 
 def _poly_mul(a, b):
@@ -180,3 +181,134 @@ def test_hash_and_eq_against_int():
     assert CycInt.integer(4, 3) == 3
     assert CycInt.root_of_unity(4) != 1
     assert len({CycInt.one(4), CycInt.one(4), CycInt.zero(4)}) == 2
+
+
+# --- the kernels against the dense row-scan code they replaced ---
+
+
+def _ref_rows(m):
+    """Dense rows of zeta^e on the power basis, 0 <= e <= max(2 phi - 2,
+    m - 1), by shifting and cancelling the top term with Phi_m."""
+    phi_poly = cyclotomic_polynomial(m)
+    deg = len(phi_poly) - 1
+    rows = [[int(i == e) for i in range(deg)] for e in range(deg)]
+    for _ in range(deg, max(2 * deg - 2, m - 1) + 1):
+        prev = rows[-1]
+        row = [0] + prev[:-1]
+        for i in range(deg):
+            row[i] -= prev[-1] * phi_poly[i]
+        rows.append(row)
+    return rows
+
+
+def _ref_combine(m, pairs):
+    """sum(c * zeta^e) over (e, c) pairs, e below the rows' range."""
+    rows = _ref_rows(m)
+    out = [0] * degree(m)
+    for e, c in pairs:
+        for i, r in enumerate(rows[e]):
+            out[i] += c * r
+    return tuple(out)
+
+
+def _ref_mul(a, b):
+    """Schoolbook product, then the dense rows."""
+    prod = [0] * (2 * len(a.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            prod[i + j] += ai * bj
+    return _ref_combine(a.m, enumerate(prod))
+
+
+def _ref_galois(z, t):
+    return _ref_combine(z.m, ((i * t % z.m, c)
+                              for i, c in enumerate(z.coeffs)))
+
+
+def _ref_from_exponent_counts(m, counts):
+    return _ref_combine(m, ((e % m, c) for e, c in enumerate(counts)))
+
+
+KERNEL_CONDUCTORS = [1, 2, 3, 4, 8, 12, 57, 63, 73, 105]
+
+# 0, +-1 and +-(2^k +- 1) on both sides of the byte boundaries
+_EDGE_VALUES = [0, 1, -1] + [
+    sign * ((1 << k) + d) for k in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64)
+    for d in (-1, 1) for sign in (1, -1)]
+
+
+def _mixed(rng, m, kind):
+    deg = degree(m)
+    if kind == "edge":
+        return CycInt.from_coeffs(m, [rng.choice(_EDGE_VALUES)
+                                      for _ in range(deg)])
+    if kind == "huge":
+        return CycInt.from_coeffs(m, [rng.choice((1, -1, 0))
+                                      * rng.getrandbits(1000)
+                                      for _ in range(deg)])
+    if kind == "extreme":
+        # one magnitude throughout: a product of two such elements has
+        # its middle coefficient on the packing bound
+        top = rng.choice(_EDGE_VALUES[3:])
+        return CycInt.from_coeffs(m, [top] * deg)
+    return CycInt.from_coeffs(m, [rng.randint(-300, 300)
+                                  for _ in range(deg)])
+
+
+@pytest.mark.parametrize("m", KERNEL_CONDUCTORS)
+def test_product_matches_schoolbook(m):
+    rng = random.Random(1000 + m)
+    kinds = ["small", "edge", "huge", "extreme"]
+    for ka in kinds:
+        for kb in kinds:
+            for _ in range(3):
+                a, b = _mixed(rng, m, ka), _mixed(rng, m, kb)
+                assert (a * b).coeffs == _ref_mul(a, b)
+                assert (a * a).coeffs == _ref_mul(a, a)
+                assert (-a * b).coeffs == _ref_mul(-a, b)
+    zero = CycInt.zero(m)
+    a = _mixed(rng, m, "huge")
+    assert a * zero == zero and zero * a == zero and zero * zero == zero
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kronecker_product_at_every_small_length(n):
+    # products below the schoolbook cut-off never pack, so the packing is
+    # checked here directly against the plain polynomial product
+    rng = random.Random(4000 + n)
+    for _ in range(30):
+        a = tuple(rng.choice(_EDGE_VALUES) for _ in range(n))
+        b = tuple(rng.choice(_EDGE_VALUES) for _ in range(n))
+        top = rng.choice(_EDGE_VALUES[3:])
+        for x, y in ((a, b), (a, a), ((top,) * n, (-top,) * n)):
+            assert _kronecker_product(x, y) == _poly_mul(x, y)
+
+
+@pytest.mark.parametrize("m", KERNEL_CONDUCTORS)
+def test_galois_matches_row_scan(m):
+    rng = random.Random(2000 + m)
+    units = [t for t in range(1, m + 1) if gcd(t, m) == 1]
+    if m > 63:
+        units = rng.sample(units, 12)
+    for t in units:
+        for kind in ("small", "edge", "huge"):
+            z = _mixed(rng, m, kind)
+            assert z.galois(t).coeffs == _ref_galois(z, t)
+        assert CycInt.zero(m).galois(t) == CycInt.zero(m)
+
+
+@pytest.mark.parametrize("m", KERNEL_CONDUCTORS)
+def test_exponent_counts_and_roots_match_row_scan(m):
+    rng = random.Random(3000 + m)
+    draws = [lambda: rng.randint(-50, 50),
+             lambda: rng.choice(_EDGE_VALUES),
+             lambda: rng.getrandbits(1000) - (1 << 999)]
+    for draw in draws:
+        counts = [draw() for _ in range(m)]
+        assert (CycInt.from_exponent_counts(m, counts).coeffs
+                == _ref_from_exponent_counts(m, counts))
+    assert CycInt.from_exponent_counts(m, [0] * m) == CycInt.zero(m)
+    for k in range(-m, 2 * m):
+        assert (CycInt.root_of_unity(m, k).coeffs
+                == _ref_from_exponent_counts(m, [int(e == k % m)
+                                                 for e in range(m)]))

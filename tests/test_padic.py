@@ -5,8 +5,8 @@ import pytest
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import InputError
 from cyheights.finite_field import build_field
-from cyheights.padic import (PadicContext, Valuation, default_precision,
-                             padic_valuation)
+from cyheights.padic import (PadicContext, Valuation, _rk_mul,
+                             default_precision, padic_valuation)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +108,49 @@ def test_larger_conductor_context():
     # 7 is still a uniformizer upstairs
     assert padic_valuation(CycInt.integer(5, 7), ctx) == Valuation.of(1)
     assert degree(5) == 4
+
+
+def _ref_valuation(z, ctx):
+    """The accumulate loop the column image replaced: sum c_i * zeta_hat^i
+    coordinate by coordinate, reducing mod p^k after every term."""
+    f, p, pk = ctx.field.f, ctx.field.p, ctx.pk
+    powers = [[1] + [0] * (f - 1)]
+    for _ in range(degree(ctx.m) - 1):
+        powers.append(_rk_mul(powers[-1], list(ctx.zeta_hat), ctx.modulus,
+                              pk))
+    image = [0] * f
+    for c, power in zip(z.coeffs, powers):
+        for i in range(f):
+            image[i] = (image[i] + c * power[i]) % pk
+    valuations = []
+    for coord in image:
+        if coord:
+            v = 0
+            while coord % p == 0:
+                coord //= p
+                v += 1
+            valuations.append(v)
+    if not valuations:
+        return Valuation.at_least(ctx.k)
+    return Valuation.of(min(valuations))
+
+
+@pytest.mark.parametrize("p, f, m, k", [(2, 4, 5, 3), (2, 6, 21, 4),
+                                        (2, 6, 63, 5), (3, 2, 8, 4),
+                                        (5, 1, 4, 3), (7, 3, 57, 3)])
+def test_column_image_matches_accumulate_loop(p, f, m, k):
+    ctx = PadicContext(build_field(p, f), m, k)
+    rng = random.Random(31 * m + p)
+    kinds = set()
+    for _ in range(80):
+        # a common factor p^shift with shift up to k + 1 reaches the
+        # ">= k" branch; mixed signs and sizes exercise the reduction
+        shift = rng.randint(0, k + 1)
+        z = CycInt.from_coeffs(m, [
+            p**shift * rng.choice((0, 1, -1, rng.randint(-10**6, 10**6),
+                                   rng.getrandbits(200)))
+            for _ in range(degree(m))])
+        val = padic_valuation(z, ctx)
+        assert val == _ref_valuation(z, ctx)
+        kinds.add(val.exact)
+    assert kinds == {True, False}
