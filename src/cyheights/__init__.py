@@ -4,7 +4,8 @@ formal-group heights, supersingularity predicates and period lattices,
 each paired with an independent brute-force check."""
 
 from .errors import BudgetError, InputError, InternalCheckError
-from .finite_field import FiniteField, build_field, order_mod
+from .finite_field import (FiniteField, build_field, frobenius_subgroup,
+                           order_mod)
 from .cyclotomic import CycInt, cyclotomic_polynomial, modulus_squared
 from .padic import PadicContext, Valuation, padic_valuation
 from .character_sums import (Character, jacobi_sum, jacobi_sum_naive,
@@ -13,7 +14,7 @@ from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      HodgeVector, SlopeMultiset, ZetaData, alpha_count,
                      artin_comparison, brute_force_point_count,
                      exponent_multisets, exponent_vectors,
-                     frobenius_subgroup, fully_rigged_fermat, height_fermat,
+                     fully_rigged_fermat, height_fermat,
                      hodge_numbers_fermat, newton_slopes,
                      point_count_from_zeta, predicted_height,
                      slope_deficient_count, stickelberger_check,

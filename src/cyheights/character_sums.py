@@ -28,11 +28,10 @@ independent check is the literal enumeration in jacobi_sum_naive.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
 
 from .cyclotomic import CycInt
 from .errors import BudgetError, InputError
-from .finite_field import FiniteField
+from .finite_field import FiniteField, units_mod
 
 DEFAULT_NAIVE_BUDGET = 10**7
 
@@ -192,7 +191,7 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
     t*alpha.  The table holds every multiset in the orbits asked for.
     """
     m = chi.m
-    units = [t for t in range(1, m) if gcd(t, m) == 1]
+    units = units_mod(m)
     table: dict[tuple[int, ...], CycInt] = {}
     for alpha in multisets:
         if alpha in table:

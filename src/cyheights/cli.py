@@ -24,7 +24,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import gcd
 
 from . import fermat, kummer
@@ -36,14 +35,6 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared plumbing resolved from the flags."""
-
-    output_format: str
-    jobs: int
 
 
 # --- output helpers ---
@@ -90,7 +81,7 @@ def _diag(msg: str) -> None:
 # --- height ---
 
 
-def _cmd_height(cfg: RunConfig, args) -> int:
+def _cmd_height(args) -> int:
     report = fermat.variety_report(args.p, args.m, args.r,
                                    budget=args.alpha_budget)
     payload = {"command": "height", **report}
@@ -98,9 +89,9 @@ def _cmd_height(cfg: RunConfig, args) -> int:
         for key in ("slopes", "hodge", "fully_rigged"):
             del payload[key]
     agree = payload["agree"]
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         fields = ["p", "m", "r", "f", "q", "height",
                   "slope_deficient_count", "predicted_height", "agree"]
         _emit_csv("height/v1", fields, [{k: payload[k] for k in fields}])
@@ -126,7 +117,7 @@ def _cmd_height(cfg: RunConfig, args) -> int:
 # --- zeta ---
 
 
-def _cmd_zeta(cfg: RunConfig, args) -> int:
+def _cmd_zeta(args) -> int:
     zeta = fermat.zeta_fermat(args.p, args.m, args.r,
                               alpha_budget=args.alpha_budget,
                               table_budget=args.table_budget)
@@ -151,9 +142,9 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
         "all_match": all_match,
     }
     with _int_digits_unlimited():
-        if cfg.output_format == "json":
+        if args.format == "json":
             _emit_json(payload)
-        elif cfg.output_format == "csv":
+        elif args.format == "csv":
             fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
                       "match"]
             rows = [{"p": zeta.p, "m": zeta.m, "r": zeta.r, **c}
@@ -174,7 +165,7 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
 # --- stickelberger ---
 
 
-def _cmd_stickelberger(cfg: RunConfig, args) -> int:
+def _cmd_stickelberger(args) -> int:
     report = fermat.stickelberger_check(args.p, args.m, args.r,
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget)
@@ -194,9 +185,9 @@ def _cmd_stickelberger(cfg: RunConfig, args) -> int:
             for row in report.rows
         ],
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         fields = ["alpha", "exponent", "valuation", "equal", "error"]
         rows = [{"alpha": " ".join(map(str, row.alpha)),
                  "exponent": row.exponent, "valuation": row.valuation,
@@ -256,7 +247,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _cmd_survey(cfg: RunConfig, args) -> int:
+def _cmd_survey(args) -> int:
     worker, schema, fields = _SURVEY_KINDS[args.kind]
     if args.kind == "kummer":
         primes = [p for p in _primes_in(max(args.p_min, 5), args.p_max)]
@@ -272,7 +263,7 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
     tasks = [(p, m, r, args.alpha_budget) for p in primes]
 
     started = time.monotonic()
-    workers = _worker_count(cfg.jobs, len(tasks))
+    workers = _worker_count(args.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(worker, tasks))
@@ -284,9 +275,9 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
 
     payload = {"command": "survey", "kind": args.kind,
                "m": args.m, "r": args.r, "rows": rows}
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         _emit_csv(schema, fields, rows)
     else:
         print(f"survey {args.kind}" +
@@ -301,13 +292,13 @@ def _cmd_survey(cfg: RunConfig, args) -> int:
 # --- kummer ---
 
 
-def _cmd_kummer(cfg: RunConfig, args) -> int:
+def _cmd_kummer(args) -> int:
     payload = {"command": "kummer",
                **kummer.kummer_report(args.p, args.a, args.b)}
     predicted, agree = payload["predicted_height"], payload["agree"]
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json(payload)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         fields = ["p", "a", "b", "points", "trace", "p_rank", "abelian_dim",
                   "curve_formal_height", "quotient_height",
                   "predicted_height", "agree"]
@@ -419,20 +410,18 @@ def _parse_s_list(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = (os.cpu_count() or 1) if args.command == "survey" else 1
-    if jobs < 1:
+    if args.jobs is None:
+        args.jobs = (os.cpu_count() or 1) if args.command == "survey" else 1
+    if args.jobs < 1:
         _diag("error: --jobs must be >= 1")
         return EXIT_INVALID
     for name in ("alpha_budget", "table_budget", "point_budget"):
         if getattr(args, name, 1) < 1:
             _diag(f"error: --{name.replace('_', '-')} must be positive")
             return EXIT_INVALID
-    cfg = RunConfig(args.format, jobs)
     started = time.monotonic()
     try:
-        code = args.run(cfg, args)
+        code = args.run(args)
     except InputError as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID

@@ -97,9 +97,9 @@ def _reduce(m: int, buf: list[int]) -> tuple[int, ...]:
 _KRONECKER_MIN_DEGREE = 10
 
 
-def _schoolbook_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of a(x) * b(x) by the quadratic loop."""
-    prod = [0] * (2 * len(a) - 1)
+def _schoolbook_product(a, b) -> list[int]:
+    """Coefficients of a(x) * b(x) in Z[x] by the quadratic loop."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):

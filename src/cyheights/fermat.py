@@ -20,15 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd
 
 from .character_sums import Character, jacobi_sum_table
-from .cyclotomic import CycInt, modulus_squared
+from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from .errors import BudgetError, InputError, InternalCheckError
-from .finite_field import (DEFAULT_TABLE_BUDGET, build_field, is_prime,
-                           order_mod)
+from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
+                           frobenius_subgroup, is_prime, order_mod, units_mod)
 from .padic import PadicContext, default_precision, padic_valuation
 
 DEFAULT_ALPHA_BUDGET = 10**6
@@ -55,9 +54,7 @@ class FermatParams:
             raise InputError(f"degree m must be >= 3, got {m}")
         if r < 1:
             raise InputError(f"dimension r must be >= 1, got {r}")
-        if gcd(p, m) != 1:
-            raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
-        f = order_mod(p, m)
+        f = order_mod(p, m)  # checks gcd(p, m) = 1
         return cls(p, m, r, f, p**f)
 
     @property
@@ -176,22 +173,6 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
     if sum(out.values()) != alpha_count(m, r):
         raise InternalCheckError("multiset weights disagree with closed form")
     return out
-
-
-@lru_cache(maxsize=256)
-def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:
-    """The cyclic subgroup {p^j mod m} of (Z/m)^*, in power order.
-
-    Cached: stickelberger_exponent asks for it once per exponent vector.
-    """
-    if gcd(p, m) != 1:
-        raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
-    powers = [1]
-    x = p % m
-    while x != 1:
-        powers.append(x)
-        x = (x * p) % m
-    return tuple(powers)
 
 
 def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
@@ -334,10 +315,7 @@ def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
         raise InputError(f"dimension r must be even, got {r}")
     if m < 4:
         raise InputError(f"degree m must be >= 4, got {m}")
-    if gcd(p, m) != 1:
-        raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
-    f = order_mod(p, m)
-    return any(pow(p, nu, m) == m - 1 for nu in range(1, f + 1))
+    return m - 1 in frobenius_subgroup(p, m)
 
 
 @dataclass(frozen=True)
@@ -452,7 +430,7 @@ def zeta_fermat(p: int, m: int, r: int, *,
     for alpha, weight in weights.items():
         multiplicity[sums[alpha]] += weight
 
-    units = [t for t in range(1, m) if gcd(t, m) == 1]
+    units = units_mod(m)
     factors: list[tuple[list[int], int]] = []
     seen: set[CycInt] = set()
     for j, mult in multiplicity.items():
@@ -485,15 +463,6 @@ def _norm_polynomial(orbit, m: int) -> list[int]:
     return [c.as_rational_integer() for c in coeffs]
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _expand_power_product(factors: list[tuple[list[int], int]],
                           degree: int) -> tuple[int, ...]:
     """prod N_i^e_i for integer polynomials with N_i(0) = 1.
@@ -510,14 +479,14 @@ def _expand_power_product(factors: list[tuple[list[int], int]],
             f"orbit factors have degree {total}, expected {degree}")
     d = [1]
     for norm, _ in factors:
-        d = _int_poly_mul(d, norm)
+        d = _schoolbook_product(d, norm)
     width = len(d) - 1
     e = [0] * width
     for i, (norm, mult) in enumerate(factors):
         term = [k * c for k, c in enumerate(norm)][1:]
         for j, (other, _) in enumerate(factors):
             if j != i:
-                term = _int_poly_mul(term, other)
+                term = _schoolbook_product(term, other)
         for k, c in enumerate(term):
             e[k] += mult * c
     coeffs = [1]

@@ -7,11 +7,13 @@ canonical ordering used to select the modulus and the generator, so two
 constructions of the same field agree bit for bit, across runs and across
 machines.
 
-Polynomials over GF(p) are coefficient lists with the constant term first.
+Polynomials over Z/n are coefficient lists with the constant term first;
+n is p here and p^k in the p-adic ring R_k, which shares the helpers.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import BudgetError, InputError, InternalCheckError
@@ -36,21 +38,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def order_mod(p: int, m: int) -> int:
-    """Least f >= 1 with p**f = 1 (mod m).
+@lru_cache(maxsize=256)
+def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:
+    """The cyclic subgroup {p^j mod m} of (Z/m)^*, in power order.
 
-    Requires gcd(p, m) = 1 and m >= 2.
+    Requires gcd(p, m) = 1 and m >= 2.  Cached: stickelberger_exponent
+    asks for it once per exponent vector.
     """
     if m < 2:
         raise InputError(f"modulus m must be >= 2, got {m}")
     if gcd(p, m) != 1:
         raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
-    f = 1
+    powers = [1]
     x = p % m
     while x != 1:
+        powers.append(x)
         x = (x * p) % m
-        f += 1
-    return f
+    return tuple(powers)
+
+
+def order_mod(p: int, m: int) -> int:
+    """Least f >= 1 with p**f = 1 (mod m), the order of <p> in (Z/m)^*."""
+    return len(frobenius_subgroup(p, m))
+
+
+def units_mod(m: int) -> list[int]:
+    """The units t of Z/m, 0 < t < m, in increasing order."""
+    return [t for t in range(1, m) if gcd(t, m) == 1]
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -66,7 +80,7 @@ def _factorize(n: int) -> dict[int, int]:
     return facts
 
 
-# --- polynomial helpers over GF(p), constant term first ---
+# --- polynomial helpers over Z/n, constant term first ---
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -75,28 +89,39 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = (out[i + j] + ai * bj) % n
     return _poly_trim(out)
 
 
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+def _poly_rem(a: list[int], mod: list[int], n: int) -> list[int]:
     # mod must be monic
     a = list(a)
     deg_m = len(mod) - 1
     for i in range(len(a) - 1, deg_m - 1, -1):
-        c = a[i] % p
+        c = a[i] % n
         if c:
             for j in range(deg_m + 1):
-                a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % p
+                a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % n
     del a[deg_m:]
     if not a:
         a = [0]
     return _poly_trim(a)
+
+
+def _poly_pow(a: list[int], e: int, mod: list[int], n: int) -> list[int]:
+    """a**e modulo the monic mod, by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_rem(_poly_mul(result, a, n), mod, n)
+        a = _poly_rem(_poly_mul(a, a, n), mod, n)
+        e >>= 1
+    return result
 
 
 def _poly_from_enc(k: int, p: int) -> list[int]:
@@ -170,50 +195,36 @@ class FiniteField:
 
     # --- element arithmetic on encodings ---
 
-    def add(self, a: int, b: int) -> int:
+    def _combine(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, one base-p digit at a time (XOR for p = 2)."""
         p = self.p
         if p == 2:
             return a ^ b
         out = 0
         shift = 1
         while a or b:
-            out += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += (da + sign * db) % p * shift
             shift *= p
         return out
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out = 0
-        shift = 1
-        while a:
-            d = a % p
-            if d:
-                out += (p - d) * shift
-            a //= p
-            shift *= p
-        return out
+    def add(self, a: int, b: int) -> int:
+        return self._combine(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._combine(a, b, -1)
+
+    def neg(self, a: int) -> int:
+        return self._combine(0, a, -1)
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{f-1}) of an encoded element."""
-        p = self.p
-        out = []
-        for _ in range(self.f):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+        digits = _poly_from_enc(a, self.p)
+        return tuple(digits + [0] * (self.f - len(digits)))
 
     def encode(self, coeffs) -> int:
-        enc = 0
-        for c in reversed(list(coeffs)):
-            enc = enc * self.p + (c % self.p)
-        return enc
+        return _enc_from_poly(list(coeffs), self.p)
 
 
 def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
@@ -221,22 +232,16 @@ def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
     """True iff enc has multiplicative order exactly q - 1."""
     n = q - 1
 
-    def powmod(base_enc: int, e: int) -> int:
+    def powmod(e: int) -> int:
         if len(modulus) == 2:  # f = 1: elements are residues mod p
-            return pow(base_enc, e, p)
-        base = _poly_from_enc(base_enc, p)
-        result = [1]
-        while e:
-            if e & 1:
-                result = _poly_rem(_poly_mul(result, base, p), modulus, p)
-            base = _poly_rem(_poly_mul(base, base, p), modulus, p)
-            e >>= 1
-        return _enc_from_poly(result, p)
+            return pow(enc, e, p)
+        return _enc_from_poly(
+            _poly_pow(_poly_from_enc(enc, p), e, modulus, p), p)
 
-    if powmod(enc, n) != 1:
+    if powmod(n) != 1:
         return False
     for ell in prime_factors:
-        if powmod(enc, n // ell) == 1:
+        if powmod(n // ell) == 1:
             return False
     return True
 
@@ -331,7 +336,8 @@ def build_field(p: int, f: int, *,
     if q == 2:
         generator = 1
     else:
-        for cand in range(1, q):
+        # For f > 1 the constants 1..p-1 have order dividing p - 1 < q - 1.
+        for cand in range(p if f > 1 else 1, q):
             if _has_full_order(cand, q, prime_factors, modulus, p):
                 generator = cand
                 break

@@ -4,7 +4,9 @@ Because gcd(p, m) = 1, the prime p is unramified in Q(zeta_m) and the
 completion at a prime P above p is the unramified extension of Q_p of
 degree f.  We model its ring of integers truncated mod p^k as
 R_k = (Z/p^k)[x] / (M) where M is the field modulus of GF(p^f) read over
-Z/p^k.  The m-th roots of unity in R_k are Teichmuller lifts of those in
+Z/p^k.  This is the ring GF(p^f) is built as, with p replaced by p^k, so
+R_k arithmetic is the field's polynomial helpers run modulo p^k.  The
+m-th roots of unity in R_k are Teichmuller lifts of those in
 GF(p^f); evaluating a cyclotomic integer at such a lift and taking the
 minimum p-adic valuation of its R_k coordinates computes ord_P exactly
 whenever the answer is below the precision k.
@@ -23,7 +25,8 @@ from operator import mul
 
 from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
-from .finite_field import FiniteField
+from .finite_field import (FiniteField, _poly_from_enc, _poly_mul, _poly_pow,
+                           _poly_rem)
 
 
 @dataclass(frozen=True)
@@ -43,40 +46,6 @@ class Valuation:
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">={self.value}"
-
-
-# --- arithmetic in R_k, coefficient vectors constant-first, length f ---
-
-
-def _rk_mul(a: list[int], b: list[int], modulus: tuple[int, ...],
-            pk: int) -> list[int]:
-    f = len(a)
-    prod = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % pk
-    # reduce modulo the monic lift of the field modulus
-    for e in range(2 * f - 2, f - 1, -1):
-        c = prod[e]
-        if c:
-            prod[e] = 0
-            for i in range(f):
-                prod[e - f + i] = (prod[e - f + i] - c * modulus[i]) % pk
-    return prod[:f]
-
-
-def _rk_pow(a: list[int], e: int, modulus: tuple[int, ...],
-            pk: int) -> list[int]:
-    f = len(a)
-    result = [1] + [0] * (f - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _rk_mul(result, base, modulus, pk)
-        base = _rk_mul(base, base, modulus, pk)
-        e >>= 1
-    return result
 
 
 class PadicContext:
@@ -104,31 +73,34 @@ class PadicContext:
         self.k = k
         self.pk = p**k
         self.modulus = tuple(c % self.pk for c in field.modulus)
+        mod, pk = list(self.modulus), self.pk
 
         # Teichmuller lift of g^-((q-1)/m): iterating x -> x^q gains at
         # least one p-adic digit per round, so k rounds stabilize mod p^k.
+        # The helpers return trimmed polynomials, so z starts trimmed too.
         root_enc = field.exp[(q - 1) - (q - 1) // m]
-        z = [c % self.pk for c in field.coeffs(root_enc)]
+        z = _poly_from_enc(root_enc, p)
         for _ in range(k + 1):
-            nxt = _rk_pow(z, q, self.modulus, self.pk)
+            nxt = _poly_pow(z, q, mod, pk)
             if nxt == z:
                 break
             z = nxt
-        if _rk_pow(z, q, self.modulus, self.pk) != z:
+        if _poly_pow(z, q, mod, pk) != z:
             raise InternalCheckError("Teichmuller lift did not stabilize")
-        one = [1] + [0] * (f - 1)
-        if _rk_pow(z, m, self.modulus, self.pk) != one:
+        if _poly_pow(z, m, mod, pk) != [1]:
             raise InternalCheckError("lifted root of unity has wrong order")
         if field.encode(d % p for d in z) != root_enc:
             raise InternalCheckError("Teichmuller lift moved the residue")
-        self.zeta_hat = tuple(z)
 
-        powers = [one]
+        def padded(a: list[int]) -> list[int]:
+            return a + [0] * (f - len(a))
+
+        self.zeta_hat = tuple(padded(z))
+        powers = [[1]]
         for _ in range(degree(m) - 1):
-            powers.append(_rk_mul(powers[-1], list(self.zeta_hat),
-                                  self.modulus, self.pk))
+            powers.append(_poly_rem(_poly_mul(powers[-1], z, pk), mod, pk))
         # column i holds coordinate i of zeta_hat^0, ..., zeta_hat^(phi-1)
-        self._zeta_columns = tuple(zip(*powers))
+        self._zeta_columns = tuple(zip(*map(padded, powers)))
 
     def __repr__(self) -> str:
         return (f"PadicContext(p={self.field.p}, f={self.field.f}, "

@@ -255,7 +255,7 @@ def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
 @pytest.mark.parametrize("exc", [InternalCheckError("forced"),
                                  IndexError("forced")])
 def test_internal_errors_exit_4(capsys, monkeypatch, exc):
-    def broken(cfg, args):
+    def broken(args):
         raise exc
     monkeypatch.setattr(cli, "_cmd_zeta", broken)
     code, out, err = run(capsys, "zeta", "--p", "7", "--m", "3", "--r", "1")

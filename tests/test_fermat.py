@@ -13,14 +13,15 @@ from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
                               HeightValue, alpha_count, artin_comparison,
                               brute_force_point_count, exponent_multisets,
-                              exponent_vectors, frobenius_subgroup,
-                              fully_rigged_fermat, height_fermat,
-                              hodge_numbers_fermat, newton_slopes,
+                              exponent_vectors, fully_rigged_fermat,
+                              height_fermat, hodge_numbers_fermat,
+                              newton_slopes,
                               point_count_from_zeta, predicted_height,
                               slope_deficient_count, stickelberger_check,
                               stickelberger_exponent, variety_report,
                               zeta_fermat)
-from cyheights.finite_field import FiniteField, build_field
+from cyheights.finite_field import (FiniteField, build_field,
+                                    frobenius_subgroup, order_mod)
 
 
 def test_params_validation():
@@ -97,6 +98,17 @@ def test_frobenius_subgroup_examples():
     assert set(frobenius_subgroup(3, 8)) == {1, 3}
     with pytest.raises(InputError):
         frobenius_subgroup(10, 5)
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_moduli_below_two_are_rejected(m):
+    # m = 1 used to loop forever: p % 1 = 0 never reaches 1
+    with pytest.raises(InputError, match="must be >= 2"):
+        frobenius_subgroup(5, m)
+    with pytest.raises(InputError, match="must be >= 2"):
+        order_mod(5, m)
+    with pytest.raises(InputError, match="must be >= 2"):
+        stickelberger_exponent((1, 1, 1), 5, m)
 
 
 def test_stickelberger_exponent_examples():
@@ -195,6 +207,17 @@ def test_fully_rigged_examples():
         fully_rigged_fermat(3, 4, 3)
     with pytest.raises(InputError):
         fully_rigged_fermat(3, 3, 2)
+    with pytest.raises(InputError):
+        fully_rigged_fermat(3, 6, 2)  # gcd(p, m) != 1
+
+
+def test_fully_rigged_matches_power_loop():
+    # the definition: some power p^nu is -1 mod m; nu < m covers a period
+    for m in range(4, 30):
+        for p in (2, 3, 5, 7, 11, 13, 29, 31):
+            if gcd(p, m) == 1:
+                assert fully_rigged_fermat(p, m, 2) == any(
+                    pow(p, nu, m) == m - 1 for nu in range(1, m))
 
 
 def test_artin_comparison_cases():

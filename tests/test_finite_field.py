@@ -1,9 +1,11 @@
 import pytest
 
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import (_enc_from_poly, _factorize, _poly_from_enc,
+from cyheights.finite_field import (_enc_from_poly, _factorize,
+                                    _has_full_order, _poly_from_enc,
                                     _poly_mul, _poly_rem, _smallest_irreducible,
-                                    build_field, is_prime, order_mod)
+                                    build_field, frobenius_subgroup, is_prime,
+                                    order_mod)
 
 
 def _reference_field(p, f):
@@ -57,14 +59,31 @@ def _frobenius(field, a):
 
 # p = 2 across the 8-bit chunk edges, odd p at f = 1, 2 and 3 and 3^7 (a
 # table of 3^5 = 243 entries and one of 3^2), and a prime near 10^5
-@pytest.mark.parametrize("p,f", [
+REFERENCE_FIELDS = [
     (2, 1), (2, 7), (2, 8), (2, 9), (2, 16),
     (3, 1), (13, 1), (3, 2), (7, 2), (131, 2), (3, 3), (5, 3), (3, 7),
-    (100003, 1)])
+    (100003, 1)]
+
+
+@pytest.mark.parametrize("p,f", REFERENCE_FIELDS)
 def test_tables_match_the_polynomial_walk(p, f):
     field = build_field(p, f)
     assert (field.modulus, field.generator, field.exp, field.dlog) == (
         _reference_field(p, f))
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p, f in REFERENCE_FIELDS
+                                 if f >= 2])
+def test_generator_search_may_skip_the_constants(p, f):
+    # build_field starts its scan at p when f > 1; a scan from 1 must
+    # find the same generator
+    field = build_field(p, f)
+    q = p**f
+    factors = _factorize(q - 1)
+    assert field.generator == next(
+        c for c in range(1, q)
+        if _has_full_order(c, q, factors, list(field.modulus), p))
+    assert field.generator >= p
 
 
 def test_order_mod_examples():
@@ -86,6 +105,8 @@ def test_order_mod_is_least():
         assert pow(p, f, m) == 1
         for d in range(1, f):
             assert pow(p, d, m) != 1
+        assert frobenius_subgroup(p, m) == tuple(pow(p, j, m)
+                                                 for j in range(f))
 
 
 def test_prime_field_f5():
@@ -213,9 +234,61 @@ def test_build_field_rejects_bad_input():
 
 
 def test_coeffs_encode_roundtrip():
-    field = build_field(3, 3)
-    for a in range(field.q):
-        assert field.encode(field.coeffs(a)) == a
+    for p, f in [(3, 3), (2, 4), (5, 1)]:
+        field = build_field(p, f)
+        assert field.coeffs(0) == (0,) * f
+        for a in range(field.q):
+            c = field.coeffs(a)
+            assert c == tuple(a // p**i % p for i in range(f))
+            assert field.encode(c) == a
+        # elements whose top digit is zero, e.g. p^j for j < f - 1
+        for j in range(f - 1):
+            assert field.coeffs(p**j) == (0,) * j + (1,) + (0,) * (f - 1 - j)
+        assert field.encode([1] + [0] * (f - 1)) == 1
+        assert field.encode([0] * f) == 0
+
+
+def _ref_add(p, a, b):
+    """The digit loop FiniteField.add ran before add, sub and neg shared
+    one loop."""
+    if p == 2:
+        return a ^ b
+    out, shift = 0, 1
+    while a or b:
+        out += ((a % p + b % p) % p) * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
+def _ref_neg(p, a):
+    if p == 2:
+        return a
+    out, shift = 0, 1
+    while a:
+        d = a % p
+        if d:
+            out += (p - d) * shift
+        a //= p
+        shift *= p
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5, 7)
+                                 for f in (1, 2, 3, 4)])
+def test_add_sub_neg_match_reference_loops(p, f):
+    field = build_field(p, f)
+    q = field.q
+    # 0, every one-digit value, values with f digits and everything
+    # between, so operands of different digit counts meet
+    elements = sorted({0, 1, p - 1, q - 1, q // p, q // p - 1}
+                      | set(range(0, q, max(1, q // 40))))
+    for a in elements:
+        assert field.neg(a) == _ref_neg(p, a)
+        for b in elements:
+            assert field.add(a, b) == _ref_add(p, a, b)
+            assert field.sub(a, b) == _ref_add(p, a, _ref_neg(p, b))
 
 
 def test_is_prime_small():

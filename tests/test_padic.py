@@ -5,8 +5,8 @@ import pytest
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import InputError
 from cyheights.finite_field import build_field
-from cyheights.padic import (PadicContext, Valuation, _rk_mul,
-                             default_precision, padic_valuation)
+from cyheights.padic import (PadicContext, Valuation, default_precision,
+                             padic_valuation)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,58 @@ def test_larger_conductor_context():
     assert degree(5) == 4
 
 
+# --- reference R_k kernels: fixed-length vectors, constant first ---
+
+
+def _rk_mul(a, b, modulus, pk):
+    """a * b in R_k by the dedicated loop PadicContext used before it
+    shared the field's polynomial helpers."""
+    f = len(a)
+    prod = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % pk
+    # reduce modulo the monic lift of the field modulus
+    for e in range(2 * f - 2, f - 1, -1):
+        c = prod[e]
+        if c:
+            prod[e] = 0
+            for i in range(f):
+                prod[e - f + i] = (prod[e - f + i] - c * modulus[i]) % pk
+    return prod[:f]
+
+
+def _rk_pow(a, e, modulus, pk):
+    f = len(a)
+    result = [1] + [0] * (f - 1)
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _rk_mul(result, base, modulus, pk)
+        base = _rk_mul(base, base, modulus, pk)
+        e >>= 1
+    return result
+
+
+def _ref_lift(field, m, k):
+    """zeta_hat and the power columns by the fixed-length kernels."""
+    p, f, q = field.p, field.f, field.q
+    pk = p**k
+    modulus = tuple(c % pk for c in field.modulus)
+    z = list(field.coeffs(field.exp[(q - 1) - (q - 1) // m]))
+    for _ in range(k + 1):
+        nxt = _rk_pow(z, q, modulus, pk)
+        if nxt == z:
+            break
+        z = nxt
+    assert _rk_pow(z, m, modulus, pk) == [1] + [0] * (f - 1)
+    powers = [[1] + [0] * (f - 1)]
+    for _ in range(degree(m) - 1):
+        powers.append(_rk_mul(powers[-1], z, modulus, pk))
+    return tuple(z), tuple(zip(*powers))
+
+
 def _ref_valuation(z, ctx):
     """The accumulate loop the column image replaced: sum c_i * zeta_hat^i
     coordinate by coordinate, reducing mod p^k after every term."""
@@ -154,3 +206,27 @@ def test_column_image_matches_accumulate_loop(p, f, m, k):
         assert val == _ref_valuation(z, ctx)
         kinds.add(val.exact)
     assert kinds == {True, False}
+
+
+# f = 1 (twice); moduli with zero coefficients (x^2 + 1, x^4 + x + 1,
+# x^6 + x + 1, x^4 + x + 2, x^2 + 2); lifts and powers whose top
+# coordinate is 0 mod p^k, which the shared helpers trim: zeta_hat at
+# (2, 6, 9, 1) and (3, 4, 5, 1), zeta_hat^7 at (2, 4, 15, 2), zeta_hat^2
+# at (5, 2, 8, 3)
+@pytest.mark.parametrize("p, f, m, k", [(5, 1, 4, 3), (7, 1, 3, 2),
+                                        (3, 2, 8, 4), (2, 4, 15, 2),
+                                        (2, 6, 9, 1), (2, 6, 21, 3),
+                                        (3, 4, 5, 1), (5, 2, 8, 3)])
+def test_context_matches_fixed_length_kernels(p, f, m, k):
+    field = build_field(p, f)
+    ctx = PadicContext(field, m, k)
+    zeta_hat, columns = _ref_lift(field, m, k)
+    assert ctx.zeta_hat == zeta_hat
+    assert len(ctx.zeta_hat) == f
+    assert ctx._zeta_columns == columns
+    rng = random.Random(7 * m + k)
+    for _ in range(40):
+        shift = rng.randint(0, k + 1)
+        z = CycInt.from_coeffs(m, [p**shift * rng.randint(-10**4, 10**4)
+                                   for _ in range(degree(m))])
+        assert padic_valuation(z, ctx) == _ref_valuation(z, ctx)
