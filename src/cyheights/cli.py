@@ -41,7 +41,8 @@ EXIT_INTERNAL = 4
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """One line with sorted keys; without indent the C encoder runs."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:

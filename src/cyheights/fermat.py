@@ -18,6 +18,7 @@ principles so the closed-form predictions stay testable.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -180,7 +181,9 @@ def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
 
     [x] and <x> are the integer and fractional parts; the component a_0
     is excluded from the inner sum.  This is ord_P of the Jacobi sum
-    j(alpha) at the canonical prime P.
+    j(alpha) at the canonical prime P.  It is the per-vector definition;
+    the library reads the same value off each multiset
+    (_multiset_exponent), and tests compare the two.
     """
     total = 0
     for t in frobenius_subgroup(p, m):
@@ -191,27 +194,40 @@ def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
     return total
 
 
+def _multiset_exponent(m: int, subgroup: tuple[int, ...]
+                       ) -> Callable[[AlphaVector], int]:
+    """The Stickelberger exponent summed over subgroup, as a function of
+    an exponent vector's entries in any order.
+
+    With w(a) = sum over t in subgroup of (t * a mod m), the exponent is
+    sum_i w(a_i) / m - |subgroup|: every t * alpha sums to 0 mod m, so
+    the division is exact.  The empty subgroup gives exponent 0.
+    """
+    w = [sum((t * a) % m for t in subgroup) for a in range(m)]
+    f = len(subgroup)
+    return lambda alpha: sum(w[a] for a in alpha) // m - f
+
+
 def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
                    budget: int) -> tuple[Counter, list[int]]:
     """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
     empty) and the Hodge level of all exponent vectors, in one pass.
 
     Both are symmetric functions of alpha: the exponent is
-    sum_t (sum_i <t a_i>_m / m - 1) and the level sum_i a_i / m - 1, so
-    each multiset stands for its whole orbit.  The budget bounds the
-    heads the multiset walk visits.
+    sum_i w(a_i) / m - |subgroup| (_multiset_exponent) and the level
+    sum_i a_i / m - 1, so each multiset stands for its whole orbit.  The
+    budget bounds the heads the multiset walk visits.
     """
     _check_shape(m, r)
     work = comb(m + r - 1, r + 1)
     if work > budget:
         raise BudgetError(
             f"exponent-vector budget exceeded: {work} multisets > {budget}")
-    tables = [tuple((t * a) % m for a in range(m)) for t in subgroup]
+    exponent = _multiset_exponent(m, subgroup)
     exponents: Counter = Counter()
     hodge = [0] * (r + 1)
     for alpha, weight in exponent_multisets(m, r).items():
-        exponents[sum(sum(t[a] for a in alpha) // m - 1
-                      for t in tables)] += weight
+        exponents[exponent(alpha)] += weight
         hodge[sum(alpha) // m - 1] += weight
     return exponents, hodge
 
@@ -608,29 +624,31 @@ def stickelberger_check(p: int, m: int, r: int, *,
                         table_budget: int = DEFAULT_TABLE_BUDGET
                         ) -> StickelbergerReport:
     """Verify that ord_P(j(alpha)) equals the Stickelberger exponent,
-    for every exponent vector.
+    for every exponent vector, in the lexicographic order of
+    exponent_vectors.
 
-    The left side is computed from the Jacobi sum through the lifted
-    root of unity, once per multiset, the right side from integer
-    arithmetic alone for each vector; the two share nothing but the
-    field construction.  Every distinct Jacobi sum must satisfy
-    |j|^2 = q^r first, so a table fault that breaks it is an internal
-    error rather than a mismatch.  That check also bounds ord_P(j) by
-    ord_P(q^r) = f*r, below the working precision f*r + 2, so every
-    valuation is exact or the table is at fault.
+    Both sides are symmetric in alpha and computed once per multiset:
+    the left side from the Jacobi sum through the lifted root of unity,
+    the right side from integer arithmetic alone (_multiset_exponent; it
+    equals stickelberger_exponent on every vector).  The two share
+    nothing but the field construction.  Every distinct Jacobi sum must
+    satisfy |j|^2 = q^r first, so a table fault that breaks it is an
+    internal error rather than a mismatch.  That check also bounds
+    ord_P(j) by ord_P(q^r) = f*r, below the working precision f*r + 2, so
+    every valuation is exact or the table is at fault.
     """
     params = FermatParams.create(p, m, r)
     field, _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
-    valuations = {}
+    exponent = _multiset_exponent(m, frobenius_subgroup(p, m))
+    by_key = {}
     for key, j in sums.items():
         val = padic_valuation(j, ctx)
         if not val.exact:
             raise InternalCheckError(
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
-        valuations[key] = val.value
-    rows = tuple(StickelbergerRow(alpha, stickelberger_exponent(alpha, p, m),
-                                  valuations[tuple(sorted(alpha))])
+        by_key[key] = (exponent(key), val.value)
+    rows = tuple(StickelbergerRow(alpha, *by_key[tuple(sorted(alpha))])
                  for alpha in exponent_vectors(m, r, budget=alpha_budget))
     return StickelbergerReport(p, m, r, params.f, params.q, rows)

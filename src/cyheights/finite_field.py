@@ -13,7 +13,6 @@ n is p here and p^k in the p-adic ring R_k, which shares the helpers.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .errors import BudgetError, InputError, InternalCheckError
@@ -38,12 +37,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
 def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:
     """The cyclic subgroup {p^j mod m} of (Z/m)^*, in power order.
 
-    Requires gcd(p, m) = 1 and m >= 2.  Cached: stickelberger_exponent
-    asks for it once per exponent vector.
+    Requires gcd(p, m) = 1 and m >= 2.
     """
     if m < 2:
         raise InputError(f"modulus m must be >= 2, got {m}")
@@ -197,6 +194,10 @@ class FiniteField:
 
     def _combine(self, a: int, b: int, sign: int) -> int:
         """a + sign * b, one base-p digit at a time (XOR for p = 2)."""
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise InputError(
+                f"field encodings lie in [0, {q}), got {a} and {b}")
         p = self.p
         if p == 2:
             return a ^ b

@@ -155,6 +155,19 @@ def test_kummer_command(capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["height", "--p", "11", "--m", "5", "--r", "3", "--full"],
+    ["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", "1"],
+    ["stickelberger", "--p", "3", "--m", "4", "--r", "2"],
+    ["kummer", "--p", "7"],
+    ["survey", "kummer", "--p-max", "20", "--jobs", "1"],
+])
+def test_json_is_one_line_with_sorted_keys(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
 def test_reruns_are_byte_identical(capsys):
     args = ["zeta", "--p", "3", "--m", "4", "--r", "2", "--check", "1",
             "--format", "json"]

@@ -278,6 +278,17 @@ def test_stickelberger_check_report():
     assert {row.exponent for row in report.rows} == {2}
 
 
+
+# f = 1, f > 1, composite m and r >= 2
+@pytest.mark.parametrize("p,m,r", [(13, 3, 1), (2, 7, 3), (3, 8, 2),
+                                   (5, 4, 2)])
+def test_stickelberger_rows_follow_per_vector_definition(p, m, r):
+    report = stickelberger_check(p, m, r)
+    assert [row.alpha for row in report.rows] == exponent_vectors(m, r)
+    for row in report.rows:
+        assert row.exponent == stickelberger_exponent(row.alpha, p, m)
+    assert report.all_equal
+
 def test_variety_report_shape():
     from cyheights.fermat import variety_report
     report = variety_report(3, 4, 2)

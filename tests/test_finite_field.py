@@ -291,6 +291,20 @@ def test_add_sub_neg_match_reference_loops(p, f):
             assert field.sub(a, b) == _ref_add(p, a, _ref_neg(p, b))
 
 
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
+def test_add_sub_neg_reject_encodings_outside_the_field(p, f):
+    field = build_field(p, f)
+    q = field.q
+    for bad in (-1, -q, q, q + 1, 2 * q):
+        with pytest.raises(InputError, match="encodings"):
+            field.neg(bad)
+        for a, b in ((bad, 0), (0, bad), (bad, q - 1)):
+            with pytest.raises(InputError, match="encodings"):
+                field.add(a, b)
+            with pytest.raises(InputError, match="encodings"):
+                field.sub(a, b)
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
