@@ -18,7 +18,8 @@ from .fermat import (ArtinComparison, FermatParams, HeightValue, INFINITE,
                      hodge_numbers_fermat, newton_slopes,
                      point_count_from_zeta, predicted_height,
                      slope_deficient_count, stickelberger_check,
-                     stickelberger_exponent, variety_report, zeta_fermat)
+                     stickelberger_exponent, variety_report, zeta_fermat,
+                     zeta_report)
 from .kummer import (AbelianData, EllipticCurve, QuadLattice, abelian_height,
                      ec_count_points, kummer_report, lattice_from_generators,
                      lattice_index, period_lattice, predicted_example_height,

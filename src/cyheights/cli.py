@@ -8,9 +8,8 @@ stderr, so re-running a command is byte-identical on stdout.
 Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
---alpha-budget bounds |A|, the exponent-vector count, for zeta and
-stickelberger (deg P and the row count), and the heads of the multiset
-walk for height and every row of survey height|artin.
+Every verdict comes from the library; a command formats it and parses
+only the options it reads, besides --format and the inert --cache-dir.
 """
 
 from __future__ import annotations
@@ -119,48 +118,30 @@ def _cmd_height(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    zeta = fermat.zeta_fermat(args.p, args.m, args.r,
-                              alpha_budget=args.alpha_budget,
-                              table_budget=args.table_budget)
-    checks = []
-    for s in args.check:
-        n_zeta = fermat.point_count_from_zeta(zeta, s)
-        n_brute = fermat.brute_force_point_count(
-            args.p, args.m, args.r, s, budget=args.point_budget,
-            table_budget=args.table_budget)
-        checks.append({"s": s, "zeta_count": n_zeta,
-                       "brute_force_count": n_brute,
-                       "match": n_zeta == n_brute})
-    all_match = all(c["match"] for c in checks)
-    payload = {
-        "command": "zeta",
-        "p": zeta.p, "m": zeta.m, "r": zeta.r, "q": zeta.q,
-        "degree": zeta.degree,
-        "poly_coeffs": list(zeta.poly_coeffs),
-        "sign_exponent": zeta.sign_exponent,
-        "pole_q_powers": list(zeta.pole_q_powers),
-        "checks": checks,
-        "all_match": all_match,
-    }
+    report = fermat.zeta_report(args.p, args.m, args.r, args.check,
+                                alpha_budget=args.alpha_budget,
+                                table_budget=args.table_budget,
+                                point_budget=args.point_budget)
+    payload = {"command": "zeta", **report}
     with _int_digits_unlimited():
         if args.format == "json":
             _emit_json(payload)
         elif args.format == "csv":
             fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
                       "match"]
-            rows = [{"p": zeta.p, "m": zeta.m, "r": zeta.r, **c}
-                    for c in checks]
+            rows = [{"p": report["p"], "m": report["m"], "r": report["r"],
+                     **c} for c in report["checks"]]
             _emit_csv("zeta-checks/v1", fields, rows)
         else:
-            poles = " ".join(f"(1-q^{i}T)" for i in zeta.pole_q_powers)
-            print(f"Z(T) = P(T)^{zeta.sign_exponent} / [{poles}],  "
-                  f"q = {zeta.q}, deg P = {zeta.degree}")
-            print(f"P(T) coefficients: {list(zeta.poly_coeffs)}")
-            for c in checks:
+            poles = " ".join(f"(1-q^{i}T)" for i in report["pole_q_powers"])
+            print(f"Z(T) = P(T)^{report['sign_exponent']} / [{poles}],  "
+                  f"q = {report['q']}, deg P = {report['degree']}")
+            print(f"P(T) coefficients: {report['poly_coeffs']}")
+            for c in report["checks"]:
                 flag = "match" if c["match"] else "MISMATCH"
                 print(f"N_{c['s']}: zeta {c['zeta_count']} vs brute force "
                       f"{c['brute_force_count']}  [{flag}]")
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    return EXIT_OK if report["all_match"] else EXIT_MISMATCH
 
 
 # --- stickelberger ---
@@ -170,14 +151,15 @@ def _cmd_stickelberger(args) -> int:
     report = fermat.stickelberger_check(args.p, args.m, args.r,
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget)
-    equal = sum(1 for row in report.rows if row.equal)
+    mismatches = report.mismatches
+    equal = len(report.rows) - len(mismatches)
     payload = {
         "command": "stickelberger",
         "p": report.p, "m": report.m, "r": report.r,
         "f": report.f, "q": report.q,
         "total": len(report.rows),
         "equal_count": equal,
-        "all_equal": report.all_equal,
+        "all_equal": not mismatches,
         "precision_failures": 0,  # stickelberger/v1 field; always 0
         "rows": [
             {"alpha": list(row.alpha), "exponent": row.exponent,
@@ -199,10 +181,10 @@ def _cmd_stickelberger(args) -> int:
         print(f"(p={report.p}, m={report.m}, r={report.r}): {equal}/"
               f"{len(report.rows)} Jacobi-sum valuations equal their "
               f"Stickelberger exponents")
-        for row in report.mismatches:
+        for row in mismatches:
             print(f"  MISMATCH alpha={row.alpha}: exponent {row.exponent}, "
                   f"valuation {row.valuation}")
-    return EXIT_MISMATCH if report.mismatches else EXIT_OK
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 # --- survey ---
@@ -251,7 +233,12 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _cmd_survey(args) -> int:
     worker, schema, fields = _SURVEY_KINDS[args.kind]
     if args.kind == "kummer":
-        primes = [p for p in _primes_in(max(args.p_min, 5), args.p_max)]
+        lo = max(args.p_min, 5)
+        # raise on the first prime over budget before any point count
+        for p in range(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1), args.p_max):
+            if is_prime(p):
+                kummer.check_prime_budget(p)
+        primes = _primes_in(lo, args.p_max)
         m, r = 0, 0
     else:
         if args.m is None or args.r is None:
@@ -325,17 +312,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      default="text", help="output format (default: text)")
     sub.add_argument("--cache-dir",
                      help="ignored; field tables are always built")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for surveys, capped at the "
-                          "task and CPU counts (default: CPU count)")
+
+
+def _add_alpha_budget(sub: argparse.ArgumentParser, bounds: str) -> None:
     sub.add_argument("--alpha-budget", type=int,
-                     default=fermat.DEFAULT_ALPHA_BUDGET,
-                     help="max exponent vectors |A| (zeta, "
-                          "stickelberger) or multiset-walk heads (height, "
-                          "survey height|artin)")
+                     default=fermat.DEFAULT_ALPHA_BUDGET, help=f"max {bounds}")
+
+
+def _add_table_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
-                     help="max cardinality of a field given dense exp/dlog "
-                          "tables, counted in field elements, not bytes")
+                     help="max elements of a field given dense exp/dlog "
+                          "tables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--full", action="store_true",
                      help="include slopes, Hodge numbers and the "
                           "algebraic-cycle predicate in the report")
+    _add_alpha_budget(sub, "multiset-walk heads")
     _add_common(sub)
     sub.set_defaults(run=_cmd_height)
 
@@ -367,6 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max field subtractions per point count, "
                           "(r+1)(d+1)(Q-1)/d with Q = q^s and "
                           "d = gcd(m, Q-1)")
+    _add_alpha_budget(sub, "exponent vectors |A|, the degree of P(T)")
+    _add_table_budget(sub)
     _add_common(sub)
     sub.set_defaults(run=_cmd_zeta)
 
@@ -376,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
+    _add_alpha_budget(sub, "exponent vectors |A|, the row count")
+    _add_table_budget(sub)
     _add_common(sub)
     sub.set_defaults(run=_cmd_stickelberger)
 
@@ -385,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r", type=int, default=None)
     sub.add_argument("--p-min", type=int, default=2)
     sub.add_argument("--p-max", type=int, required=True)
+    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                     help="worker processes, capped at the prime and CPU "
+                          "counts (default: CPU count)")
+    _add_alpha_budget(sub, "multiset-walk heads per prime (height, artin)")
     _add_common(sub)
     sub.set_defaults(run=_cmd_survey)
 
@@ -411,12 +407,7 @@ def _parse_s_list(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is None:
-        args.jobs = (os.cpu_count() or 1) if args.command == "survey" else 1
-    if args.jobs < 1:
-        _diag("error: --jobs must be >= 1")
-        return EXIT_INVALID
-    for name in ("alpha_budget", "table_budget", "point_budget"):
+    for name in ("jobs", "alpha_budget", "table_budget", "point_budget"):
         if getattr(args, name, 1) < 1:
             _diag(f"error: --{name.replace('_', '-')} must be positive")
             return EXIT_INVALID

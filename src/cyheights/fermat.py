@@ -18,7 +18,7 @@ principles so the closed-form predictions stay testable.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -585,6 +585,35 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
         raise InternalCheckError(
             f"affine solution count {conv[0]} is not 1 mod Q - 1")
     return projective
+
+
+def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
+                alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+                table_budget: int = DEFAULT_TABLE_BUDGET,
+                point_budget: int = DEFAULT_POINT_BUDGET) -> dict:
+    """One JSON-ready record of Z(T) and its cross-checks: for each s in
+    checks, N_s read off P(T) against brute_force_point_count, which
+    shares no characters or Jacobi sums with zeta_fermat.  all_match is
+    the verdict (True when checks is empty)."""
+    zeta = zeta_fermat(p, m, r, alpha_budget=alpha_budget,
+                       table_budget=table_budget)
+    rows = []
+    for s in checks:
+        n_zeta = point_count_from_zeta(zeta, s)
+        n_brute = brute_force_point_count(p, m, r, s, budget=point_budget,
+                                          table_budget=table_budget)
+        rows.append({"s": s, "zeta_count": n_zeta,
+                     "brute_force_count": n_brute,
+                     "match": n_zeta == n_brute})
+    return {
+        "p": zeta.p, "m": zeta.m, "r": zeta.r, "q": zeta.q,
+        "degree": zeta.degree,
+        "poly_coeffs": list(zeta.poly_coeffs),
+        "sign_exponent": zeta.sign_exponent,
+        "pole_q_powers": list(zeta.pole_q_powers),
+        "checks": rows,
+        "all_match": all(row["match"] for row in rows),
+    }
 
 
 # --- the Stickelberger cross-check ---

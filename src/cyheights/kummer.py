@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetError, InputError, InternalCheckError
 from .fermat import HeightValue, INFINITE
@@ -54,6 +54,13 @@ class EllipticCurve:
         return cls(p, a, b)
 
 
+def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
+    """Raise BudgetError if a point count over GF(p) exceeds the budget."""
+    if p > budget:
+        raise BudgetError(
+            f"point-count budget exceeded: p = {p} > {budget}")
+
+
 def ec_count_points(curve: EllipticCurve, *,
                     budget: int = DEFAULT_PRIME_BUDGET) -> int:
     """#E(F_p) including the point at infinity, by a Legendre-symbol sweep.
@@ -62,9 +69,7 @@ def ec_count_points(curve: EllipticCurve, *,
     squares of 1..(p-1)/2: roots[v] = #{y : y^2 = v} = 1 + (v/p).
     """
     p = curve.p
-    if p > budget:
-        raise BudgetError(
-            f"point-count budget exceeded: p = {p} > {budget}")
+    check_prime_budget(p, budget)
     roots = bytearray(p)
     roots[0] = 1
     for y in range(1, (p + 1) // 2):
@@ -190,14 +195,6 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[tuple[int, int],
     return (a, b), (0, c)
 
 
-def _common_denominator(pairs: list[Pair]) -> int:
-    d = 1
-    for u, v in pairs:
-        d = d * u.denominator // gcd(d, u.denominator)
-        d = d * v.denominator // gcd(d, v.denominator)
-    return d
-
-
 @dataclass(frozen=True, eq=False)
 class QuadLattice:
     """A rank-2 Z-module in Q(omega), coordinates (u, v) for u + v*omega.
@@ -239,7 +236,7 @@ def lattice_from_generators(min_poly: MinPoly, generators) -> QuadLattice:
     generator coordinates must span all of Z^2."""
     poly = _check_min_poly(min_poly)
     pairs: list[Pair] = [(Fraction(u), Fraction(v)) for u, v in generators]
-    den = _common_denominator(pairs)
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
     int_rows = [(int(u * den), int(v * den)) for u, v in pairs]
     (a, b), (_, c) = _hnf_rows(int_rows)
     basis = ((Fraction(a, den), Fraction(b, den)),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cyheights import cli, fermat
+from cyheights import cli, fermat, kummer
 from cyheights.cli import main
 from cyheights.errors import InternalCheckError
 
@@ -182,10 +182,13 @@ def test_reruns_are_byte_identical(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["zeta", "--p", "3", "--m", "4", "--r", "2", "--check", "1"],
-    ["stickelberger", "--p", "13", "--m", "3", "--r", "1"]])
+    ["stickelberger", "--p", "13", "--m", "3", "--r", "1"],
+    ["height", "--p", "11", "--m", "5", "--r", "3"],
+    ["survey", "kummer", "--p-max", "20", "--jobs", "1"],
+    ["kummer", "--p", "7"]])
 def test_cache_dir_is_ignored(capsys, tmp_path, monkeypatch, argv):
-    # --cache-dir stays parseable for old scripts; nothing reads or
-    # writes it, and CYHEIGHTS_CACHE_DIR is not read either
+    # --cache-dir stays parseable until the benchmark stops passing it;
+    # nothing reads or writes it, and CYHEIGHTS_CACHE_DIR is not read either
     code, plain, _ = run(capsys, *argv)
     assert code == 0
     code, flagged, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
@@ -194,6 +197,35 @@ def test_cache_dir_is_ignored(capsys, tmp_path, monkeypatch, argv):
     code, from_env, _ = run(capsys, *argv)
     assert (code, from_env) == (0, plain)
     assert list(tmp_path.iterdir()) == []
+
+
+_READS = [
+    (["height", "--p", "11", "--m", "5", "--r", "3"], {"--alpha-budget"}),
+    (["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", "1"],
+     {"--alpha-budget", "--table-budget"}),
+    (["stickelberger", "--p", "3", "--m", "4", "--r", "2"],
+     {"--alpha-budget", "--table-budget"}),
+    (["survey", "kummer", "--p-max", "20"], {"--jobs", "--alpha-budget"}),
+    (["kummer", "--p", "7"], set()),
+]
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "1"),
+                                        ("--alpha-budget", "1000"),
+                                        ("--table-budget", "1000")])
+@pytest.mark.parametrize("argv,reads", _READS,
+                         ids=[argv[0] for argv, _ in _READS])
+def test_each_command_parses_only_the_flags_it_reads(capsys, argv, reads,
+                                                     flag, value):
+    if flag in reads:
+        code, out, _ = run(capsys, *argv, flag, value)
+        assert code == 0 and out
+    else:  # argparse rejects an unknown option with status 2
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in \
+            capsys.readouterr().err
 
 
 def test_diagnostics_go_to_stderr_only(capsys):
@@ -277,6 +309,24 @@ def test_internal_errors_exit_4(capsys, monkeypatch, exc):
     assert err == f"internal error: {type(exc).__name__}: forced\n"
 
 
+def test_survey_kummer_fails_on_the_prime_budget_before_counting(
+        capsys, monkeypatch):
+    # 1000003 is the first prime above kummer.DEFAULT_PRIME_BUDGET; the
+    # eight primes below it in the range are never counted
+    calls = []
+    real = kummer.ec_count_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kummer, "ec_count_points", counting)
+    code, out, err = run(capsys, "survey", "kummer", "--p-min", "999900",
+                         "--p-max", "1000100", "--jobs", "1")
+    assert (code, out, calls) == (cli.EXIT_BUDGET, "", [])
+    assert "point-count budget exceeded: p = 1000003 > 1000000" in err
+
+
 def test_worker_count_is_capped(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert cli._worker_count(10**6, 3) == 2
@@ -324,6 +374,27 @@ def test_zeta_reports_a_corrupted_coefficient_as_mismatch(capsys,
                        "--check", "1")
     assert code == cli.EXIT_MISMATCH == 1
     assert "N_1: zeta 10 vs brute force 9  [MISMATCH]" in out
+
+
+@pytest.mark.parametrize("p,m,r,checks", [(7, 3, 1, (1, 2)),
+                                           (3, 4, 2, (1,))])
+def test_zeta_report_is_the_zeta_payload(capsys, p, m, r, checks):
+    report = fermat.zeta_report(p, m, r, checks)
+    code, out, _ = run(capsys, "zeta", "--p", str(p), "--m", str(m),
+                       "--r", str(r), "--check", ",".join(map(str, checks)),
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("command") == "zeta"
+    assert report == payload
+    zeta = fermat.zeta_fermat(p, m, r)
+    counts = [(fermat.point_count_from_zeta(zeta, s),
+               fermat.brute_force_point_count(p, m, r, s)) for s in checks]
+    assert report["checks"] == [
+        {"s": s, "zeta_count": n_zeta, "brute_force_count": n_brute,
+         "match": n_zeta == n_brute}
+        for s, (n_zeta, n_brute) in zip(checks, counts)]
+    assert report["all_match"] is True
 
 
 @pytest.mark.parametrize("command", ["zeta", "stickelberger"])
