@@ -57,10 +57,12 @@ def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:
 @contextmanager
 def _int_digits_unlimited():
     """Lift the interpreter's limit on decimal digits in int-to-str
-    conversion while output is formatted, restoring it on exit.
+    conversion while a command runs, restoring it on exit.
 
-    P(T) coefficients outgrow the default limit of 4300 digits, e.g. at
-    (p, m, r) = (13, 6, 4).  The limit stays in force for library callers.
+    Printed integers outgrow the default limit of 4300 digits: the P(T)
+    coefficients of `zeta` at (p, m, r) = (13, 6, 4), and q = p^f in
+    `height` at (10^12 + 39, 367, 1).  The limit stays in force for
+    library callers.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters without the limit
@@ -123,24 +125,23 @@ def _cmd_zeta(args) -> int:
                                 table_budget=args.table_budget,
                                 point_budget=args.point_budget)
     payload = {"command": "zeta", **report}
-    with _int_digits_unlimited():
-        if args.format == "json":
-            _emit_json(payload)
-        elif args.format == "csv":
-            fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
-                      "match"]
-            rows = [{"p": report["p"], "m": report["m"], "r": report["r"],
-                     **c} for c in report["checks"]]
-            _emit_csv("zeta-checks/v1", fields, rows)
-        else:
-            poles = " ".join(f"(1-q^{i}T)" for i in report["pole_q_powers"])
-            print(f"Z(T) = P(T)^{report['sign_exponent']} / [{poles}],  "
-                  f"q = {report['q']}, deg P = {report['degree']}")
-            print(f"P(T) coefficients: {report['poly_coeffs']}")
-            for c in report["checks"]:
-                flag = "match" if c["match"] else "MISMATCH"
-                print(f"N_{c['s']}: zeta {c['zeta_count']} vs brute force "
-                      f"{c['brute_force_count']}  [{flag}]")
+    if args.format == "json":
+        _emit_json(payload)
+    elif args.format == "csv":
+        fields = ["p", "m", "r", "s", "zeta_count", "brute_force_count",
+                  "match"]
+        rows = [{"p": report["p"], "m": report["m"], "r": report["r"], **c}
+                for c in report["checks"]]
+        _emit_csv("zeta-checks/v1", fields, rows)
+    else:
+        poles = " ".join(f"(1-q^{i}T)" for i in report["pole_q_powers"])
+        print(f"Z(T) = P(T)^{report['sign_exponent']} / [{poles}],  "
+              f"q = {report['q']}, deg P = {report['degree']}")
+        print(f"P(T) coefficients: {report['poly_coeffs']}")
+        for c in report["checks"]:
+            flag = "match" if c["match"] else "MISMATCH"
+            print(f"N_{c['s']}: zeta {c['zeta_count']} vs brute force "
+                  f"{c['brute_force_count']}  [{flag}]")
     return EXIT_OK if report["all_match"] else EXIT_MISMATCH
 
 
@@ -208,7 +209,7 @@ def _artin_row(task: tuple[int, int, int, int]) -> dict:
             "fully_rigged": cmp.fully_rigged}
 
 
-def _kummer_row(task: tuple[int, int, int, int]) -> dict:
+def _kummer_row(task: tuple[int]) -> dict:
     report = kummer.kummer_report(task[0])
     return {"p": report["p"], "height": report["quotient_height"],
             "predicted_height": report["predicted_height"],
@@ -238,17 +239,13 @@ def _cmd_survey(args) -> int:
         for p in range(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1), args.p_max):
             if is_prime(p):
                 kummer.check_prime_budget(p)
-        primes = _primes_in(lo, args.p_max)
-        m, r = 0, 0
+        tasks = [(p,) for p in _primes_in(lo, args.p_max)]
     else:
-        if args.m is None or args.r is None:
-            raise InputError(f"survey {args.kind} requires --m and --r")
-        m, r = args.m, args.r
-        primes = [p for p in _primes_in(args.p_min, args.p_max)
-                  if gcd(p, m) == 1]
-    if not primes:
+        tasks = [(p, args.m, args.r, args.alpha_budget)
+                 for p in _primes_in(args.p_min, args.p_max)
+                 if gcd(p, args.m) == 1]
+    if not tasks:
         raise InputError("empty prime range")
-    tasks = [(p, m, r, args.alpha_budget) for p in primes]
 
     started = time.monotonic()
     workers = _worker_count(args.jobs, len(tasks))
@@ -321,8 +318,8 @@ def _add_alpha_budget(sub: argparse.ArgumentParser, bounds: str) -> None:
 
 def _add_table_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
-                     help="max elements of a field given dense exp/dlog "
-                          "tables")
+                     help="max elements q of a field given a dense exp "
+                          "table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,18 +368,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(run=_cmd_stickelberger)
 
-    sub = subs.add_parser("survey", help="sweep a range of primes")
-    sub.add_argument("kind", choices=sorted(_SURVEY_KINDS))
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--p-min", type=int, default=2)
-    sub.add_argument("--p-max", type=int, required=True)
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes, capped at the prime and CPU "
-                          "counts (default: CPU count)")
-    _add_alpha_budget(sub, "multiset-walk heads per prime (height, artin)")
-    _add_common(sub)
-    sub.set_defaults(run=_cmd_survey)
+    survey = subs.add_parser("survey", help="sweep a range of primes")
+    kinds = survey.add_subparsers(dest="kind", required=True)
+    for kind in sorted(_SURVEY_KINDS):
+        sub = kinds.add_parser(kind, help=f"one {kind} row per prime")
+        if kind == "kummer":
+            sub.set_defaults(m=None, r=None)
+        else:
+            sub.add_argument("--m", type=int, required=True)
+            sub.add_argument("--r", type=int, required=True)
+            _add_alpha_budget(sub, "multiset-walk heads per prime")
+        sub.add_argument("--p-min", type=int, default=2)
+        sub.add_argument("--p-max", type=int, required=True)
+        sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                         help="worker processes, capped at the prime and "
+                              "CPU counts (default: CPU count)")
+        _add_common(sub)
+        sub.set_defaults(run=_cmd_survey)
 
     sub = subs.add_parser("kummer", help="elliptic-curve and Kummer heights")
     sub.add_argument("--p", type=int, required=True)
@@ -413,7 +415,8 @@ def main(argv=None) -> int:
             return EXIT_INVALID
     started = time.monotonic()
     try:
-        code = args.run(args)
+        with _int_digits_unlimited():
+            code = args.run(args)
     except InputError as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID

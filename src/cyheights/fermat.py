@@ -569,16 +569,16 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
             f"point-count budget exceeded: {work} field subtractions "
             f"> {budget}")
     field = build_field(p, params.f * s, table_budget=table_budget)
-    exp, dlog, sub = field.exp, field.dlog, field.sub
+    exp, sub = field.exp, field.sub
     powers = [exp[k] for k in range(0, big_q - 1, d)]
     representatives = [0] + [exp[c] for c in range(d)]
-
-    def slot(x: int) -> int:  # 0 for zero, 1 + c for the coset of g^c
-        return 0 if x == 0 else 1 + dlog[x] % d
+    slot = [0] * big_q  # 0 for zero, 1 + c for the coset of g^c
+    for k, x in enumerate(exp):
+        slot[x] = 1 + k % d
 
     conv = [1, d] + [0] * (d - 1)  # h itself
     for _ in range(r + 1):
-        conv = [conv[i] + d * sum(conv[slot(sub(y, z))] for z in powers)
+        conv = [conv[i] + d * sum(conv[slot[sub(y, z)]] for z in powers)
                 for i, y in enumerate(representatives)]
     projective, remainder = divmod(conv[0] - 1, big_q - 1)
     if remainder:

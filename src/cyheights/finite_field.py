@@ -1,4 +1,4 @@
-"""Deterministic construction of GF(p^f) with dense discrete-log tables.
+"""Deterministic construction of GF(p^f) with a dense table of powers.
 
 Field elements are encoded as plain integers in [0, q): the element with
 coefficient vector (c_0, ..., c_{f-1}) against the power basis of the
@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import BudgetError, InputError, InternalCheckError
 
-# Largest field the dense exp/dlog tables may hold, as a cardinality.
+# Largest field the dense exp table may hold, as a cardinality.
 DEFAULT_TABLE_BUDGET = 1 << 24
 
 
@@ -166,26 +166,23 @@ def _smallest_irreducible(p: int, f: int) -> list[int]:
 
 
 class FiniteField:
-    """Immutable GF(p^f) with exp/dlog tables against a fixed generator.
+    """Immutable GF(p^f) with the table exp[i] = g^i of a fixed generator.
 
-    Addition works on integer encodings; multiplication goes through the
-    exp and dlog tables.  Instances are safe to
-    share between threads or processes; nothing is mutated after
-    construction.
+    Addition works on integer encodings; callers that multiply or need
+    logarithms derive them from exp.  Instances are safe to share between
+    threads or processes; nothing is mutated after construction.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "generator", "exp", "dlog")
+    __slots__ = ("p", "f", "q", "modulus", "generator", "exp")
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...],
-                 generator: int, exp: tuple[int, ...],
-                 dlog: tuple[int | None, ...]):
+                 generator: int, exp: tuple[int, ...]):
         self.p = p
         self.f = f
         self.q = p**f
         self.modulus = modulus
         self.generator = generator
         self.exp = exp
-        self.dlog = dlog
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, f={self.f})"
@@ -344,7 +341,7 @@ def build_field(p: int, f: int, *,
                 break
     assert generator is not None
 
-    # Walk the cyclic group once to fill both tables.
+    # Walk the cyclic group once to fill the table.
     step = _multiplier(p, f, modulus, generator)
     exp = [1] * (q - 1)
     cur = 1
@@ -353,10 +350,5 @@ def build_field(p: int, f: int, *,
         exp[i] = cur
     if step(cur) != 1:
         raise InternalCheckError("generator order check failed")
-    dlog_table: list[int | None] = [None] * q
-    for i, enc in enumerate(exp):
-        dlog_table[enc] = i
-
-    return FiniteField(p, f, tuple(modulus), generator, tuple(exp),
-                       tuple(dlog_table))
+    return FiniteField(p, f, tuple(modulus), generator, tuple(exp))
 

@@ -87,9 +87,10 @@ def test_character_basic_values(chi_9_4):
 
 def test_character_is_multiplicative(chi_9_4):
     field = chi_9_4.field
+    log = field.exp.index
     for x in range(1, field.q):
         for y in range(1, field.q):
-            xy = field.exp[(field.dlog[x] + field.dlog[y]) % (field.q - 1)]
+            xy = field.exp[(log(x) + log(y)) % (field.q - 1)]
             assert chi_9_4.value(xy) == chi_9_4.value(x) * chi_9_4.value(y)
 
 

@@ -111,9 +111,10 @@ def test_survey_kummer_pattern(capsys):
 
 
 def test_survey_requires_parameters(capsys):
-    code, _, err = run(capsys, "survey", "height", "--p-max", "40")
-    assert code == 2
-    assert "--m" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "height", "--p-max", "40"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
 
 
 def test_survey_empty_range(capsys):
@@ -205,7 +206,7 @@ _READS = [
      {"--alpha-budget", "--table-budget"}),
     (["stickelberger", "--p", "3", "--m", "4", "--r", "2"],
      {"--alpha-budget", "--table-budget"}),
-    (["survey", "kummer", "--p-max", "20"], {"--jobs", "--alpha-budget"}),
+    (["survey", "kummer", "--p-max", "20"], {"--jobs"}),
     (["kummer", "--p", "7"], set()),
 ]
 
@@ -226,6 +227,14 @@ def test_each_command_parses_only_the_flags_it_reads(capsys, argv, reads,
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--m", "--r"])
+def test_survey_kummer_rejects_the_variety_parameters(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "kummer", "--p-max", "20", "--jobs", "1", flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_diagnostics_go_to_stderr_only(capsys):
@@ -357,6 +366,20 @@ def test_zeta_writes_coefficients_beyond_the_digit_limit(capsys):
                        "--format", "text")
     assert code == 0
     assert "P(T) coefficients: [1, -56629, " in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_height_writes_q_beyond_the_digit_limit(capsys, fmt):
+    # q = p^366 with p = 10^12 + 39 has 4393 decimal digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "height", "--p", "1000000000039",
+                         "--m", "367", "--r", "1", "--format", fmt)
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if fmt == "json":
+        assert len(json.loads(out, parse_int=str)["q"]) == 4393
+    else:
+        assert len(out.splitlines()[2].split(",")[4]) == 4393
 
 
 def test_zeta_reports_a_corrupted_coefficient_as_mismatch(capsys,

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from cyheights import fermat
+from cyheights import character_sums, fermat
 from cyheights.character_sums import Character, jacobi_sum
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError, InternalCheckError
@@ -373,8 +373,7 @@ def _enumeration_oracle(p, m, r, s):
     the first nonzero coordinate normalized to 1."""
     field = build_field(p, FermatParams.create(p, m, r).f * s)
     big_q = field.q
-    mth = [0] + [field.exp[(m * field.dlog[x]) % (big_q - 1)]
-                 for x in range(1, big_q)]
+    mth = [0] + [field.exp[m * k % (big_q - 1)] for k in range(big_q - 1)]
 
     def count_tails(positions, acc):
         if positions == 0:
@@ -406,6 +405,18 @@ POINT_GRID = [(7, 3, 1, 1), (7, 3, 1, 2), (2, 3, 1, 2), (2, 3, 2, 2),
 def test_point_count_matches_enumeration(p, m, r, s):
     assert brute_force_point_count(p, m, r, s) == _enumeration_oracle(p, m,
                                                                       r, s)
+
+
+def test_point_count_oracle_uses_no_characters(monkeypatch):
+    # the oracle must not share characters or Jacobi sums with zeta_fermat
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the point-count oracle used character code")
+
+    monkeypatch.setattr(fermat, "Character", forbidden)
+    monkeypatch.setattr(character_sums, "Character", forbidden)
+    monkeypatch.setattr(fermat, "jacobi_sum_table", forbidden)
+    # N_2 of the Fermat cubic curve at p = 7, as in the README
+    assert brute_force_point_count(7, 3, 1, 2) == 63
 
 
 def test_point_budget_counts_field_subtractions():
@@ -452,11 +463,8 @@ def test_zeta_and_valuations_do_not_depend_on_the_generator(monkeypatch):
     zeta, report = zeta_fermat(31, 5, 1), stickelberger_check(31, 5, 1)
     assert build_field(31, 1).generator == 3
     exp = tuple(pow(11, i, 31) for i in range(30))
-    dlog = [None] * 31
-    for i, enc in enumerate(exp):
-        dlog[enc] = i
-    assert None not in dlog[1:]  # 11 is a primitive root mod 31
-    other = FiniteField(31, 1, (0, 1), 11, exp, tuple(dlog))
+    assert sorted(exp) == list(range(1, 31))  # 11 is a primitive root mod 31
+    other = FiniteField(31, 1, (0, 1), 11, exp)
     monkeypatch.setattr(fermat, "build_field", lambda p, f, **_: other)
     assert zeta_fermat(31, 5, 1) == zeta
     assert stickelberger_check(31, 5, 1) == report

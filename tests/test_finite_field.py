@@ -31,30 +31,28 @@ def _reference_field(p, f):
     generator = 1 if q == 2 else next(
         c for c in range(1, q) if power(c, n) == 1
         and all(power(c, n // ell) != 1 for ell in _factorize(n)))
-    exp, dlog = [], [None] * q
+    exp = []
     gen_poly, cur = _poly_from_enc(generator, p), [1]
-    for i in range(n):
-        enc = _enc_from_poly(cur, p)
-        exp.append(enc)
-        dlog[enc] = i
+    for _ in range(n):
+        exp.append(_enc_from_poly(cur, p))
         cur = times(cur, gen_poly)
     assert _enc_from_poly(cur, p) == 1
-    return tuple(modulus), generator, tuple(exp), tuple(dlog)
+    return tuple(modulus), generator, tuple(exp)
 
 
 def _times(field, a, b):
     """a * b by polynomial arithmetic modulo the field's modulus, sharing
-    nothing with the exp/dlog tables."""
+    nothing with the exp table."""
     p = field.p
     product = _poly_mul(_poly_from_enc(a, p), _poly_from_enc(b, p), p)
     return _enc_from_poly(_poly_rem(product, list(field.modulus), p), p)
 
 
 def _frobenius(field, a):
-    """a^p read off the tables."""
+    """a^p read off the exp table."""
     if a == 0:
         return 0
-    return field.exp[field.dlog[a] * field.p % (field.q - 1)]
+    return field.exp[field.exp.index(a) * field.p % (field.q - 1)]
 
 
 # p = 2 across the 8-bit chunk edges, odd p at f = 1, 2 and 3 and 3^7 (a
@@ -68,7 +66,7 @@ REFERENCE_FIELDS = [
 @pytest.mark.parametrize("p,f", REFERENCE_FIELDS)
 def test_tables_match_the_polynomial_walk(p, f):
     field = build_field(p, f)
-    assert (field.modulus, field.generator, field.exp, field.dlog) == (
+    assert (field.modulus, field.generator, field.exp) == (
         _reference_field(p, f))
 
 
@@ -120,36 +118,32 @@ def test_f9_tables():
     field = build_field(3, 2)
     assert field.q == 9
     assert field.modulus == (1, 0, 1)  # x^2 + 1, lexicographically first
-    # dlog is a bijection from the 8 units onto Z/8
-    entries = [v for v in field.dlog if v is not None]
-    assert sorted(entries) == list(range(8))
-    assert field.dlog[0] is None
+    # exp is a bijection from Z/8 onto the 8 units
+    assert sorted(field.exp) == list(range(1, 9))
 
 
 def test_f2_degenerate():
     field = build_field(2, 1)
     assert field.generator == 1
     assert field.q == 2
-    assert field.dlog[1] == 0
+    assert field.exp == (1,)
 
 
-def test_dlog_examples_and_errors():
+def test_exp_examples():
     field = build_field(3, 2)
     g = field.generator
-    assert field.dlog[1] == 0
-    assert field.dlog[g] == 1
-    assert field.dlog[_times(field, g, g)] == 2
-    assert field.dlog[0] is None
+    assert field.exp[0] == 1
+    assert field.exp[1] == g
+    assert field.exp[2] == _times(field, g, g)
 
 
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 2), (7, 1)])
-def test_dlog_is_homomorphism(p, f):
+def test_exp_is_homomorphism(p, f):
     field = build_field(p, f)
-    n = field.q - 1
-    for x in range(1, field.q):
-        for y in range(1, field.q):
-            assert (field.dlog[_times(field, x, y)]
-                    == (field.dlog[x] + field.dlog[y]) % n)
+    exp, n = field.exp, field.q - 1
+    for i in range(n):
+        for j in range(n):
+            assert _times(field, exp[i], exp[j]) == exp[(i + j) % n]
 
 
 def test_generator_order_and_minimality():
@@ -190,7 +184,7 @@ def test_addition_and_negation():
 def test_mul_inv():
     field = build_field(5, 2)
     for a in range(1, field.q):
-        inverse = field.exp[-field.dlog[a] % (field.q - 1)]
+        inverse = field.exp[-field.exp.index(a) % (field.q - 1)]
         assert _times(field, a, inverse) == 1
 
 
@@ -219,7 +213,6 @@ def test_build_field_is_deterministic():
     assert a.modulus == b.modulus
     assert a.generator == b.generator
     assert a.exp == b.exp
-    assert a.dlog == b.dlog
 
 
 def test_build_field_rejects_bad_input():
