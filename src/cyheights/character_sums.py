@@ -37,51 +37,34 @@ DEFAULT_NAIVE_BUDGET = 10**7
 
 
 class Character:
-    """The canonical order-m multiplicative character of a finite field."""
+    """The canonical order-m multiplicative character of a finite field.
 
-    __slots__ = ("field", "m", "exponent", "_minus_one_exp",
-                 "_cyclotomic", "_two_var_cache")
+    One O(q) pass walks field.powers() into logs mod m; only e(-1), the
+    cyclotomic numbers and the memo of J(s, b) are kept."""
+
+    __slots__ = ("m", "q", "minus_one_exp", "cyclotomic_numbers",
+                 "_two_var_cache")
 
     def __init__(self, field: FiniteField, m: int):
         if m < 1:
             raise InputError(f"character order must be >= 1, got {m}")
-        if (field.q - 1) % m != 0:
-            raise InputError(
-                f"order m={m} does not divide q-1={field.q - 1}")
-        self.field = field
-        self.m = m
-        # exponent[x] = dlog(x) mod m for x != 0; index 0 is unused
-        exponent = [0] * field.q
-        for i, enc in enumerate(field.exp):
-            exponent[enc] = i % m
-        self.exponent = tuple(exponent)
-        self._minus_one_exp = self.exponent[field.neg(1)]
-        self._cyclotomic: list[tuple[int, int, int]] | None = None
+        q, p = field.q, field.p
+        if (q - 1) % m != 0:
+            raise InputError(f"order m={m} does not divide q-1={q - 1}")
+        self.m, self.q = m, q
+        e = [0] * q  # e[x] = dlog(x) mod m for x != 0
+        for k, x in enumerate(field.powers()):
+            e[x] = k % m
+        minus_one = self.minus_one_exp = e[field.neg(1)]
+        # (i, j, #{y outside {0, 1} : e(1-y) = i, e(y) = j}).  Only the
+        # constant digit of y changes in y - 1, so its encoding is y - 1,
+        # or y + p - 1 when that digit is 0; e(1-y) = e(-1) + e(y-1).
+        counts = Counter(
+            (minus_one + e[y - 1 if y % p else y + p - 1]) % m * m + e[y]
+            for y in range(2, q))
+        self.cyclotomic_numbers = tuple(
+            (key // m, key % m, count) for key, count in counts.items())
         self._two_var_cache: dict[tuple[int, int], CycInt] = {}
-
-    def value(self, x: int, power: int = 1) -> CycInt:
-        """chi(x)^power as a cyclotomic integer; x = 0 is rejected."""
-        if x == 0:
-            raise InputError("chi(0) is undefined")
-        return CycInt.root_of_unity(self.m, self.exponent[x] * power)
-
-    def cyclotomic_numbers(self) -> list[tuple[int, int, int]]:
-        """The nonzero cyclotomic numbers as (i, j, count) triples:
-        count = #{y outside {0, 1} : e(1-y) = i, e(y) = j}.
-
-        One pass over the field fills them.  Only the constant digit of
-        y changes in y - 1, so its encoding is y - 1, or y + p - 1 when
-        that digit is 0, and e(1-y) = e(-1) + e(y-1) mod m.
-        """
-        if self._cyclotomic is None:
-            m, e, p = self.m, self.exponent, self.field.p
-            minus_one = self._minus_one_exp
-            counts = Counter(
-                (minus_one + e[y - 1 if y % p else y + p - 1]) % m * m + e[y]
-                for y in range(2, self.field.q))
-            self._cyclotomic = [
-                (key // m, key % m, count) for key, count in counts.items()]
-        return self._cyclotomic
 
     def two_variable_sum(self, s: int, b: int) -> CycInt:
         """J(s, b) = sum over y outside {0, 1} of chi(1-y)^s chi(y)^b,
@@ -93,10 +76,10 @@ class Character:
         m = self.m
         s, b = key
         counts = [0] * m
-        for i, j, count in self.cyclotomic_numbers():
+        for i, j, count in self.cyclotomic_numbers:
             counts[(s * i + b * j) % m] += count
         result = CycInt.from_exponent_counts(m, counts)
-        self._two_var_cache[key] = result  # idempotent under races
+        self._two_var_cache[key] = result
         return result
 
 
@@ -121,8 +104,8 @@ def jacobi_sum(alpha: tuple[int, ...], chi: Character) -> CycInt:
     """
     m = chi.m
     r = _check_alpha(alpha, m)
-    q = chi.field.q
-    neg = chi._minus_one_exp
+    q = chi.q
+    neg = chi.minus_one_exp
 
     # state of the partial convolution: value at 0, value at 1, total twist
     s = alpha[1]
@@ -142,23 +125,26 @@ def jacobi_sum(alpha: tuple[int, ...], chi: Character) -> CycInt:
     return value_at_minus_one
 
 
-def jacobi_sum_naive(alpha: tuple[int, ...], chi: Character, *,
-                     budget: int = DEFAULT_NAIVE_BUDGET) -> CycInt:
-    """Literal enumeration oracle for jacobi_sum.
+def jacobi_sum_naive(alpha: tuple[int, ...], field: FiniteField, m: int,
+                     *, budget: int = DEFAULT_NAIVE_BUDGET) -> CycInt:
+    """Literal enumeration oracle for jacobi_sum, sharing no code with
+    Character: its logs mod m come from its own walk of field.powers().
 
     Walks all (v_1, ..., v_r) in (F_q^*)^r, solves for v_{r+1}, and
     tallies character exponents.  Enumeration size q^r must stay within
     budget.
     """
-    m = chi.m
     r = _check_alpha(alpha, m)
-    field = chi.field
     q = field.q
+    if (q - 1) % m != 0:
+        raise InputError(f"order m={m} does not divide q-1={q - 1}")
     if q**r > budget:
         raise BudgetError(
             f"naive-oracle budget exceeded: q^r = {q}^{r} = {q**r} > {budget}")
 
-    e = chi.exponent
+    e = [0] * q
+    for k, x in enumerate(field.powers()):
+        e[x] = k % m
     exps = alpha[1:]
     counts = [0] * m
     minus_one = field.neg(1)

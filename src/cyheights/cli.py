@@ -23,7 +23,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from . import fermat, kummer
 from .errors import BudgetError, InputError
@@ -192,7 +193,16 @@ def _cmd_stickelberger(args) -> int:
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
-    return [p for p in range(max(lo, 2), hi) if is_prime(p)]
+    """The primes in [lo, hi), sieved over that window alone by the primes
+    up to isqrt(hi - 1): hi - lo + isqrt(hi) bytes."""
+    lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
+    base, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo)
+    for n in range(2, root + 1):
+        if base[n]:  # no smaller prime divides n
+            base[n * n::n] = bytes(len(range(n * n, root + 1, n)))
+            start = max(n * n, -(-lo // n) * n)
+            window[start - lo::n] = bytes(len(range(start, hi, n)))
+    return list(compress(range(lo, hi), window))
 
 
 def _height_row(task: tuple[int, int, int, int]) -> dict:
@@ -308,7 +318,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default: text)")
     sub.add_argument("--cache-dir",
-                     help="ignored; field tables are always built")
+                     help="ignored; every field is walked afresh")
 
 
 def _add_alpha_budget(sub: argparse.ArgumentParser, bounds: str) -> None:
@@ -318,8 +328,8 @@ def _add_alpha_budget(sub: argparse.ArgumentParser, bounds: str) -> None:
 
 def _add_table_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
-                     help="max elements q of a field given a dense exp "
-                          "table")
+                     help="max elements q of a field; a character pass "
+                          "or a point count holds a q-entry table")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -569,12 +569,15 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
             f"point-count budget exceeded: {work} field subtractions "
             f"> {budget}")
     field = build_field(p, params.f * s, table_budget=table_budget)
-    exp, sub = field.exp, field.sub
-    powers = [exp[k] for k in range(0, big_q - 1, d)]
-    representatives = [0] + [exp[c] for c in range(d)]
+    sub = field.sub
+    powers, representatives = [], [0]
     slot = [0] * big_q  # 0 for zero, 1 + c for the coset of g^c
-    for k, x in enumerate(exp):
+    for k, x in enumerate(field.powers()):
         slot[x] = 1 + k % d
+        if k % d == 0:
+            powers.append(x)
+        if k < d:
+            representatives.append(x)
 
     conv = [1, d] + [0] * (d - 1)  # h itself
     for _ in range(r + 1):

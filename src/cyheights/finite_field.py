@@ -1,4 +1,4 @@
-"""Deterministic construction of GF(p^f) with a dense table of powers.
+"""Deterministic construction of GF(p^f) from a modulus and a generator.
 
 Field elements are encoded as plain integers in [0, q): the element with
 coefficient vector (c_0, ..., c_{f-1}) against the power basis of the
@@ -13,11 +13,12 @@ n is p here and p^k in the p-adic ring R_k, which shares the helpers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
 
 from .errors import BudgetError, InputError, InternalCheckError
 
-# Largest field the dense exp table may hold, as a cardinality.
+# Largest q of a field, whose walk may fill a q-entry table, in elements.
 DEFAULT_TABLE_BUDGET = 1 << 24
 
 
@@ -166,26 +167,36 @@ def _smallest_irreducible(p: int, f: int) -> list[int]:
 
 
 class FiniteField:
-    """Immutable GF(p^f) with the table exp[i] = g^i of a fixed generator.
+    """Immutable GF(p^f): its modulus and a generator g, and no tables.
 
-    Addition works on integer encodings; callers that multiply or need
-    logarithms derive them from exp.  Instances are safe to share between
-    threads or processes; nothing is mutated after construction.
+    Addition works on integer encodings; a caller that needs logarithms
+    walks powers() once and keeps what it reads.  Instances are safe to
+    share between processes; nothing is mutated after construction.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "generator", "exp")
+    __slots__ = ("p", "f", "q", "modulus", "generator")
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...],
-                 generator: int, exp: tuple[int, ...]):
+                 generator: int):
         self.p = p
         self.f = f
         self.q = p**f
         self.modulus = modulus
         self.generator = generator
-        self.exp = exp
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, f={self.f})"
+
+    def powers(self) -> Iterator[int]:
+        """Yield g^0, ..., g^(q-2) by steps x -> g*x; after the last,
+        raise InternalCheckError unless the walk closes at 1."""
+        step = _multiplier(self.p, self.f, self.modulus, self.generator)
+        cur = 1
+        for _ in range(self.q - 1):
+            yield cur
+            cur = step(cur)
+        if cur != 1:
+            raise InternalCheckError("generator order check failed")
 
     # --- element arithmetic on encodings ---
 
@@ -225,23 +236,19 @@ class FiniteField:
         return _enc_from_poly(list(coeffs), self.p)
 
 
+def _enc_pow(enc: int, e: int, modulus, p: int) -> int:
+    """enc**e on encodings, modulo the field's modulus."""
+    if len(modulus) == 2:  # f = 1: elements are residues mod p
+        return pow(enc, e, p)
+    return _enc_from_poly(_poly_pow(_poly_from_enc(enc, p), e, modulus, p), p)
+
+
 def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
                     modulus: list[int], p: int) -> bool:
     """True iff enc has multiplicative order exactly q - 1."""
     n = q - 1
-
-    def powmod(e: int) -> int:
-        if len(modulus) == 2:  # f = 1: elements are residues mod p
-            return pow(enc, e, p)
-        return _enc_from_poly(
-            _poly_pow(_poly_from_enc(enc, p), e, modulus, p), p)
-
-    if powmod(n) != 1:
-        return False
-    for ell in prime_factors:
-        if powmod(n // ell) == 1:
-            return False
-    return True
+    return _enc_pow(enc, n, modulus, p) == 1 and all(
+        _enc_pow(enc, n // ell, modulus, p) != 1 for ell in prime_factors)
 
 
 def _multiplier(p: int, f: int, modulus, generator: int):
@@ -313,6 +320,7 @@ def build_field(p: int, f: int, *,
     The modulus is the lexicographically smallest monic irreducible of
     degree f (coefficient tuple compared leading term first) and the
     generator is the smallest encoding of multiplicative order q - 1.
+    No work here is O(q); the budget bounds what powers() walks fill.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
@@ -340,15 +348,5 @@ def build_field(p: int, f: int, *,
                 generator = cand
                 break
     assert generator is not None
-
-    # Walk the cyclic group once to fill the table.
-    step = _multiplier(p, f, modulus, generator)
-    exp = [1] * (q - 1)
-    cur = 1
-    for i in range(1, q - 1):
-        cur = step(cur)
-        exp[i] = cur
-    if step(cur) != 1:
-        raise InternalCheckError("generator order check failed")
-    return FiniteField(p, f, tuple(modulus), generator, tuple(exp))
+    return FiniteField(p, f, tuple(modulus), generator)
 

@@ -25,8 +25,8 @@ from operator import mul
 
 from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
-from .finite_field import (FiniteField, _poly_from_enc, _poly_mul, _poly_pow,
-                           _poly_rem)
+from .finite_field import (FiniteField, _enc_pow, _poly_from_enc, _poly_mul,
+                           _poly_pow, _poly_rem)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ class PadicContext:
         # Teichmuller lift of g^-((q-1)/m): iterating x -> x^q gains at
         # least one p-adic digit per round, so k rounds stabilize mod p^k.
         # The helpers return trimmed polynomials, so z starts trimmed too.
-        root_enc = field.exp[(q - 1) - (q - 1) // m]
+        root_enc = _enc_pow(field.generator, (q - 1) - (q - 1) // m,
+                            field.modulus, p)
         z = _poly_from_enc(root_enc, p)
         for _ in range(k + 1):
             nxt = _poly_pow(z, q, mod, pk)

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cyheights import cli, fermat, kummer
+from cyheights import cli, fermat, finite_field, kummer
 from cyheights.cli import main
 from cyheights.errors import InternalCheckError
+from cyheights.finite_field import is_prime
 
 
 def run(capsys, *argv):
@@ -316,6 +317,22 @@ def test_internal_errors_exit_4(capsys, monkeypatch, exc):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == f"internal error: {type(exc).__name__}: forced\n"
+
+
+def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
+    code, out, err = run(capsys, "stickelberger", "--p", "7", "--m", "3",
+                         "--r", "1")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert "generator order" in err
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 3), (2, 100), (5, 5), (90, 80),
+                                   (999000, 1001000),
+                                   (10**9, 10**9 + 2000)])
+def test_primes_in_matches_trial_division(lo, hi):
+    assert cli._primes_in(lo, hi) == [p for p in range(max(lo, 2), hi)
+                                      if is_prime(p)]
 
 
 def test_survey_kummer_fails_on_the_prime_budget_before_counting(

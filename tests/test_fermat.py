@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from cyheights import character_sums, fermat
+from cyheights import character_sums, fermat, finite_field
 from cyheights.character_sums import Character, jacobi_sum
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError, InternalCheckError
@@ -373,7 +373,8 @@ def _enumeration_oracle(p, m, r, s):
     the first nonzero coordinate normalized to 1."""
     field = build_field(p, FermatParams.create(p, m, r).f * s)
     big_q = field.q
-    mth = [0] + [field.exp[m * k % (big_q - 1)] for k in range(big_q - 1)]
+    exp = tuple(field.powers())
+    mth = [0] + [exp[m * k % (big_q - 1)] for k in range(big_q - 1)]
 
     def count_tails(positions, acc):
         if positions == 0:
@@ -419,6 +420,21 @@ def test_point_count_oracle_uses_no_characters(monkeypatch):
     assert brute_force_point_count(7, 3, 1, 2) == 63
 
 
+def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch):
+    # a step that never returns to 1: both O(q) passes exhaust the walk,
+    # so both reach its closing check
+    monkeypatch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
+    field = build_field(7, 1)
+    walk = field.powers()
+    assert [next(walk) for _ in range(6)] == [1, 2, 2, 2, 2, 2]
+    with pytest.raises(InternalCheckError, match="generator order"):
+        next(walk)
+    with pytest.raises(InternalCheckError, match="generator order"):
+        Character(field, 3)
+    with pytest.raises(InternalCheckError, match="generator order"):
+        brute_force_point_count(7, 3, 1, 1)
+
+
 def test_point_budget_counts_field_subtractions():
     # (r + 1)(d + 1)(Q - 1)/d with Q = 49, d = gcd(3, 48) = 3
     with pytest.raises(BudgetError):
@@ -457,14 +473,14 @@ def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch, check):
 
 
 def test_zeta_and_valuations_do_not_depend_on_the_generator(monkeypatch):
-    # a consistent GF(31) table for the generator 11 instead of 3: the
-    # character and the valuation prime are pinned from the same table,
-    # so P(T) and every valuation stand
+    # GF(31) with the generator 11 instead of 3: the character and the
+    # valuation prime are pinned from the same generator, so P(T) and
+    # every valuation stand
     zeta, report = zeta_fermat(31, 5, 1), stickelberger_check(31, 5, 1)
     assert build_field(31, 1).generator == 3
-    exp = tuple(pow(11, i, 31) for i in range(30))
-    assert sorted(exp) == list(range(1, 31))  # 11 is a primitive root mod 31
-    other = FiniteField(31, 1, (0, 1), 11, exp)
+    other = FiniteField(31, 1, (0, 1), 11)
+    # 11 is a primitive root mod 31
+    assert sorted(other.powers()) == list(range(1, 31))
     monkeypatch.setattr(fermat, "build_field", lambda p, f, **_: other)
     assert zeta_fermat(31, 5, 1) == zeta
     assert stickelberger_check(31, 5, 1) == report

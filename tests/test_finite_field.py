@@ -42,17 +42,18 @@ def _reference_field(p, f):
 
 def _times(field, a, b):
     """a * b by polynomial arithmetic modulo the field's modulus, sharing
-    nothing with the exp table."""
+    nothing with the walk of powers()."""
     p = field.p
     product = _poly_mul(_poly_from_enc(a, p), _poly_from_enc(b, p), p)
     return _enc_from_poly(_poly_rem(product, list(field.modulus), p), p)
 
 
 def _frobenius(field, a):
-    """a^p read off the exp table."""
+    """a^p read off the walk of powers()."""
     if a == 0:
         return 0
-    return field.exp[field.exp.index(a) * field.p % (field.q - 1)]
+    exp = tuple(field.powers())
+    return exp[exp.index(a) * field.p % (field.q - 1)]
 
 
 # p = 2 across the 8-bit chunk edges, odd p at f = 1, 2 and 3 and 3^7 (a
@@ -66,7 +67,7 @@ REFERENCE_FIELDS = [
 @pytest.mark.parametrize("p,f", REFERENCE_FIELDS)
 def test_tables_match_the_polynomial_walk(p, f):
     field = build_field(p, f)
-    assert (field.modulus, field.generator, field.exp) == (
+    assert (field.modulus, field.generator, tuple(field.powers())) == (
         _reference_field(p, f))
 
 
@@ -111,36 +112,36 @@ def test_prime_field_f5():
     field = build_field(5, 1)
     assert field.modulus == (0, 1)  # the linear polynomial x
     assert field.generator == 2     # smallest primitive root mod 5
-    assert [field.exp[i] for i in range(4)] == [1, 2, 4, 3]
+    assert list(field.powers()) == [1, 2, 4, 3]
 
 
 def test_f9_tables():
     field = build_field(3, 2)
     assert field.q == 9
     assert field.modulus == (1, 0, 1)  # x^2 + 1, lexicographically first
-    # exp is a bijection from Z/8 onto the 8 units
-    assert sorted(field.exp) == list(range(1, 9))
+    # the walk is a bijection from Z/8 onto the 8 units
+    assert sorted(field.powers()) == list(range(1, 9))
 
 
 def test_f2_degenerate():
     field = build_field(2, 1)
     assert field.generator == 1
     assert field.q == 2
-    assert field.exp == (1,)
+    assert tuple(field.powers()) == (1,)
 
 
 def test_exp_examples():
     field = build_field(3, 2)
-    g = field.generator
-    assert field.exp[0] == 1
-    assert field.exp[1] == g
-    assert field.exp[2] == _times(field, g, g)
+    g, exp = field.generator, tuple(field.powers())
+    assert exp[0] == 1
+    assert exp[1] == g
+    assert exp[2] == _times(field, g, g)
 
 
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 2), (7, 1)])
 def test_exp_is_homomorphism(p, f):
     field = build_field(p, f)
-    exp, n = field.exp, field.q - 1
+    exp, n = tuple(field.powers()), field.q - 1
     for i in range(n):
         for j in range(n):
             assert _times(field, exp[i], exp[j]) == exp[(i + j) % n]
@@ -183,8 +184,9 @@ def test_addition_and_negation():
 
 def test_mul_inv():
     field = build_field(5, 2)
+    exp = tuple(field.powers())
     for a in range(1, field.q):
-        inverse = field.exp[-field.exp.index(a) % (field.q - 1)]
+        inverse = exp[-exp.index(a) % (field.q - 1)]
         assert _times(field, a, inverse) == 1
 
 
@@ -212,7 +214,7 @@ def test_build_field_is_deterministic():
     b = build_field(7, 2)
     assert a.modulus == b.modulus
     assert a.generator == b.generator
-    assert a.exp == b.exp
+    assert tuple(a.powers()) == tuple(b.powers())
 
 
 def test_build_field_rejects_bad_input():
