@@ -8,15 +8,16 @@ stderr, so re-running a command is byte-identical on stdout.
 Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
-Every verdict comes from the library; a command formats it and parses
-only the options it reads, besides --format and the inert --cache-dir.
+Every record and verdict comes from the library (variety_report,
+zeta_report, stickelberger_check, kummer_report); a command adds its
+name, formats the record and parses only the options it reads, besides
+--format and the inert --cache-dir.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from math import gcd, isqrt
 
 from . import fermat, kummer
 from .errors import BudgetError, InputError
-from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
+from .finite_field import DEFAULT_TABLE_BUDGET
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -46,13 +47,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:
-    out = io.StringIO()
-    out.write(f"# schema=cyheights.{schema}\n")
-    writer = csv.DictWriter(out, fieldnames=fieldnames)
+    sys.stdout.write(f"# schema=cyheights.{schema}\n")
+    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(out.getvalue())
+    writer.writerows(rows)
 
 
 @contextmanager
@@ -150,43 +148,25 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_stickelberger(args) -> int:
-    report = fermat.stickelberger_check(args.p, args.m, args.r,
+    record = fermat.stickelberger_check(args.p, args.m, args.r,
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget)
-    mismatches = report.mismatches
-    equal = len(report.rows) - len(mismatches)
-    payload = {
-        "command": "stickelberger",
-        "p": report.p, "m": report.m, "r": report.r,
-        "f": report.f, "q": report.q,
-        "total": len(report.rows),
-        "equal_count": equal,
-        "all_equal": not mismatches,
-        "precision_failures": 0,  # stickelberger/v1 field; always 0
-        "rows": [
-            {"alpha": list(row.alpha), "exponent": row.exponent,
-             "valuation": row.valuation, "equal": row.equal,
-             "error": None}
-            for row in report.rows
-        ],
-    }
     if args.format == "json":
-        _emit_json(payload)
+        _emit_json({"command": "stickelberger", **record})
     elif args.format == "csv":
         fields = ["alpha", "exponent", "valuation", "equal", "error"]
-        rows = [{"alpha": " ".join(map(str, row.alpha)),
-                 "exponent": row.exponent, "valuation": row.valuation,
-                 "equal": row.equal, "error": None}
-                for row in report.rows]
+        rows = [{**row, "alpha": " ".join(map(str, row["alpha"]))}
+                for row in record["rows"]]
         _emit_csv("stickelberger/v1", fields, rows)
     else:
-        print(f"(p={report.p}, m={report.m}, r={report.r}): {equal}/"
-              f"{len(report.rows)} Jacobi-sum valuations equal their "
-              f"Stickelberger exponents")
-        for row in mismatches:
-            print(f"  MISMATCH alpha={row.alpha}: exponent {row.exponent}, "
-                  f"valuation {row.valuation}")
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+        print(f"(p={record['p']}, m={record['m']}, r={record['r']}): "
+              f"{record['equal_count']}/{record['total']} Jacobi-sum "
+              f"valuations equal their Stickelberger exponents")
+        for row in record["rows"]:
+            if not row["equal"]:
+                print(f"  MISMATCH alpha={tuple(row['alpha'])}: exponent "
+                      f"{row['exponent']}, valuation {row['valuation']}")
+    return EXIT_OK if record["all_equal"] else EXIT_MISMATCH
 
 
 # --- survey ---
@@ -194,8 +174,13 @@ def _cmd_stickelberger(args) -> int:
 
 def _primes_in(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi), sieved over that window alone by the primes
-    up to isqrt(hi - 1): hi - lo + isqrt(hi) bytes."""
+    up to isqrt(hi - 1).  Its two byte tables, hi - lo + isqrt(hi) bytes,
+    are checked against DEFAULT_TABLE_BUDGET before either is allocated."""
     lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
+    size = max(hi - lo, 0) + root + 1
+    if size > DEFAULT_TABLE_BUDGET:
+        raise BudgetError(f"table-size budget exceeded: sieving [{lo}, {hi}) "
+                          f"takes {size} bytes > {DEFAULT_TABLE_BUDGET}")
     base, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo)
     for n in range(2, root + 1):
         if base[n]:  # no smaller prime divides n
@@ -244,12 +229,10 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _cmd_survey(args) -> int:
     worker, schema, fields = _SURVEY_KINDS[args.kind]
     if args.kind == "kummer":
-        lo = max(args.p_min, 5)
-        # raise on the first prime over budget before any point count
-        for p in range(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1), args.p_max):
-            if is_prime(p):
-                kummer.check_prime_budget(p)
-        tasks = [(p,) for p in _primes_in(lo, args.p_max)]
+        primes = _primes_in(max(args.p_min, 5), args.p_max)
+        for p in primes:  # raise on the first prime over budget, uncounted
+            kummer.check_prime_budget(p)
+        tasks = [(p,) for p in primes]
     else:
         tasks = [(p, args.m, args.r, args.alpha_budget)
                  for p in _primes_in(args.p_min, args.p_max)

@@ -622,42 +622,13 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
 # --- the Stickelberger cross-check ---
 
 
-@dataclass(frozen=True)
-class StickelbergerRow:
-    alpha: AlphaVector
-    exponent: int
-    valuation: int
-
-    @property
-    def equal(self) -> bool:
-        return self.valuation == self.exponent
-
-
-@dataclass(frozen=True)
-class StickelbergerReport:
-    p: int
-    m: int
-    r: int
-    f: int
-    q: int
-    rows: tuple[StickelbergerRow, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(row.equal for row in self.rows)
-
-    @property
-    def mismatches(self) -> list[StickelbergerRow]:
-        return [row for row in self.rows if not row.equal]
-
-
 def stickelberger_check(p: int, m: int, r: int, *,
                         alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                        table_budget: int = DEFAULT_TABLE_BUDGET
-                        ) -> StickelbergerReport:
-    """Verify that ord_P(j(alpha)) equals the Stickelberger exponent,
-    for every exponent vector, in the lexicographic order of
-    exponent_vectors.
+                        table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
+    """One JSON-ready record of ord_P(j(alpha)) against the Stickelberger
+    exponent, a row per exponent vector in the order of exponent_vectors,
+    with the verdict all_equal (error and precision_failures stay None
+    and 0: every valuation is exact or the call raises).
 
     Both sides are symmetric in alpha and computed once per multiset:
     the left side from the Jacobi sum through the lifted root of unity,
@@ -670,17 +641,26 @@ def stickelberger_check(p: int, m: int, r: int, *,
     every valuation is exact or the table is at fault.
     """
     params = FermatParams.create(p, m, r)
-    field, _, sums = _checked_jacobi_sums(params, alpha_budget, table_budget)
+    field, weights, sums = _checked_jacobi_sums(params, alpha_budget,
+                                                table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     exponent = _multiset_exponent(m, frobenius_subgroup(p, m))
-    by_key = {}
+    by_key, equal_count = {}, 0
     for key, j in sums.items():
         val = padic_valuation(j, ctx)
         if not val.exact:
             raise InternalCheckError(
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
-        by_key[key] = (exponent(key), val.value)
-    rows = tuple(StickelbergerRow(alpha, *by_key[tuple(sorted(alpha))])
-                 for alpha in exponent_vectors(m, r, budget=alpha_budget))
-    return StickelbergerReport(p, m, r, params.f, params.q, rows)
+        exp = exponent(key)
+        by_key[key] = {"exponent": exp, "valuation": val.value,
+                       "equal": exp == val.value, "error": None}
+        equal_count += weights[key] * (exp == val.value)
+    rows = [{"alpha": list(alpha), **by_key[tuple(sorted(alpha))]}
+            for alpha in exponent_vectors(m, r, budget=alpha_budget)]
+    return {
+        "p": params.p, "m": params.m, "r": params.r, "f": params.f,
+        "q": params.q, "total": len(rows), "equal_count": equal_count,
+        "all_equal": equal_count == len(rows), "precision_failures": 0,
+        "rows": rows,
+    }

@@ -229,11 +229,19 @@ class FiniteField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{f-1}) of an encoded element."""
+        if not 0 <= a < self.q:
+            raise InputError(
+                f"field encodings lie in [0, {self.q}), got {a}")
         digits = _poly_from_enc(a, self.p)
         return tuple(digits + [0] * (self.f - len(digits)))
 
     def encode(self, coeffs) -> int:
-        return _enc_from_poly(list(coeffs), self.p)
+        """The encoding of c_0 + c_1 x + ..., each c_i read mod p."""
+        coeffs = list(coeffs)
+        if len(coeffs) > self.f:
+            raise InputError(f"GF({self.p}^{self.f}) elements have at most "
+                             f"{self.f} coordinates, got {len(coeffs)}")
+        return _enc_from_poly(coeffs, self.p)
 
 
 def _enc_pow(enc: int, e: int, modulus, p: int) -> int:

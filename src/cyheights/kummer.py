@@ -123,15 +123,16 @@ def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
     resolution of E^3 / (diagonal cube-root action), from one point count.
 
     The p-rank of E is 0 exactly when a_p = 0 (valid since p >= 5), and
-    E^3 has p-rank 3 * rank.  For the standard curve (a, b) = (0, 1) the
-    closed-form pattern mod 3 is an independent check on the counted
-    height; for other curves no prediction applies."""
+    E^3 has p-rank 3 * rank.  For the standard curve, (a, b) = (0, 1)
+    mod p, the closed-form pattern mod 3 is an independent check on the
+    counted height; for other curves no prediction applies."""
     curve = EllipticCurve.create(p, a, b)
     points = ec_count_points(curve)
     trace = p + 1 - points
     rank = 0 if trace == 0 else 1
     quotient = abelian_height(AbelianData(3, product_p_rank(rank, rank, rank)))
-    predicted = predicted_example_height(p) if (a, b) == (0, 1) else None
+    standard = (curve.a, curve.b) == (0, 1)
+    predicted = predicted_example_height(p) if standard else None
     return {
         "p": p, "a": curve.a, "b": curve.b,
         "points": points, "trace": trace, "p_rank": rank,

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import hashlib
 import json
 import shlex
 import sys
@@ -8,8 +10,8 @@ import pytest
 
 from cyheights import cli, fermat, finite_field, kummer
 from cyheights.cli import main
-from cyheights.errors import InternalCheckError
-from cyheights.finite_field import is_prime
+from cyheights.errors import BudgetError, InternalCheckError
+from cyheights.finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
 
 def run(capsys, *argv):
@@ -69,6 +71,81 @@ def test_stickelberger_text_and_exit(capsys):
                        "--r", "2")
     assert code == 0
     assert "21/21" in out
+
+
+# sha256 of stdout, recorded before the record moved into the library
+_STICKELBERGER_STDOUT = {
+    ((3, 4, 2), "text"):
+        "b39e174751024caa2283d99ae919c6b9c2bee1d29ef3d34562d0c1b5672faec5",
+    ((3, 4, 2), "json"):
+        "cab594af00ea378f22c05583ffa482bed8ba99e13bbbb684f9be0f409a3555fb",
+    ((3, 4, 2), "csv"):
+        "afa949cdc7da090a8c89f89c99993b73f81eca6a090b38cc1e9632687d54c6dd",
+    ((13, 3, 1), "text"):
+        "f44efe0e0b3e6007296f8aaef7d43ca68c598184744d4473c5af98f336bea947",
+    ((13, 3, 1), "json"):
+        "5d10fc4e30ab7555c312bedccb302f8c0ed02ea6830577795b92e378bcc0fa4e",
+    ((13, 3, 1), "csv"):
+        "368850abe74206a35837cf30007b5c8521364c99a9de53d25979a2777430bbaa",
+    ((2, 7, 3), "text"):
+        "0e653d339839bfab98be9c922598ba76fc1a00f0cd17e087cb5b5e5278a3b6df",
+    ((2, 7, 3), "json"):
+        "dc79ab3ad5ab328f1b8e2ab23144f0b66a4af431cf88127f4340cf24a7c9da42",
+    ((2, 7, 3), "csv"):
+        "ebf3d7196bad234c8db60cb02934b05cae1c3fc94e2d526461f31f091de2a05a",
+}
+
+
+@pytest.mark.parametrize("instance,fmt", sorted(_STICKELBERGER_STDOUT))
+def test_stickelberger_stdout_bytes_are_pinned(capsys, instance, fmt):
+    p, m, r = map(str, instance)
+    code, out, _ = run(capsys, "stickelberger", "--p", p, "--m", m,
+                       "--r", r, "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _STICKELBERGER_STDOUT[instance, fmt])
+
+
+def test_stickelberger_reports_a_mismatch_in_every_format(capsys,
+                                                          monkeypatch):
+    # one multiset of (3, 4, 2) given exponent 3 in place of 2: its six
+    # orderings are mismatches, the other 15 rows stay equal
+    real = fermat._multiset_exponent
+
+    def skewed(m, subgroup):
+        exponent = real(m, subgroup)
+        return lambda alpha: exponent(alpha) + (alpha == (1, 1, 3, 3))
+
+    monkeypatch.setattr(fermat, "_multiset_exponent", skewed)
+    argv = ["stickelberger", "--p", "3", "--m", "4", "--r", "2"]
+    skew = [(1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 1),
+            (3, 1, 1, 3), (3, 1, 3, 1), (3, 3, 1, 1)]
+
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_MISMATCH
+    assert out.splitlines() == [
+        "(p=3, m=4, r=2): 15/21 Jacobi-sum valuations equal their "
+        "Stickelberger exponents"] + [
+        f"  MISMATCH alpha={alpha}: exponent 3, valuation 2"
+        for alpha in skew]
+
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == cli.EXIT_MISMATCH
+    payload = json.loads(out)
+    assert (payload["total"], payload["equal_count"],
+            payload["all_equal"]) == (21, 15, False)
+    assert [row for row in payload["rows"] if not row["equal"]] == [
+        {"alpha": list(alpha), "exponent": 3, "valuation": 2,
+         "equal": False, "error": None} for alpha in skew]
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == cli.EXIT_MISMATCH
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 21
+    assert [row for row in rows if row["equal"] == "False"] == [
+        {"alpha": " ".join(map(str, alpha)), "exponent": "3",
+         "valuation": "2", "equal": "False", "error": ""}
+        for alpha in skew]
 
 
 def test_stickelberger_csv_schema(capsys):
@@ -333,6 +410,24 @@ def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch):
 def test_primes_in_matches_trial_division(lo, hi):
     assert cli._primes_in(lo, hi) == [p for p in range(max(lo, 2), hi)
                                       if is_prime(p)]
+
+
+@pytest.mark.parametrize("lo,hi", [(2, DEFAULT_TABLE_BUDGET),
+                                   (10**6, 10**6 + DEFAULT_TABLE_BUDGET),
+                                   (10**20, 10**20 + 10)])
+def test_primes_in_bounds_its_tables_before_allocating(lo, hi):
+    # the window, hi - lo bytes, and the base sieve, isqrt(hi) bytes
+    with pytest.raises(BudgetError, match="table-size budget exceeded"):
+        cli._primes_in(lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["height", "kummer"])
+def test_survey_window_over_the_table_budget_exits_3(capsys, kind):
+    variety = ["--m", "5", "--r", "3"] if kind == "height" else []
+    code, out, err = run(capsys, "survey", kind, *variety,
+                         "--p-max", "100000000000", "--jobs", "1")
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert "table-size budget exceeded" in err
 
 
 def test_survey_kummer_fails_on_the_prime_budget_before_counting(

@@ -272,10 +272,12 @@ def test_brute_force_examples_and_budget():
 
 def test_stickelberger_check_report():
     report = stickelberger_check(3, 4, 2)
-    assert report.all_equal
-    assert len(report.rows) == 21
-    assert not report.mismatches
-    assert {row.exponent for row in report.rows} == {2}
+    assert report["all_equal"]
+    assert len(report["rows"]) == report["total"] == 21
+    assert not [row for row in report["rows"] if not row["equal"]]
+    assert report["equal_count"] == 21
+    assert {row["exponent"] for row in report["rows"]} == {2}
+    assert (report["f"], report["q"], report["precision_failures"]) == (2, 9, 0)
 
 
 
@@ -284,10 +286,13 @@ def test_stickelberger_check_report():
                                    (5, 4, 2)])
 def test_stickelberger_rows_follow_per_vector_definition(p, m, r):
     report = stickelberger_check(p, m, r)
-    assert [row.alpha for row in report.rows] == exponent_vectors(m, r)
-    for row in report.rows:
-        assert row.exponent == stickelberger_exponent(row.alpha, p, m)
-    assert report.all_equal
+    assert ([tuple(row["alpha"]) for row in report["rows"]]
+            == exponent_vectors(m, r))
+    for row in report["rows"]:
+        assert row["exponent"] == stickelberger_exponent(tuple(row["alpha"]),
+                                                         p, m)
+        assert row["equal"] and row["error"] is None
+    assert report["all_equal"]
 
 def test_variety_report_shape():
     from cyheights.fermat import variety_report

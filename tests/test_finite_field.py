@@ -294,11 +294,15 @@ def test_add_sub_neg_reject_encodings_outside_the_field(p, f):
     for bad in (-1, -q, q, q + 1, 2 * q):
         with pytest.raises(InputError, match="encodings"):
             field.neg(bad)
+        with pytest.raises(InputError, match="encodings"):
+            field.coeffs(bad)
         for a, b in ((bad, 0), (0, bad), (bad, q - 1)):
             with pytest.raises(InputError, match="encodings"):
                 field.add(a, b)
             with pytest.raises(InputError, match="encodings"):
                 field.sub(a, b)
+    with pytest.raises(InputError, match="at most"):
+        field.encode([1] * (f + 1))
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [

@@ -127,6 +127,14 @@ def test_kummer_report_predicts_only_the_standard_curve():
     assert report["points"] == ec_count_points(EllipticCurve.create(11, 1, 3))
 
 
+@pytest.mark.parametrize("p,a,b", [(7, 7, 8), (5, -10, -4), (11, 0, -10)])
+def test_kummer_report_reads_the_standard_curve_after_reduction(p, a, b):
+    # y^2 = x^3 + a x + b with (a, b) = (0, 1) mod p is the standard curve,
+    # and its closed-form prediction applies
+    assert kummer_report(p, a, b) == kummer_report(p)
+    assert kummer_report(p, a, b)["agree"] is True
+
+
 def test_kummer_example_agrees_with_fermat_cubic():
     # both the quotient threefold and the Fermat cubic curve see the same
     # ordinary/supersingular dichotomy for the j = 0 curve
