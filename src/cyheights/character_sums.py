@@ -16,11 +16,11 @@ The production evaluator exploits that every partial convolution
 g = f_{a_1} * ... * f_{a_s} is scaling-equivariant,
 g(lambda*z) = chi(lambda)^(a_1+...+a_s) * g(z), hence is determined by
 the pair (g(0), g(1)).  Folding in one more factor costs a single
-two-variable Jacobi sum J(s, b) = sum_{y != 0,1} chi(1-y)^s chi(y)^b,
-reused across exponent vectors.  Each J(s, b) is read off the cyclotomic
-numbers (i, j)_m = #{y != 0,1 : e(1-y) = i, e(y) = j}, which one O(q)
-pass per character fills (Berndt-Evans-Williams, Gauss and Jacobi Sums,
-ch. 2); a J then costs O(min(q, m^2)).  The values produced are
+two-variable Jacobi sum J(s, b) = sum_{y != 0,1} chi(1-y)^s chi(y)^b.
+Each J(s, b) is read off the cyclotomic numbers
+(i, j)_m = #{y != 0,1 : e(1-y) = i, e(y) = j}, which one O(q) pass per
+character fills (Berndt-Evans-Williams, Gauss and Jacobi Sums, ch. 2);
+a J then costs O(min(q, m^2)).  The values produced are
 identical, coefficient for coefficient, to the dense convolution; the
 independent check is the literal enumeration in jacobi_sum_naive.
 """
@@ -39,11 +39,10 @@ DEFAULT_NAIVE_BUDGET = 10**7
 class Character:
     """The canonical order-m multiplicative character of a finite field.
 
-    One O(q) pass walks field.powers() into logs mod m; only e(-1), the
-    cyclotomic numbers and the memo of J(s, b) are kept."""
+    One O(q) pass walks field.powers() into logs mod m; only e(-1) and
+    the cyclotomic numbers are kept."""
 
-    __slots__ = ("m", "q", "minus_one_exp", "cyclotomic_numbers",
-                 "_two_var_cache")
+    __slots__ = ("m", "q", "minus_one_exp", "cyclotomic_numbers")
 
     def __init__(self, field: FiniteField, m: int):
         if m < 1:
@@ -64,23 +63,15 @@ class Character:
             for y in range(2, q))
         self.cyclotomic_numbers = tuple(
             (key // m, key % m, count) for key, count in counts.items())
-        self._two_var_cache: dict[tuple[int, int], CycInt] = {}
 
     def two_variable_sum(self, s: int, b: int) -> CycInt:
         """J(s, b) = sum over y outside {0, 1} of chi(1-y)^s chi(y)^b,
         read off the cyclotomic numbers in O(min(q, m^2))."""
-        key = (s % self.m, b % self.m)
-        cached = self._two_var_cache.get(key)
-        if cached is not None:
-            return cached
         m = self.m
-        s, b = key
         counts = [0] * m
         for i, j, count in self.cyclotomic_numbers:
             counts[(s * i + b * j) % m] += count
-        result = CycInt.from_exponent_counts(m, counts)
-        self._two_var_cache[key] = result
-        return result
+        return CycInt.from_exponent_counts(m, counts)
 
 
 def _check_alpha(alpha: tuple[int, ...], m: int) -> int:

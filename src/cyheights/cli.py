@@ -199,9 +199,7 @@ def _height_row(task: tuple[int, int, int, int]) -> dict:
 
 def _artin_row(task: tuple[int, int, int, int]) -> dict:
     p, m, r, budget = task
-    cmp = fermat.artin_comparison(p, m, r, budget=budget)
-    return {"p": p, "additive_type": cmp.additive_type,
-            "fully_rigged": cmp.fully_rigged}
+    return {"p": p, **fermat.artin_comparison(p, m, r, budget=budget)}
 
 
 def _kummer_row(task: tuple[int]) -> dict:

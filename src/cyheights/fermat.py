@@ -9,7 +9,9 @@ the valuations normalized by f are the Newton slopes, the slopes in
 and the full eigenvalue product is the interesting factor of the zeta
 function.  The Jacobi sum, its Stickelberger exponent and its Hodge
 level are symmetric in all r + 2 components, so every invariant is read
-off one walk over exponent multisets (exponent_multisets).  When
+off one walk over exponent multisets (exponent_multisets).  The slopes
+depend on p only through <p> in (Z/m)^*, which FermatParams builds once,
+after the budget admits (m, r).  Results are plain values.  When
 m = r + 2 the hypersurface is Calabi-Yau and the height is the invariant
 the theorems here are about; everything is computed from first
 principles so the closed-form predictions stay testable.
@@ -28,23 +30,24 @@ from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
-                           frobenius_subgroup, is_prime, order_mod, units_mod)
+                           frobenius_subgroup, is_prime, units_mod)
 from .padic import PadicContext, default_precision, padic_valuation
 
 DEFAULT_ALPHA_BUDGET = 10**6
 DEFAULT_POINT_BUDGET = 10**8
 
 AlphaVector = tuple[int, ...]
+Slopes = tuple[tuple[Fraction, int], ...]
 
 
 @dataclass(frozen=True)
 class FermatParams:
-    """Validated (p, m, r) with the derived field data f and q = p^f."""
+    """Validated (p, m, r) with <p> in (Z/m)^*, its order f and q = p^f."""
 
     p: int
     m: int
     r: int
-    f: int
+    subgroup: tuple[int, ...]
     q: int
 
     @classmethod
@@ -55,8 +58,12 @@ class FermatParams:
             raise InputError(f"degree m must be >= 3, got {m}")
         if r < 1:
             raise InputError(f"dimension r must be >= 1, got {r}")
-        f = order_mod(p, m)  # checks gcd(p, m) = 1
-        return cls(p, m, r, f, p**f)
+        subgroup = frobenius_subgroup(p, m)  # checks gcd(p, m) = 1
+        return cls(p, m, r, subgroup, p ** len(subgroup))
+
+    @property
+    def f(self) -> int:
+        return len(self.subgroup)
 
     @property
     def is_calabi_yau(self) -> bool:
@@ -126,19 +133,39 @@ def _check_shape(m: int, r: int) -> None:
         raise InputError(f"dimension r must be >= 1, got {r}")
 
 
+def _check_budget(count: int | None, budget: int, what: str) -> None:
+    """BudgetError if count exceeds the budget; what is the message, with
+    {} for the count.  None is a count that is never formed: a power of two
+    below it already exceeds the budget."""
+    if count is None:
+        raise BudgetError(what.format(f"more than {budget}"))
+    if count > budget:
+        raise BudgetError(what.format(count) + f" > {budget}")
+
+
 def _alpha_budget_check(m: int, r: int, budget: int) -> int:
-    expected = alpha_count(m, r)
-    if expected > budget:
-        raise BudgetError(
-            f"exponent-vector budget exceeded: |A| = {expected} > {budget}")
-    return expected
+    """Validates (m, r) and returns |A| if the budget admits it."""
+    _check_shape(m, r)
+    # m |A| >= (m-1)^(r+2) - m, and (m-1)^(r+2) >= 2^((r+2)(bits(m-1)-1))
+    big = (r + 2) * ((m - 1).bit_length() - 1) > (2 * m * budget).bit_length()
+    count = None if big else alpha_count(m, r)
+    _check_budget(count, budget, "exponent-vector budget exceeded: |A| = {}")
+    return count
+
+
+def _multiset_budget_check(m: int, r: int, budget: int) -> None:
+    """Validates (m, r) and bounds the C(m+r-1, r+1) heads of the multiset
+    walk; C(n, k) >= 2^k for k <= n/2."""
+    _check_shape(m, r)
+    n, k = m + r - 1, min(r + 1, m - 2)
+    _check_budget(None if k >= budget.bit_length() else comb(n, k), budget,
+                  "exponent-vector budget exceeded: {} multisets")
 
 
 def exponent_vectors(m: int, r: int, *,
                      budget: int = DEFAULT_ALPHA_BUDGET) -> list[AlphaVector]:
     """All (a_0, ..., a_{r+1}) with 0 < a_i < m and sum = 0 mod m, in
     lexicographic order."""
-    _check_shape(m, r)
     expected = _alpha_budget_check(m, r, budget)
     out: list[AlphaVector] = []
     for head in product(range(1, m), repeat=r + 1):
@@ -208,21 +235,16 @@ def _multiset_exponent(m: int, subgroup: tuple[int, ...]
     return lambda alpha: sum(w[a] for a in alpha) // m - f
 
 
-def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
-                   budget: int) -> tuple[Counter, list[int]]:
+def _slope_profile(m: int, r: int, subgroup: tuple[int, ...]
+                   ) -> tuple[Counter, list[int]]:
     """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
     empty) and the Hodge level of all exponent vectors, in one pass.
 
     Both are symmetric functions of alpha: the exponent is
     sum_i w(a_i) / m - |subgroup| (_multiset_exponent) and the level
-    sum_i a_i / m - 1, so each multiset stands for its whole orbit.  The
-    budget bounds the heads the multiset walk visits.
+    sum_i a_i / m - 1, so each multiset stands for its whole orbit.
+    Callers run _multiset_budget_check first.
     """
-    _check_shape(m, r)
-    work = comb(m + r - 1, r + 1)
-    if work > budget:
-        raise BudgetError(
-            f"exponent-vector budget exceeded: {work} multisets > {budget}")
     exponent = _multiset_exponent(m, subgroup)
     exponents: Counter = Counter()
     hodge = [0] * (r + 1)
@@ -232,27 +254,22 @@ def _slope_profile(m: int, r: int, subgroup: tuple[int, ...],
     return exponents, hodge
 
 
-def slope_deficient_count(p: int, m: int, r: int, *,
-                          budget: int = DEFAULT_ALPHA_BUDGET) -> int:
-    """Number of exponent vectors whose Stickelberger exponent is below f.
-
-    These index the Frobenius eigenvalues of slope in [0, 1), whose count
-    is the formal-group height when it is positive.
-    """
-    return newton_slopes(p, m, r, budget=budget).deficient_count()
+def _height(slopes: Slopes) -> tuple[int, HeightValue]:
+    """The number of slopes in [0, 1) and the height: that count, or
+    infinite (the additive formal group) when it is 0."""
+    count = sum(mult for slope, mult in slopes if slope < 1)
+    return count, HeightValue.finite(count) if count else INFINITE
 
 
 def height_fermat(p: int, m: int, r: int, *,
                   budget: int = DEFAULT_ALPHA_BUDGET) -> HeightValue:
     """Formal-group height of the degree-m Fermat variety of dimension r.
 
-    Counts the slope-deficient eigenvalues; a count of zero means no
-    slope falls in [0, 1), i.e. the additive formal group.  The formal
-    group itself is attached to the Calabi-Yau case m = r + 2, but the
-    count is well defined for any valid parameters.
+    Counts the slope-deficient eigenvalues (_height).  The formal group
+    itself is attached to the Calabi-Yau case m = r + 2, but the count is
+    well defined for any valid parameters.
     """
-    count = slope_deficient_count(p, m, r, budget=budget)
-    return HeightValue.finite(count) if count else INFINITE
+    return _height(newton_slopes(p, m, r, budget=budget))[1]
 
 
 def predicted_height(p: int, m: int, r: int) -> HeightValue | None:
@@ -266,59 +283,32 @@ def predicted_height(p: int, m: int, r: int) -> HeightValue | None:
     return HeightValue.finite(1) if p % m == 1 else INFINITE
 
 
-@dataclass(frozen=True)
-class SlopeMultiset:
-    """Newton slopes with multiplicity, as exact rationals over f."""
-
-    entries: tuple[tuple[Fraction, int], ...]
-    denominator: int
-
-    def total_multiplicity(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
-    def as_dict(self) -> dict[Fraction, int]:
-        return dict(self.entries)
-
-    def deficient_count(self) -> int:
-        """Multiplicity of the slopes in [0, 1)."""
-        return sum(mult for slope, mult in self.entries if slope < 1)
-
-    def reflected(self, r: int) -> SlopeMultiset:
-        """The multiset with every slope s replaced by r - s."""
-        flipped = sorted((r - s, mult) for s, mult in self.entries)
-        return SlopeMultiset(tuple(flipped), self.denominator)
-
-
-def _slopes(exponents: Counter, f: int, r: int) -> SlopeMultiset:
+def _slopes(exponents: Counter, f: int, r: int) -> Slopes:
     entries = tuple(sorted((Fraction(exponent, f), mult)
                            for exponent, mult in exponents.items()))
     for slope, _ in entries:
         if not 0 <= slope <= r:
             raise InternalCheckError(f"slope {slope} outside [0, {r}]")
-    return SlopeMultiset(entries, f)
+    return entries
 
 
 def newton_slopes(p: int, m: int, r: int, *,
-                  budget: int = DEFAULT_ALPHA_BUDGET) -> SlopeMultiset:
-    """The eigenvalue slopes: Stickelberger exponents divided by f."""
+                  budget: int = DEFAULT_ALPHA_BUDGET) -> Slopes:
+    """The eigenvalue slopes, Stickelberger exponents over f, as sorted
+    (Fraction, multiplicity) pairs; the budget bounds the multiset walk."""
+    _multiset_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, _ = _slope_profile(m, r, frobenius_subgroup(p, m), budget)
+    exponents, _ = _slope_profile(m, r, params.subgroup)
     return _slopes(exponents, params.f, r)
 
 
-@dataclass(frozen=True)
-class HodgeVector:
-    """Primitive middle-cohomology Hodge numbers h[l] = h^(r-l, l)."""
-
-    m: int
-    r: int
-    h: tuple[int, ...]
-
-
 def hodge_numbers_fermat(m: int, r: int, *,
-                         budget: int = DEFAULT_ALPHA_BUDGET) -> HodgeVector:
-    """Griffiths-style count: alpha contributes to level sum(a_j)/m - 1."""
-    return HodgeVector(m, r, tuple(_slope_profile(m, r, (), budget)[1]))
+                         budget: int = DEFAULT_ALPHA_BUDGET
+                         ) -> tuple[int, ...]:
+    """Primitive Hodge numbers (h^(r,0), ..., h^(0,r)) of middle cohomology
+    by the Griffiths-style count: alpha has level sum(a_j)/m - 1."""
+    _multiset_budget_check(m, r, budget)
+    return tuple(_slope_profile(m, r, ())[1])
 
 
 def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
@@ -334,46 +324,37 @@ def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
     return m - 1 in frobenius_subgroup(p, m)
 
 
-@dataclass(frozen=True)
-class ArtinComparison:
-    """The two supersingularity notions side by side."""
-
-    additive_type: bool
-    fully_rigged: bool
-
-
 def artin_comparison(p: int, m: int, r: int, *,
-                     budget: int = DEFAULT_ALPHA_BUDGET) -> ArtinComparison:
-    """Compare height-infinity against the algebraic-cycle criterion.
+                     budget: int = DEFAULT_ALPHA_BUDGET) -> dict:
+    """Compare height-infinity against the algebraic-cycle criterion: the
+    record {"additive_type", "fully_rigged"}, read off variety_report.
 
     For r = 2 the two agree; in higher even dimension they provably can
     differ, which this record makes checkable prime by prime.
     """
-    if r % 2:
-        raise InputError(f"dimension r must be even, got {r}")
-    if m != r + 2:
-        raise InputError(
-            f"comparison needs the Calabi-Yau case m = r + 2, got m={m}, r={r}")
-    additive = not height_fermat(p, m, r, budget=budget).is_finite
-    return ArtinComparison(additive, fully_rigged_fermat(p, m, r))
+    if r % 2 or m != r + 2:
+        raise InputError("comparison needs even r and the Calabi-Yau case "
+                         f"m = r + 2, got m={m}, r={r}")
+    report = variety_report(p, m, r, budget=budget)
+    return {"additive_type": report["height"] == INFINITE.json(),
+            "fully_rigged": report["fully_rigged"]}
 
 
 def variety_report(p: int, m: int, r: int, *,
                    budget: int = DEFAULT_ALPHA_BUDGET) -> dict:
     """One JSON-ready record of the slope-level invariants and the height
-    prediction, all read off one weighted pass over exponent multisets.
-
-    Timings are deliberately absent so identical inputs serialize
-    identically."""
+    prediction, all read off one weighted pass over exponent multisets and
+    one <p>.  Timings are absent so identical inputs serialize identically.
+    """
+    _multiset_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, hodge = _slope_profile(m, r, frobenius_subgroup(p, m), budget)
+    exponents, hodge = _slope_profile(m, r, params.subgroup)
     slopes = _slopes(exponents, params.f, r)
-    count = slopes.deficient_count()
-    height = HeightValue.finite(count) if count else INFINITE
+    count, height = _height(slopes)
     predicted = predicted_height(p, m, r)
     rigged = None
-    if r % 2 == 0 and m >= 4:
-        rigged = fully_rigged_fermat(p, m, r)
+    if r % 2 == 0 and m >= 4:  # fully_rigged_fermat on the same <p>
+        rigged = m - 1 in params.subgroup
     return {
         "p": params.p, "m": params.m, "r": params.r,
         "f": params.f, "q": params.q,
@@ -381,7 +362,7 @@ def variety_report(p: int, m: int, r: int, *,
         "slope_deficient_count": count,
         "predicted_height": None if predicted is None else predicted.json(),
         "agree": None if predicted is None else height == predicted,
-        "slopes": [[str(slope), mult] for slope, mult in slopes.entries],
+        "slopes": [[str(slope), mult] for slope, mult in slopes],
         "alpha_count": alpha_count(m, r),
         "hodge": hodge,
         "fully_rigged": rigged,
@@ -408,14 +389,12 @@ class ZetaData:
         return len(self.poly_coeffs) - 1
 
 
-def _checked_jacobi_sums(params: FermatParams, alpha_budget: int,
-                         table_budget: int):
+def _checked_jacobi_sums(params: FermatParams, table_budget: int):
     """The field, the exponent multisets with their orbit sizes, and the
     Jacobi sum of every multiset, with |j|^2 = q^r checked once per
-    distinct value.  The budget bounds |A|, the degree of P(T) and the
-    number of Stickelberger rows.
+    distinct value.  Callers bound |A|, the degree of P(T) and the
+    number of Stickelberger rows, before FermatParams.create.
     """
-    _alpha_budget_check(params.m, params.r, alpha_budget)
     field = build_field(params.p, params.f, table_budget=table_budget)
     weights = exponent_multisets(params.m, params.r)
     sums = jacobi_sum_table(Character(field, params.m), weights)
@@ -438,10 +417,12 @@ def zeta_fermat(p: int, m: int, r: int, *,
     power e_i, its multiplicity, and P = prod N_i^e_i is expanded over Z.
     Hard checks: |j|^2 = q^r for every distinct eigenvalue, one
     multiplicity along each orbit, norm polynomials in Z[T], exact
-    division in the expansion and deg P = |A|.
+    division in the expansion and deg P = |A|.  The alpha budget bounds
+    |A| before <p> is built.
     """
+    _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    _, weights, sums = _checked_jacobi_sums(params, alpha_budget, table_budget)
+    _, weights, sums = _checked_jacobi_sums(params, table_budget)
     multiplicity: Counter = Counter()
     for alpha, weight in weights.items():
         multiplicity[sums[alpha]] += weight
@@ -556,18 +537,20 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
     value at 0 plus one value per coset of those powers.  A convolution
     step evaluates these d + 1 values, each over the (Q - 1)/d nonzero
     m-th powers; the budget bounds the (r + 1)(d + 1)(Q - 1)/d field
-    subtractions this takes.
+    subtractions this takes.  As m divides Q - 1, that exceeds (r + 1) m,
+    checked before <p> is built, and Q - 1, bounded before Q is formed.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
+    what = "point-count budget exceeded: {} field subtractions"
+    if (r + 1) * m > budget:
+        _check_budget(None, budget, what)
     params = FermatParams.create(p, m, r)
+    if s * (params.q.bit_length() - 1) >= budget.bit_length():  # Q > budget
+        _check_budget(None, budget, what)
     big_q = params.q**s
     d = gcd(m, big_q - 1)
-    work = (r + 1) * (d + 1) * ((big_q - 1) // d)
-    if work > budget:
-        raise BudgetError(
-            f"point-count budget exceeded: {work} field subtractions "
-            f"> {budget}")
+    _check_budget((r + 1) * (d + 1) * ((big_q - 1) // d), budget, what)
     field = build_field(p, params.f * s, table_budget=table_budget)
     sub = field.sub
     powers, representatives = [], [0]
@@ -597,14 +580,15 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
     """One JSON-ready record of Z(T) and its cross-checks: for each s in
     checks, N_s read off P(T) against brute_force_point_count, which
     shares no characters or Jacobi sums with zeta_fermat.  all_match is
-    the verdict (True when checks is empty)."""
+    the verdict (True when checks is empty).  Each brute-force count,
+    with its budget, runs before N_s is read off P(T)."""
     zeta = zeta_fermat(p, m, r, alpha_budget=alpha_budget,
                        table_budget=table_budget)
     rows = []
     for s in checks:
-        n_zeta = point_count_from_zeta(zeta, s)
         n_brute = brute_force_point_count(p, m, r, s, budget=point_budget,
                                           table_budget=table_budget)
+        n_zeta = point_count_from_zeta(zeta, s)
         rows.append({"s": s, "zeta_count": n_zeta,
                      "brute_force_count": n_brute,
                      "match": n_zeta == n_brute})
@@ -638,13 +622,14 @@ def stickelberger_check(p: int, m: int, r: int, *,
     satisfy |j|^2 = q^r first, so a table fault that breaks it is an
     internal error rather than a mismatch.  That check also bounds
     ord_P(j) by ord_P(q^r) = f*r, below the working precision f*r + 2, so
-    every valuation is exact or the table is at fault.
+    every valuation is exact or the table is at fault.  The alpha budget
+    bounds |A| before <p> is built.
     """
+    _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    field, weights, sums = _checked_jacobi_sums(params, alpha_budget,
-                                                table_budget)
+    field, weights, sums = _checked_jacobi_sums(params, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
-    exponent = _multiset_exponent(m, frobenius_subgroup(p, m))
+    exponent = _multiset_exponent(m, params.subgroup)
     by_key, equal_count = {}, 0
     for key, j in sums.items():
         val = padic_valuation(j, ctx)

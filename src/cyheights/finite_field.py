@@ -22,19 +22,25 @@ from .errors import BudgetError, InputError, InternalCheckError
 DEFAULT_TABLE_BUDGET = 1 << 24
 
 
+# Miller-Rabin to these bases proves primality below PRIMALITY_BOUND, the
+# least composite that passes it (Sorenson and Webster, Math. Comp. 2017).
+PRIMALITY_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    """Deterministic Miller-Rabin to the prime bases 2..41, a proof for
+    n < PRIMALITY_BOUND; from the bound up it raises BudgetError."""
+    if n >= PRIMALITY_BOUND:
+        raise BudgetError(f"primality budget exceeded: n >= {PRIMALITY_BOUND}"
+                          ", where Miller-Rabin to bases 2..41 is no proof")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _PRIME_BASES:  # a is a witness unless x = 1 or some x^(2^j) = -1
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
             return False
-        i += 2
     return True
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shlex
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from cyheights import cli, fermat, finite_field, kummer
 from cyheights.cli import main
 from cyheights.errors import BudgetError, InternalCheckError
-from cyheights.finite_field import DEFAULT_TABLE_BUDGET, is_prime
+from cyheights.finite_field import DEFAULT_TABLE_BUDGET
 
 
 def run(capsys, *argv):
@@ -408,8 +409,57 @@ def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch):
                                    (999000, 1001000),
                                    (10**9, 10**9 + 2000)])
 def test_primes_in_matches_trial_division(lo, hi):
-    assert cli._primes_in(lo, hi) == [p for p in range(max(lo, 2), hi)
-                                      if is_prime(p)]
+    assert cli._primes_in(lo, hi) == [
+        p for p in range(max(lo, 2), hi)
+        if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+# Each size is rejected before the work named beside it, which the test
+# refuses: building <p> of (Z/m)^*, the exact multiset count, the exact
+# |A|, or the power sums behind N_s.
+@pytest.mark.parametrize("argv,refused,message", [
+    ("height --p 2 --m 1000000007 --r 1", "frobenius_subgroup",
+     "500000006500000021 multisets > 1000000"),
+    ("zeta --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
+     "|A| = more than 1000000"),
+    ("stickelberger --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
+     "|A| = more than 1000000"),
+    ("height --p 3 --m 1000001 --r 999999", "comb",
+     "more than 1000000 multisets"),
+    ("zeta --p 3 --m 5 --r 2000000", "alpha_count",
+     "|A| = more than 1000000"),
+    ("zeta --p 3 --m 5 --r 1000000000", "alpha_count",
+     "|A| = more than 1000000"),
+    ("zeta --p 7 --m 3 --r 1 --check 200000", "eigenvalue_power_sums",
+     "more than 100000000 field subtractions"),
+])
+def test_hostile_sizes_exit_3_before_derived_work(capsys, monkeypatch, argv,
+                                                  refused, message):
+    def refuse(*_, **__):
+        raise AssertionError(f"{refused} ran before the budget check")
+
+    monkeypatch.setattr(fermat, refused, refuse, raising=False)
+    if refused == "frobenius_subgroup":
+        monkeypatch.setattr(finite_field, refused, refuse)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def test_height_at_a_prime_near_1e18(capsys, deadline):
+    # trial division would take 5e8 steps to prove 10^18 + 3 prime
+    code, out, _ = run(capsys, "height", "--p", "1000000000000000003",
+                       "--m", "5", "--r", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["q"] == (10**18 + 3) ** 4
+
+
+def test_kummer_at_a_prime_near_1e18_hits_the_point_budget(capsys, deadline):
+    code, out, err = run(capsys, "kummer", "--p", "1000000000000000003")
+    assert code == 3
+    assert out == ""
+    assert "point-count budget exceeded" in err
 
 
 @pytest.mark.parametrize("lo,hi", [(2, DEFAULT_TABLE_BUDGET),

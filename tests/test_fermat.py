@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -10,14 +10,14 @@ from cyheights import character_sums, fermat, finite_field
 from cyheights.character_sums import Character, jacobi_sum
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError, InternalCheckError
-from cyheights.fermat import (INFINITE, ArtinComparison, FermatParams,
-                              HeightValue, alpha_count, artin_comparison,
+from cyheights.fermat import (INFINITE, FermatParams, HeightValue,
+                              alpha_count, artin_comparison,
                               brute_force_point_count, exponent_multisets,
                               exponent_vectors, fully_rigged_fermat,
                               height_fermat, hodge_numbers_fermat,
                               newton_slopes,
                               point_count_from_zeta, predicted_height,
-                              slope_deficient_count, stickelberger_check,
+                              stickelberger_check,
                               stickelberger_exponent, variety_report,
                               zeta_fermat)
 from cyheights.finite_field import (FiniteField, build_field,
@@ -165,38 +165,38 @@ def test_predicted_height_domain():
 
 
 def test_slope_deficient_count_matches_height():
-    assert slope_deficient_count(11, 5, 3) == 1
-    assert slope_deficient_count(2, 5, 3) == 0
+    assert variety_report(11, 5, 3)["slope_deficient_count"] == 1
+    assert variety_report(2, 5, 3)["slope_deficient_count"] == 0
 
 
 def test_newton_slopes_shape():
     slopes = newton_slopes(11, 5, 3)
-    assert slopes.total_multiplicity() == 204
-    assert slopes.as_dict()[Fraction(0)] == 1
-    assert slopes.denominator == 1
+    assert sum(mult for _, mult in slopes) == 204
+    assert dict(slopes)[Fraction(0)] == 1
+    assert all(s.denominator == 1 for s, _ in slopes)  # f = 1
 
     k3 = newton_slopes(3, 4, 2)
-    assert k3.entries == ((Fraction(1), 21),)
+    assert k3 == ((Fraction(1), 21),)
 
 
 @pytest.mark.parametrize("p,m,r", [(11, 5, 3), (2, 5, 3), (3, 4, 2),
                                    (7, 3, 1), (3, 8, 2)])
 def test_newton_slopes_symmetry(p, m, r):
     slopes = newton_slopes(p, m, r)
-    assert slopes.reflected(r).entries == slopes.entries
-    assert all(0 <= s <= r for s, _ in slopes.entries)
+    assert tuple(sorted((r - s, mult) for s, mult in slopes)) == slopes
+    assert all(0 <= s <= r for s, _ in slopes)
 
 
 def test_hodge_numbers_quintic():
     hodge = hodge_numbers_fermat(5, 3)
-    assert hodge.h == (1, 101, 101, 1)
+    assert hodge == (1, 101, 101, 1)
 
 
 @pytest.mark.parametrize("m,r", [(4, 2), (5, 3), (6, 4)])
 def test_hodge_symmetry_and_total(m, r):
     hodge = hodge_numbers_fermat(m, r)
-    assert hodge.h == tuple(reversed(hodge.h))
-    assert sum(hodge.h) == alpha_count(m, r)
+    assert hodge == tuple(reversed(hodge))
+    assert sum(hodge) == alpha_count(m, r)
 
 
 def test_fully_rigged_examples():
@@ -221,9 +221,12 @@ def test_fully_rigged_matches_power_loop():
 
 
 def test_artin_comparison_cases():
-    assert artin_comparison(3, 4, 2) == ArtinComparison(True, True)
-    assert artin_comparison(3, 8, 6) == ArtinComparison(True, False)
-    assert artin_comparison(17, 8, 6) == ArtinComparison(False, False)
+    assert artin_comparison(3, 4, 2) == {"additive_type": True,
+                                         "fully_rigged": True}
+    assert artin_comparison(3, 8, 6) == {"additive_type": True,
+                                         "fully_rigged": False}
+    assert artin_comparison(17, 8, 6) == {"additive_type": False,
+                                          "fully_rigged": False}
     with pytest.raises(InputError):
         artin_comparison(3, 8, 5)
     with pytest.raises(InputError):
@@ -330,9 +333,9 @@ ORACLE_GRID = [(7, 3, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (3, 5, 2),
 def test_slope_views_match_per_vector_oracle(p, m, r):
     slopes, hodge, deficient = _per_vector_oracle(p, m, r)
     height = HeightValue.finite(deficient) if deficient else INFINITE
-    assert newton_slopes(p, m, r).entries == slopes
-    assert hodge_numbers_fermat(m, r).h == tuple(hodge)
-    assert slope_deficient_count(p, m, r) == deficient
+    assert newton_slopes(p, m, r) == slopes
+    assert hodge_numbers_fermat(m, r) == tuple(hodge)
+    assert sum(n for s, n in newton_slopes(p, m, r) if s < 1) == deficient
     assert height_fermat(p, m, r) == height
     report = variety_report(p, m, r)
     assert report["slopes"] == [[str(s), n] for s, n in slopes]
@@ -340,7 +343,69 @@ def test_slope_views_match_per_vector_oracle(p, m, r):
     assert report["slope_deficient_count"] == deficient
     assert report["height"] == height.json()
     if r % 2 == 0 and m == r + 2:
-        assert artin_comparison(p, m, r).additive_type == (deficient == 0)
+        assert artin_comparison(p, m, r)["additive_type"] == (deficient == 0)
+
+
+def test_frobenius_subgroup_built_once_per_record(monkeypatch):
+    calls = []
+
+    def counted(p, m):
+        calls.append((p, m))
+        return frobenius_subgroup(p, m)
+
+    monkeypatch.setattr(finite_field, "frobenius_subgroup", counted)
+    monkeypatch.setattr(fermat, "frobenius_subgroup", counted)
+    report = variety_report(3, 4, 2)  # r even, m >= 4: reads fully_rigged
+    assert report["fully_rigged"] is True and report["f"] == 2
+    assert calls == [(3, 4)]
+    calls.clear()
+    assert stickelberger_check(3, 4, 2)["all_equal"]
+    assert calls == [(3, 4)]
+
+
+def test_budgets_are_checked_before_derived_work(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("derived work ran before the budget check")
+
+    def small(count):  # alpha_count(m, r) and comb(n, k), in full
+        def guarded(a, b):
+            assert b < 100, f"{count.__name__}({a}, {b}) formed in full"
+            return count(a, b)
+        return guarded
+
+    monkeypatch.setattr(fermat, "frobenius_subgroup", refuse)
+    monkeypatch.setattr(finite_field, "frobenius_subgroup", refuse)
+    monkeypatch.setattr(fermat, "alpha_count", small(alpha_count))
+    monkeypatch.setattr(fermat, "comb", small(comb), raising=False)
+    m = 10**9 + 7
+    for call in (lambda: newton_slopes(2, m, 1),
+                 lambda: height_fermat(2, m, 1),
+                 lambda: variety_report(2, m, 1),
+                 lambda: artin_comparison(3, 10**6 + 2, 10**6),
+                 lambda: zeta_fermat(3, m, 1),
+                 lambda: stickelberger_check(3, m, 1),
+                 lambda: brute_force_point_count(2, m, 1, 1),
+                 lambda: hodge_numbers_fermat(10**6 + 1, 10**6 - 1),
+                 lambda: exponent_vectors(5, 10**9)):
+        with pytest.raises(BudgetError, match="budget exceeded"):
+            call()
+
+
+def test_budget_messages_for_counts_never_formed():
+    with pytest.raises(BudgetError, match="more than 1000000 multisets"):
+        height_fermat(3, 10**6 + 1, 10**6 - 1)
+    with pytest.raises(BudgetError, match=r"\|A\| = more than 1000000"):
+        zeta_fermat(3, 5, 2 * 10**6)
+    with pytest.raises(BudgetError,
+                       match="more than 100000000 field subtractions"):
+        brute_force_point_count(7, 3, 1, 200000)
+    with pytest.raises(BudgetError,
+                       match="more than 100000000 field subtractions"):
+        brute_force_point_count(2, 10**8 + 1, 1, 1)
+    with pytest.raises(BudgetError, match="35 multisets > 34"):
+        height_fermat(11, 5, 3, budget=34)
+    with pytest.raises(BudgetError, match=r"\|A\| = 204 > 203"):
+        zeta_fermat(11, 5, 3, alpha_budget=203)
 
 
 def test_slope_budget_counts_multisets():
@@ -518,5 +583,5 @@ def test_invariants_never_walk_exponent_vectors(monkeypatch):
     assert zeta_fermat(7, 3, 1).poly_coeffs == (1, 1, 7)
     assert zeta_fermat(3, 4, 2).degree == 21
     assert variety_report(11, 5, 3)["height"] == 1
-    assert newton_slopes(3, 4, 2).entries == ((Fraction(1), 21),)
-    assert hodge_numbers_fermat(5, 3).h == (1, 101, 101, 1)
+    assert newton_slopes(3, 4, 2) == ((Fraction(1), 21),)
+    assert hodge_numbers_fermat(5, 3) == (1, 101, 101, 1)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from cyheights.errors import BudgetError, InputError
@@ -309,3 +311,35 @@ def test_is_prime_small():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 10**5))
+
+
+@pytest.mark.parametrize("n", [
+    1152271,                     # 43 * 127 * 211, a Carmichael number
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # ... to every prime base up to 31
+    318665857834031151167461,    # ... to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(deadline, n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10**12 + 39, 10**18 + 3, 10**18 + 9])
+def test_is_prime_accepts_large_primes(deadline, n):
+    assert is_prime(n)
+
+
+def test_is_prime_raises_from_its_proven_bound(deadline):
+    # the least strong pseudoprime to every prime base up to 41
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)
+    for n in (bound, bound + 2, 10**30 + 57):
+        with pytest.raises(BudgetError, match=str(bound)):
+            is_prime(n)
