@@ -239,12 +239,17 @@ def _cmd_survey(args) -> int:
         raise InputError("empty prime range")
 
     started = time.monotonic()
-    workers = _worker_count(args.jobs, len(tasks))
+    # Height and artin rows fail only on (m, r), and kummer primes passed
+    # their budget above, so an error raises in the first row, before any
+    # worker starts, rather than in every queued task.
+    rows, rest = [worker(tasks[0])], tasks[1:]
+    workers = _worker_count(args.jobs, len(rest))
     if workers > 1:
+        chunksize = -(-len(rest) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, tasks))
+            rows += pool.map(worker, rest, chunksize=chunksize)
     else:
-        rows = [worker(t) for t in tasks]
+        rows += map(worker, rest)
     rows.sort(key=lambda row: row["p"])
     _diag(f"survey {args.kind}: {len(rows)} rows in "
           f"{time.monotonic() - started:.2f}s with {workers} worker(s)")

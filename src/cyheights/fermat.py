@@ -65,56 +65,9 @@ class FermatParams:
     def f(self) -> int:
         return len(self.subgroup)
 
-    @property
-    def is_calabi_yau(self) -> bool:
-        return self.m == self.r + 2
 
-
-class HeightValue:
-    """Height of a one-dimensional formal group: an integer >= 1 or infinity."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: int | None):
-        self._value = value
-
-    @classmethod
-    def finite(cls, h: int) -> HeightValue:
-        if h < 1:
-            raise InputError(f"finite height must be >= 1, got {h}")
-        return cls(h)
-
-    @classmethod
-    def infinite(cls) -> HeightValue:
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    @property
-    def value(self) -> int:
-        if self._value is None:
-            raise InputError("infinite height has no integer value")
-        return self._value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HeightValue) and self._value == other._value
-
-    def __hash__(self):
-        return hash(("HeightValue", self._value))
-
-    def __repr__(self) -> str:
-        return f"HeightValue({self._value!r})"
-
-    def __str__(self) -> str:
-        return "inf" if self._value is None else str(self._value)
-
-    def json(self) -> int | str:
-        return "inf" if self._value is None else self._value
-
-
-INFINITE = HeightValue.infinite()
+# A height is an int >= 1, or INFINITE for the additive formal group.
+INFINITE = "inf"
 
 
 def alpha_count(m: int, r: int) -> int:
@@ -254,16 +207,17 @@ def _slope_profile(m: int, r: int, subgroup: tuple[int, ...]
     return exponents, hodge
 
 
-def _height(slopes: Slopes) -> tuple[int, HeightValue]:
+def _height(slopes: Slopes) -> tuple[int, int | str]:
     """The number of slopes in [0, 1) and the height: that count, or
-    infinite (the additive formal group) when it is 0."""
+    INFINITE (the additive formal group) when it is 0."""
     count = sum(mult for slope, mult in slopes if slope < 1)
-    return count, HeightValue.finite(count) if count else INFINITE
+    return count, count or INFINITE
 
 
 def height_fermat(p: int, m: int, r: int, *,
-                  budget: int = DEFAULT_ALPHA_BUDGET) -> HeightValue:
-    """Formal-group height of the degree-m Fermat variety of dimension r.
+                  budget: int = DEFAULT_ALPHA_BUDGET) -> int | str:
+    """Formal-group height of the degree-m Fermat variety of dimension r:
+    an int >= 1, or INFINITE.
 
     Counts the slope-deficient eigenvalues (_height).  The formal group
     itself is attached to the Calabi-Yau case m = r + 2, but the count is
@@ -272,15 +226,15 @@ def height_fermat(p: int, m: int, r: int, *,
     return _height(newton_slopes(p, m, r, budget=budget))[1]
 
 
-def predicted_height(p: int, m: int, r: int) -> HeightValue | None:
-    """Closed-form height prediction: 1 when p = 1 mod m, else infinite.
+def predicted_height(p: int, m: int, r: int) -> int | str | None:
+    """Closed-form height prediction: 1 when p = 1 mod m, else INFINITE.
 
     Only stated for the Calabi-Yau case m = r + 2 with r >= 2; returns
     None when it does not apply.
     """
     if r < 2 or m != r + 2:
         return None
-    return HeightValue.finite(1) if p % m == 1 else INFINITE
+    return 1 if p % m == 1 else INFINITE
 
 
 def _slopes(exponents: Counter, f: int, r: int) -> Slopes:
@@ -336,7 +290,7 @@ def artin_comparison(p: int, m: int, r: int, *,
         raise InputError("comparison needs even r and the Calabi-Yau case "
                          f"m = r + 2, got m={m}, r={r}")
     report = variety_report(p, m, r, budget=budget)
-    return {"additive_type": report["height"] == INFINITE.json(),
+    return {"additive_type": report["height"] == INFINITE,
             "fully_rigged": report["fully_rigged"]}
 
 
@@ -358,9 +312,9 @@ def variety_report(p: int, m: int, r: int, *,
     return {
         "p": params.p, "m": params.m, "r": params.r,
         "f": params.f, "q": params.q,
-        "height": height.json(),
+        "height": height,
         "slope_deficient_count": count,
-        "predicted_height": None if predicted is None else predicted.json(),
+        "predicted_height": predicted,
         "agree": None if predicted is None else height == predicted,
         "slopes": [[str(slope), mult] for slope, mult in slopes],
         "alpha_count": alpha_count(m, r),
@@ -370,23 +324,6 @@ def variety_report(p: int, m: int, r: int, *,
 
 
 # --- zeta functions and point counts ---
-
-
-@dataclass(frozen=True)
-class ZetaData:
-    """Z(T) = P(T)^sign_exponent / prod_i (1 - q^i T), i = 0..r."""
-
-    p: int
-    m: int
-    r: int
-    q: int
-    poly_coeffs: tuple[int, ...]  # P(T), constant term first
-    pole_q_powers: tuple[int, ...]
-    sign_exponent: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.poly_coeffs) - 1
 
 
 def _checked_jacobi_sums(params: FermatParams, table_budget: int):
@@ -408,8 +345,12 @@ def _checked_jacobi_sums(params: FermatParams, table_budget: int):
 
 def zeta_fermat(p: int, m: int, r: int, *,
                 alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                table_budget: int = DEFAULT_TABLE_BUDGET) -> ZetaData:
-    """P(T) = prod (1 - j(alpha) T), assembled from the distinct eigenvalues.
+                table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
+    """Z(T) = P(T)^sign_exponent / prod_i (1 - q^i T), i = 0..r, as the
+    JSON-ready record {p, m, r, q, degree, poly_coeffs, sign_exponent,
+    pole_q_powers}; poly_coeffs lists P(T), constant term first.
+
+    P(T) = prod (1 - j(alpha) T) is assembled from the distinct eigenvalues.
 
     j(t alpha) = sigma_t(j(alpha)), so the eigenvalue multiset is stable
     under (Z/m)^*.  Each Galois orbit of distinct eigenvalues contributes
@@ -441,8 +382,10 @@ def zeta_fermat(p: int, m: int, r: int, *,
         seen |= orbit
         factors.append((_norm_polynomial(orbit, m), mult))
     coeffs = _expand_power_product(factors, alpha_count(m, r))
-    return ZetaData(p, m, r, params.q, coeffs,
-                    tuple(range(r + 1)), 1 if (r - 1) % 2 == 0 else -1)
+    return {"p": p, "m": m, "r": r, "q": params.q,
+            "degree": len(coeffs) - 1, "poly_coeffs": list(coeffs),
+            "sign_exponent": 1 if (r - 1) % 2 == 0 else -1,
+            "pole_q_powers": list(range(r + 1))}
 
 
 def _norm_polynomial(orbit, m: int) -> list[int]:
@@ -499,7 +442,7 @@ def _expand_power_product(factors: list[tuple[list[int], int]],
     return tuple(coeffs)
 
 
-def eigenvalue_power_sums(poly_coeffs: tuple[int, ...], s: int) -> list[int]:
+def eigenvalue_power_sums(poly_coeffs: list[int], s: int) -> list[int]:
     """Power sums pi_1..pi_s of the inverse roots of P(T), by Newton's
     identities."""
     deg = len(poly_coeffs) - 1
@@ -512,13 +455,15 @@ def eigenvalue_power_sums(poly_coeffs: tuple[int, ...], s: int) -> list[int]:
     return pi
 
 
-def point_count_from_zeta(z: ZetaData, s: int) -> int:
-    """N_s = sum_i q^(i s) + (-1)^r sum_alpha j(alpha)^s, all exact."""
+def point_count_from_zeta(zeta: dict, s: int) -> int:
+    """N_s = sum_i q^(i s) + (-1)^r sum_alpha j(alpha)^s, all exact, read
+    off the poly_coeffs, q and r of a zeta_fermat record."""
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
-    pi_s = eigenvalue_power_sums(z.poly_coeffs, s)[-1]
-    total = sum(z.q ** (i * s) for i in range(z.r + 1))
-    total += pi_s if z.r % 2 == 0 else -pi_s
+    q, r = zeta["q"], zeta["r"]
+    pi_s = eigenvalue_power_sums(zeta["poly_coeffs"], s)[-1]
+    total = sum(q ** (i * s) for i in range(r + 1))
+    total += pi_s if r % 2 == 0 else -pi_s
     if total < 0:
         raise InternalCheckError(f"negative point count N_{s} = {total}")
     return total
@@ -577,11 +522,11 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
                 alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                 table_budget: int = DEFAULT_TABLE_BUDGET,
                 point_budget: int = DEFAULT_POINT_BUDGET) -> dict:
-    """One JSON-ready record of Z(T) and its cross-checks: for each s in
-    checks, N_s read off P(T) against brute_force_point_count, which
-    shares no characters or Jacobi sums with zeta_fermat.  all_match is
-    the verdict (True when checks is empty).  Each brute-force count,
-    with its budget, runs before N_s is read off P(T)."""
+    """The zeta_fermat record with its cross-checks: for each s in checks,
+    N_s read off P(T) against brute_force_point_count, which shares no
+    characters or Jacobi sums with zeta_fermat.  all_match is the verdict
+    (True when checks is empty).  Each brute-force count, with its
+    budget, runs before N_s is read off P(T)."""
     zeta = zeta_fermat(p, m, r, alpha_budget=alpha_budget,
                        table_budget=table_budget)
     rows = []
@@ -592,15 +537,8 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
         rows.append({"s": s, "zeta_count": n_zeta,
                      "brute_force_count": n_brute,
                      "match": n_zeta == n_brute})
-    return {
-        "p": zeta.p, "m": zeta.m, "r": zeta.r, "q": zeta.q,
-        "degree": zeta.degree,
-        "poly_coeffs": list(zeta.poly_coeffs),
-        "sign_exponent": zeta.sign_exponent,
-        "pole_q_powers": list(zeta.pole_q_powers),
-        "checks": rows,
-        "all_match": all(row["match"] for row in rows),
-    }
+    return {**zeta, "checks": rows,
+            "all_match": all(row["match"] for row in rows)}
 
 
 # --- the Stickelberger cross-check ---
@@ -633,14 +571,14 @@ def stickelberger_check(p: int, m: int, r: int, *,
     by_key, equal_count = {}, 0
     for key, j in sums.items():
         val = padic_valuation(j, ctx)
-        if not val.exact:
+        if val is None:
             raise InternalCheckError(
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
         exp = exponent(key)
-        by_key[key] = {"exponent": exp, "valuation": val.value,
-                       "equal": exp == val.value, "error": None}
-        equal_count += weights[key] * (exp == val.value)
+        by_key[key] = {"exponent": exp, "valuation": val,
+                       "equal": exp == val, "error": None}
+        equal_count += weights[key] * (exp == val)
     rows = [{"alpha": list(alpha), **by_key[tuple(sorted(alpha))]}
             for alpha in exponent_vectors(m, r, budget=alpha_budget)]
     return {

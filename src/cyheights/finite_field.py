@@ -61,11 +61,6 @@ def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:
     return tuple(powers)
 
 
-def order_mod(p: int, m: int) -> int:
-    """Least f >= 1 with p**f = 1 (mod m), the order of <p> in (Z/m)^*."""
-    return len(frobenius_subgroup(p, m))
-
-
 def units_mod(m: int) -> list[int]:
     """The units t of Z/m, 0 < t < m, in increasing order."""
     return [t for t in range(1, m) if gcd(t, m) == 1]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BudgetError, InputError, InternalCheckError
-from .fermat import HeightValue, INFINITE
+from .fermat import INFINITE
 from .finite_field import is_prime
 
 DEFAULT_PRIME_BUDGET = 10**6
@@ -34,26 +34,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    """y^2 = x^3 + a*x + b over GF(p), p >= 5."""
-
-    p: int
-    a: int
-    b: int
-
-    @classmethod
-    def create(cls, p: int, a: int, b: int) -> EllipticCurve:
-        if p < 5 or not is_prime(p):
-            raise InputError(f"p must be a prime >= 5, got {p}")
-        a %= p
-        b %= p
-        if (4 * a**3 + 27 * b**2) % p == 0:
-            raise InputError(
-                f"singular curve: 4a^3 + 27b^2 = 0 mod {p} for a={a}, b={b}")
-        return cls(p, a, b)
-
-
 def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
     """Raise BudgetError if a point count over GF(p) exceeds the budget."""
     if p > budget:
@@ -61,20 +41,26 @@ def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
             f"point-count budget exceeded: p = {p} > {budget}")
 
 
-def ec_count_points(curve: EllipticCurve, *,
+def ec_count_points(p: int, a: int, b: int, *,
                     budget: int = DEFAULT_PRIME_BUDGET) -> int:
-    """#E(F_p) including the point at infinity, by a Legendre-symbol sweep.
+    """#E(F_p) including the point at infinity for the curve
+    E: y^2 = x^3 + a*x + b, by a Legendre-symbol sweep.
 
-    The symbols are read from one table of quadratic residues mod p, the
+    InputError unless p is a prime >= 5 and E is nonsingular mod p.  The
+    symbols are read from one table of quadratic residues mod p, the
     squares of 1..(p-1)/2: roots[v] = #{y : y^2 = v} = 1 + (v/p).
     """
-    p = curve.p
+    if p < 5 or not is_prime(p):
+        raise InputError(f"p must be a prime >= 5, got {p}")
+    a, b = a % p, b % p
+    if (4 * a**3 + 27 * b**2) % p == 0:
+        raise InputError(
+            f"singular curve: 4a^3 + 27b^2 = 0 mod {p} for a={a}, b={b}")
     check_prime_budget(p, budget)
     roots = bytearray(p)
     roots[0] = 1
     for y in range(1, (p + 1) // 2):
         roots[y * y % p] = 2
-    a, b = curve.a, curve.b
     total = 1 + sum(roots[((x * x + a) * x + b) % p] for x in range(p))
     trace = p + 1 - total
     if trace * trace > 4 * p:
@@ -83,39 +69,24 @@ def ec_count_points(curve: EllipticCurve, *,
     return total
 
 
-def product_p_rank(*ranks: int) -> int:
-    """p-rank of a product abelian variety: the sum of the factors'."""
-    return sum(ranks)
-
-
-@dataclass(frozen=True)
-class AbelianData:
-    """Dimension and p-rank of an abelian variety."""
-
-    n: int
-    p_rank: int
-
-    def __post_init__(self):
-        if not 0 <= self.p_rank <= self.n:
-            raise InputError(
-                f"p-rank must lie in [0, {self.n}], got {self.p_rank}")
-
-
-def abelian_height(data: AbelianData) -> HeightValue:
-    """Height of the formal group of an abelian variety from its p-rank."""
-    if data.n < 2:
-        raise InputError(f"dimension must be >= 2, got {data.n}")
-    if data.p_rank == data.n:
-        return HeightValue.finite(1)
-    if data.p_rank == data.n - 1:
-        return HeightValue.finite(2)
+def abelian_height(n: int, p_rank: int) -> int | str:
+    """Height of the formal group of an abelian variety of dimension n >= 2
+    from its p-rank in [0, n]: 1, 2 or INFINITE."""
+    if n < 2:
+        raise InputError(f"dimension must be >= 2, got {n}")
+    if not 0 <= p_rank <= n:
+        raise InputError(f"p-rank must lie in [0, {n}], got {p_rank}")
+    if p_rank == n:
+        return 1
+    if p_rank == n - 1:
+        return 2
     return INFINITE
 
 
-def predicted_example_height(p: int) -> HeightValue:
+def predicted_example_height(p: int) -> int | str:
     """Closed-form height of the E^3 example: 1 when p = 1 mod 3, else
-    infinite (E is supersingular exactly when p = 2 mod 3)."""
-    return HeightValue.finite(1) if p % 3 == 1 else INFINITE
+    INFINITE (E is supersingular exactly when p = 2 mod 3)."""
+    return 1 if p % 3 == 1 else INFINITE
 
 
 def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
@@ -126,20 +97,19 @@ def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
     E^3 has p-rank 3 * rank.  For the standard curve, (a, b) = (0, 1)
     mod p, the closed-form pattern mod 3 is an independent check on the
     counted height; for other curves no prediction applies."""
-    curve = EllipticCurve.create(p, a, b)
-    points = ec_count_points(curve)
+    points = ec_count_points(p, a, b)
     trace = p + 1 - points
     rank = 0 if trace == 0 else 1
-    quotient = abelian_height(AbelianData(3, product_p_rank(rank, rank, rank)))
-    standard = (curve.a, curve.b) == (0, 1)
-    predicted = predicted_example_height(p) if standard else None
+    quotient = abelian_height(3, 3 * rank)
+    a, b = a % p, b % p
+    predicted = predicted_example_height(p) if (a, b) == (0, 1) else None
     return {
-        "p": p, "a": curve.a, "b": curve.b,
+        "p": p, "a": a, "b": b,
         "points": points, "trace": trace, "p_rank": rank,
         "abelian_dim": 3,
         "curve_formal_height": 1 if rank == 1 else 2,
-        "quotient_height": quotient.json(),
-        "predicted_height": None if predicted is None else predicted.json(),
+        "quotient_height": quotient,
+        "predicted_height": predicted,
         "agree": None if predicted is None else quotient == predicted,
     }
 

@@ -19,7 +19,6 @@ choice under which Jacobi-sum valuations match Stickelberger exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -27,25 +26,6 @@ from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
 from .finite_field import (FiniteField, _enc_pow, _poly_from_enc, _poly_mul,
                            _poly_pow, _poly_rem)
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Either an exact valuation or the lower bound 'at least k'."""
-
-    value: int
-    exact: bool
-
-    @classmethod
-    def of(cls, n: int) -> Valuation:
-        return cls(n, True)
-
-    @classmethod
-    def at_least(cls, k: int) -> Valuation:
-        return cls(k, False)
-
-    def __str__(self) -> str:
-        return str(self.value) if self.exact else f">={self.value}"
 
 
 class PadicContext:
@@ -113,8 +93,9 @@ def default_precision(f: int, r: int) -> int:
     return f * r + 2
 
 
-def padic_valuation(z: CycInt, ctx: PadicContext) -> Valuation:
-    """ord_P of z at the canonical prime, or a lower bound >= k.
+def padic_valuation(z: CycInt, ctx: PadicContext) -> int | None:
+    """ord_P of z at the canonical prime, or None when z = 0 mod p^k, so
+    that only the lower bound ord_P(z) >= k is known.
 
     The image of z in R_k is computed on the power basis, one coordinate
     at a time as the dot product of z's coordinates with a column of the
@@ -139,6 +120,4 @@ def padic_valuation(z: CycInt, ctx: PadicContext) -> Valuation:
             best = v
             if best == 0:
                 break
-    if best is None:
-        return Valuation.at_least(ctx.k)
-    return Valuation.of(best)
+    return best

@@ -15,7 +15,7 @@ import pytest
 
 from cyheights.character_sums import Character, jacobi_sum
 from cyheights.cyclotomic import CycInt, modulus_squared
-from cyheights.fermat import (FermatParams,
+from cyheights.fermat import (INFINITE, FermatParams,
                               alpha_count, artin_comparison,
                               brute_force_point_count, exponent_vectors,
                               height_fermat, hodge_numbers_fermat,
@@ -84,7 +84,7 @@ def test_criterion_1_stickelberger_equivalence(jacobi_data):
         equal = 0
         for alpha in alphas:
             val = padic_valuation(sums[alpha], ctx)
-            if val.exact and val.value == stickelberger_exponent(alpha, p, m):
+            if val == stickelberger_exponent(alpha, p, m):  # None if inexact
                 equal += 1
         checked.append(((p, m, r), equal, len(alphas)))
     elapsed = setup_elapsed + (time.monotonic() - started)
@@ -108,7 +108,7 @@ def test_criterion_2_height_theorem(height_sweep):
             rows += 1
             if height != predicted_height(p, m, r):
                 mismatches.append((p, m, height))
-            if height.is_finite and height.value > 1:
+            if height != INFINITE and height > 1:
                 oversized.append((p, m, height))
     ok = not mismatches and not oversized and elapsed <= 60.0
     detail = (f"{rows} (p, m) pairs, m in {HEIGHT_SWEEP_DEGREES}, p < 100: "
@@ -161,7 +161,7 @@ def test_criterion_5_betti_hodge_counts(height_sweep):
         r = m - 2
         bound = hodge_numbers_fermat(m, r)[1] + 1
         for p, height in pairs:
-            if height.is_finite and height.value > bound:
+            if height != INFINITE and height > bound:
                 corollary_violations.append((p, m))
     ok = ok_counts and quintic and not corollary_violations
     _verdict(5, ok,

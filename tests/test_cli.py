@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import shlex
@@ -210,13 +209,35 @@ def test_survey_csv_headers(capsys):
     assert lines[1] == "p,height,predicted_height,agree"
 
 
-def test_survey_parallel_matches_serial(capsys):
-    code1, serial, _ = run(capsys, "survey", "kummer", "--p-max", "60",
-                           "--format", "json", "--jobs", "1")
-    code2, parallel, _ = run(capsys, "survey", "kummer", "--p-max", "60",
-                             "--format", "json", "--jobs", "2")
+@pytest.mark.parametrize("kind", [["height", "--m", "5", "--r", "3"],
+                                  ["artin", "--m", "4", "--r", "2"],
+                                  ["kummer"]],
+                         ids=["height", "artin", "kummer"])
+def test_survey_parallel_matches_serial(capsys, monkeypatch, kind):
+    # about 77 rows below 400, so each of the 8 chunks holds 10 rows
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["survey", *kind, "--p-max", "400", "--format", "json"]
+    code1, serial, _ = run(capsys, *argv, "--jobs", "1")
+    code2, parallel, err = run(capsys, *argv, "--jobs", "2")
     assert code1 == code2 == 0
+    assert "with 2 worker(s)" in err
     assert serial == parallel
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["height", "--m", "100", "--r", "98"], cli.EXIT_BUDGET),
+    (["artin", "--m", "5", "--r", "3"], cli.EXIT_INVALID)],
+    ids=["height", "artin"])
+def test_survey_fails_before_the_pool_starts(capsys, monkeypatch, argv, code):
+    # an (m, r) error fails every row, so the first row raises it in
+    # process; a pool started first would work through every queued prime
+    def no_pool(*_, **__):
+        raise AssertionError("worker pool started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run(capsys, "survey", *argv, "--p-max", "1000", "--jobs", "4")[:2] \
+        == (code, "")
 
 
 def test_kummer_command(capsys):
@@ -550,9 +571,8 @@ def test_zeta_reports_a_corrupted_coefficient_as_mismatch(capsys,
 
     def off_by_one(*args, **kwargs):
         zeta = real(*args, **kwargs)
-        coeffs = list(zeta.poly_coeffs)
-        coeffs[1] += 1
-        return dataclasses.replace(zeta, poly_coeffs=tuple(coeffs))
+        zeta["poly_coeffs"][1] += 1
+        return zeta
 
     monkeypatch.setattr(fermat, "zeta_fermat", off_by_one)
     code, out, _ = run(capsys, "zeta", "--p", "7", "--m", "3", "--r", "1",

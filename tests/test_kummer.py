@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cyheights.errors import BudgetError, InputError
-from cyheights.fermat import INFINITE, HeightValue, height_fermat
-from cyheights.kummer import (AbelianData, EllipticCurve, abelian_height,
-                              ec_count_points, kummer_report,
+from cyheights.fermat import INFINITE, height_fermat
+from cyheights.kummer import (abelian_height, ec_count_points, kummer_report,
                               lattice_from_generators, lattice_index,
-                              legendre, period_lattice, product_p_rank,
-                              standard_lattice)
+                              legendre, period_lattice, standard_lattice)
 
 
 def _primes(lo, hi):
@@ -23,24 +21,23 @@ def test_legendre_small():
 
 def test_curve_validation():
     with pytest.raises(InputError):
-        EllipticCurve.create(4, 0, 1)
+        ec_count_points(4, 0, 1)
     with pytest.raises(InputError):
-        EllipticCurve.create(3, 0, 1)   # p >= 5 only
+        ec_count_points(3, 0, 1)   # p >= 5 only
     with pytest.raises(InputError):
-        EllipticCurve.create(7, 0, 0)   # singular
+        ec_count_points(7, 0, 0)   # singular
     with pytest.raises(InputError):
-        EllipticCurve.create(5, 0, 5)   # b = 0 mod 5, singular
+        ec_count_points(5, 0, 5)   # b = 0 mod 5, singular
 
 
 def test_point_counts_by_enumeration():
     # independent oracle: enumerate all affine points directly
     for p in (5, 7, 11, 13):
-        curve = EllipticCurve.create(p, 0, 1)
         affine = sum(1 for x in range(p) for y in range(p)
                      if (y * y - x**3 - 1) % p == 0)
-        assert ec_count_points(curve) == affine + 1
-    assert ec_count_points(EllipticCurve.create(5, 0, 1)) == 6
-    assert ec_count_points(EllipticCurve.create(7, 0, 1)) == 12
+        assert ec_count_points(p, 0, 1) == affine + 1
+    assert ec_count_points(5, 0, 1) == 6
+    assert ec_count_points(7, 0, 1) == 12
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 997, 10007])
@@ -49,7 +46,7 @@ def test_residue_table_count_matches_legendre_sweep(p):
         if (4 * a**3 + 27 * b**2) % p == 0:
             continue  # singular reduction
         sweep = p + 1 + sum(legendre(x**3 + a * x + b, p) for x in range(p))
-        assert ec_count_points(EllipticCurve.create(p, a, b)) == sweep
+        assert ec_count_points(p, a, b) == sweep
 
 
 def test_trace_and_hasse():
@@ -64,7 +61,7 @@ def test_trace_and_hasse():
 
 def test_point_count_budget():
     with pytest.raises(BudgetError):
-        ec_count_points(EllipticCurve.create(101, 0, 1), budget=50)
+        ec_count_points(101, 0, 1, budget=50)
 
 
 def test_p_rank_examples():
@@ -80,30 +77,22 @@ def test_supersingular_pattern_mod_3():
 
 
 def test_abelian_height_three_cases():
-    assert abelian_height(AbelianData(3, 3)) == HeightValue.finite(1)
-    assert abelian_height(AbelianData(3, 2)) == HeightValue.finite(2)
-    assert abelian_height(AbelianData(3, 1)) == INFINITE
-    assert abelian_height(AbelianData(3, 0)) == INFINITE
+    assert abelian_height(3, 3) == 1
+    assert abelian_height(3, 2) == 2
+    assert abelian_height(3, 1) == INFINITE
+    assert abelian_height(3, 0) == INFINITE
     with pytest.raises(InputError):
-        abelian_height(AbelianData(1, 1))
+        abelian_height(1, 1)
     with pytest.raises(InputError):
-        AbelianData(3, 4)
+        abelian_height(3, 4)
     with pytest.raises(InputError):
-        AbelianData(3, -1)
+        abelian_height(3, -1)
 
 
 def test_abelian_height_other_dimensions():
-    for n, rank, height in [(2, 2, HeightValue.finite(1)),
-                            (2, 1, HeightValue.finite(2)), (2, 0, INFINITE),
-                            (4, 4, HeightValue.finite(1)),
-                            (4, 3, HeightValue.finite(2)), (4, 0, INFINITE)]:
-        assert abelian_height(AbelianData(n, rank)) == height
-
-
-def test_product_p_rank():
-    assert product_p_rank(1, 1, 1) == 3
-    assert product_p_rank(0, 0, 0) == 0
-    assert product_p_rank() == 0
+    for n, rank, height in [(2, 2, 1), (2, 1, 2), (2, 0, INFINITE),
+                            (4, 4, 1), (4, 3, 2), (4, 0, INFINITE)]:
+        assert abelian_height(n, rank) == height
 
 
 def test_kummer_example_heights():
@@ -124,7 +113,7 @@ def test_kummer_report_predicts_only_the_standard_curve():
     report = kummer_report(11, 12, 3)  # a is reduced mod p
     assert (report["a"], report["b"]) == (1, 3)
     assert report["predicted_height"] is None and report["agree"] is None
-    assert report["points"] == ec_count_points(EllipticCurve.create(11, 1, 3))
+    assert report["points"] == ec_count_points(11, 1, 3)
 
 
 @pytest.mark.parametrize("p,a,b", [(7, 7, 8), (5, -10, -4), (11, 0, -10)])
@@ -145,9 +134,9 @@ def test_kummer_example_agrees_with_fermat_cubic():
         cubic = height_fermat(p, 3, 1)
         if quotient != "inf":
             assert quotient == 1
-            assert cubic == HeightValue.finite(1)
+            assert cubic == 1
         else:
-            assert cubic == HeightValue.finite(2)
+            assert cubic == 2
 
 
 # --- period lattices ---
