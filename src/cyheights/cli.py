@@ -29,7 +29,7 @@ from math import gcd, isqrt
 
 from . import fermat, kummer
 from .errors import BudgetError, InputError
-from .finite_field import DEFAULT_TABLE_BUDGET
+from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -172,15 +172,21 @@ def _cmd_stickelberger(args) -> int:
 # --- survey ---
 
 
-def _primes_in(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), sieved over that window alone by the primes
-    up to isqrt(hi - 1).  Its two byte tables, hi - lo + isqrt(hi) bytes,
-    are checked against DEFAULT_TABLE_BUDGET before either is allocated."""
-    lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
-    size = max(hi - lo, 0) + root + 1
+def _check_sieve(lo: int, hi: int) -> None:
+    """Raise BudgetError unless sieving [lo, hi) fits DEFAULT_TABLE_BUDGET:
+    its two byte tables take hi - lo + isqrt(hi - 1) + 1 bytes."""
+    lo = max(lo, 2)
+    size = max(hi - lo, 0) + isqrt(max(hi - 1, 0)) + 1
     if size > DEFAULT_TABLE_BUDGET:
         raise BudgetError(f"table-size budget exceeded: sieving [{lo}, {hi}) "
                           f"takes {size} bytes > {DEFAULT_TABLE_BUDGET}")
+
+
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), sieved over that window alone by the primes
+    up to isqrt(hi - 1), after _check_sieve."""
+    _check_sieve(lo, hi)
+    lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
     base, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo)
     for n in range(2, root + 1):
         if base[n]:  # no smaller prime divides n
@@ -188,6 +194,15 @@ def _primes_in(lo: int, hi: int) -> list[int]:
             start = max(n * n, -(-lo // n) * n)
             window[start - lo::n] = bytes(len(range(start, hi, n)))
     return list(compress(range(lo, hi), window))
+
+
+def _least_prime(lo: int, hi: int, m: int = 1) -> int | None:
+    """The least prime in [lo, hi) prime to m, by an is_prime walk, or
+    None."""
+    if m == 0:  # gcd(n, 0) = n, so no n >= 2 is prime to 0
+        return None
+    return next((n for n in range(max(lo, 2), hi)
+                 if gcd(n, m) == 1 and is_prime(n)), None)
 
 
 def _height_row(task: tuple[int, int, int, int]) -> dict:
@@ -227,22 +242,27 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _cmd_survey(args) -> int:
     worker, schema, fields = _SURVEY_KINDS[args.kind]
     if args.kind == "kummer":
-        primes = _primes_in(max(args.p_min, 5), args.p_max)
-        for p in primes:  # raise on the first prime over budget, uncounted
-            kummer.check_prime_budget(p)
-        tasks = [(p,) for p in primes]
+        lo, m, extra = max(args.p_min, 5), 1, ()
     else:
-        tasks = [(p, args.m, args.r, args.alpha_budget)
-                 for p in _primes_in(args.p_min, args.p_max)
-                 if gcd(p, args.m) == 1]
-    if not tasks:
+        lo, m, extra = args.p_min, args.m, (args.m, args.r, args.alpha_budget)
+    # Every error raises before the window is sieved: the sieve's own
+    # budget, then a kummer prime over its budget, uncounted, then an
+    # (m, r) error, which fails every row alike and so fails the first
+    # row, computed here on the least prime before any worker starts.
+    _check_sieve(lo, args.p_max)
+    if args.kind == "kummer":
+        over = _least_prime(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1),
+                            args.p_max)
+        if over is not None:
+            kummer.check_prime_budget(over)
+    first = _least_prime(lo, args.p_max, m)
+    if first is None:
         raise InputError("empty prime range")
 
     started = time.monotonic()
-    # Height and artin rows fail only on (m, r), and kummer primes passed
-    # their budget above, so an error raises in the first row, before any
-    # worker starts, rather than in every queued task.
-    rows, rest = [worker(tasks[0])], tasks[1:]
+    rows = [worker((first, *extra))]
+    rest = [(p, *extra) for p in _primes_in(first + 1, args.p_max)
+            if gcd(p, m) == 1]
     workers = _worker_count(args.jobs, len(rest))
     if workers > 1:
         chunksize = -(-len(rest) // (4 * workers))

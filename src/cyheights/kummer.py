@@ -4,8 +4,12 @@ A Calabi-Yau resolution of A/G, with A an abelian variety and |G| prime
 to the characteristic, inherits the formal group of A, so its height is
 read off the p-rank of A: n gives height 1, n-1 gives 2, anything lower
 gives infinity.  For the standard example, A = E^3 with E: y^2 = x^3 + 1
-acted on by a cube root of unity, the p-rank comes from an O(p) point
-count of E rather than from any congruence shortcut.
+acted on by a cube root of unity, the p-rank comes from an exact point
+count of E rather than from any congruence shortcut.  Up to p = 229 the
+count is an O(p) Legendre-symbol sweep.  Above 229, where Mestre's
+theorem applies, it is read off point orders on E and its quadratic
+twist, found by baby-step giant-step in O(p^(1/4)) group operations; a
+sweep that shares none of its steps is its oracle in the tests.
 
 The intermediate Jacobian of the rigid quotient is C modulo the lattice
 generated by 1, omega, omega^2, omega^3 for a quadratic omega; the
@@ -17,13 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import BudgetError, InputError, InternalCheckError
 from .fermat import INFINITE
 from .finite_field import is_prime
 
 DEFAULT_PRIME_BUDGET = 10**6
+
+# Mestre's theorem: for p > 229, E or its quadratic twist has a point
+# whose order has exactly one multiple in the Hasse interval (Schoof,
+# JTNB 7 (1995), section 3; the bound is sharp).
+MESTRE_BOUND = 229
 
 
 def legendre(a: int, p: int) -> int:
@@ -44,11 +53,15 @@ def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
 def ec_count_points(p: int, a: int, b: int, *,
                     budget: int = DEFAULT_PRIME_BUDGET) -> int:
     """#E(F_p) including the point at infinity for the curve
-    E: y^2 = x^3 + a*x + b, by a Legendre-symbol sweep.
+    E: y^2 = x^3 + a*x + b.
 
-    InputError unless p is a prime >= 5 and E is nonsingular mod p.  The
-    symbols are read from one table of quadratic residues mod p, the
-    squares of 1..(p-1)/2: roots[v] = #{y : y^2 = v} = 1 + (v/p).
+    InputError unless p is a prime >= 5 and E is nonsingular mod p;
+    BudgetError if p exceeds the budget.  For p <= MESTRE_BOUND = 229
+    the count is a Legendre-symbol sweep over x, read from one table of
+    quadratic residues mod p, the squares of 1..(p-1)/2:
+    roots[v] = #{y : y^2 = v} = 1 + (v/p).  Above 229 it is read off
+    point orders by baby-step giant-step in O(p^(1/4)) group operations
+    (_count_by_orders); the tests check it against a sweep.
     """
     if p < 5 or not is_prime(p):
         raise InputError(f"p must be a prime >= 5, got {p}")
@@ -57,16 +70,113 @@ def ec_count_points(p: int, a: int, b: int, *,
         raise InputError(
             f"singular curve: 4a^3 + 27b^2 = 0 mod {p} for a={a}, b={b}")
     check_prime_budget(p, budget)
-    roots = bytearray(p)
-    roots[0] = 1
-    for y in range(1, (p + 1) // 2):
-        roots[y * y % p] = 2
-    total = 1 + sum(roots[((x * x + a) * x + b) % p] for x in range(p))
+    if p > MESTRE_BOUND:
+        total = _count_by_orders(p, a, b)
+    else:
+        roots = bytearray(p)
+        roots[0] = 1
+        for y in range(1, (p + 1) // 2):
+            roots[y * y % p] = 2
+        total = 1 + sum(roots[((x * x + a) * x + b) % p] for x in range(p))
     trace = p + 1 - total
     if trace * trace > 4 * p:
         raise InternalCheckError(
             f"Hasse bound violated: |a_p| = {abs(trace)} > 2*sqrt({p})")
     return total
+
+
+# --- point counts from point orders (Shanks-Mestre) ---
+
+
+def _ec_add(P, Q, A: int, p: int):
+    """P + Q on y^2 = x^3 + A*x + B over GF(p); B is not needed."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, A: int, p: int):
+    """n*P for n >= 0, by double-and-add."""
+    result = None
+    while n:
+        if n & 1:
+            result = _ec_add(result, P, A, p)
+        n >>= 1
+        if n:
+            P = _ec_add(P, P, A, p)
+    return result
+
+
+def _order_multiples(P, A: int, p: int, r: int) -> set[int]:
+    """The n in the Hasse interval [p+1-r, p+1+r] with n*P = O, by
+    baby-step giant-step over n = p + 1 + u*w + v with |v| <= s, w = 2s+1.
+
+    A baby step v*P that is O, -v'*P for an earlier v' or its own
+    negative gives the order of P exactly: v, v + v' or 2v.  Every order
+    up to 2s shows so; past 2s the baby points have distinct
+    x-coordinates and nonzero y, and each giant step matches at most one
+    n."""
+    lo, hi = p + 1 - r, p + 1 + r
+    s = isqrt(r) + 1
+    babies, Q = {}, None
+    for v in range(1, s + 1):
+        Q = _ec_add(Q, P, A, p)
+        if Q is None or Q[0] in babies or Q[1] == 0:
+            order = v if Q is None else v + babies.get(Q[0], (v,))[0]
+            return set(range(-(-lo // order) * order, hi + 1, order))
+        babies[Q[0]] = v, Q[1]
+    w, u_max = 2 * s + 1, r // (2 * s + 1) + 1
+    step = _ec_mul(w, P, A, p)
+    R = _ec_mul(p + 1 - u_max * w, P, A, p)  # R = n*P; n > 0 for p > 229
+    found = set()
+    for n in range(p + 1 - u_max * w, p + 2 + u_max * w, w):
+        if R is None:
+            found.add(n)
+        elif R[0] in babies:  # R = +-v*P, so (n -+ v)*P = O
+            v, y = babies[R[0]]
+            found.add(n - v if R[1] == y else n + v)
+        R = _ec_add(R, step, A, p)
+    return {n for n in found if lo <= n <= hi}
+
+
+def _count_by_orders(p: int, a: int, b: int) -> int:
+    """#E(F_p) for p > 229 by the Shanks-Mestre method (Cohen, Alg.
+    7.4.12).
+
+    For x = 0, 1, 2, ... with c = x^3 + a*x + b != 0, the point
+    (c*x, c^2) lies on y^2 = x^3 + a*c^2*x + b*c^3, which is E when c is
+    a square mod p and its quadratic twist when not, so no square root is
+    taken.  N = #E is a multiple of each point order on E, and 2p+2-N one
+    of each on the twist; the walk stops when exactly one N in the Hasse
+    interval remains, which Mestre's theorem guarantees before x runs
+    out."""
+    r = isqrt(4 * p)
+    fits = range(p + 1 - r, p + 2 + r)
+    for x in range(p):
+        c = ((x * x + a) * x + b) % p
+        if c == 0:
+            continue
+        A, P = a * c * c % p, (c * x % p, c * c % p)
+        multiples = _order_multiples(P, A, p, r)
+        if legendre(c, p) < 0:  # P lies on the twist, of order 2p+2-N
+            multiples = {2 * p + 2 - n for n in multiples}
+        fits = {n for n in multiples if n in fits}
+        if len(fits) == 1:
+            return fits.pop()
+        if not fits:
+            break
+    raise InternalCheckError(
+        f"point orders leave #E(F_{p}) undetermined for a={a}, b={b}")
 
 
 def abelian_height(n: int, p_rank: int) -> int | str:

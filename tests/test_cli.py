@@ -226,18 +226,22 @@ def test_survey_parallel_matches_serial(capsys, monkeypatch, kind):
 
 @pytest.mark.parametrize("argv,code", [
     (["height", "--m", "100", "--r", "98"], cli.EXIT_BUDGET),
-    (["artin", "--m", "5", "--r", "3"], cli.EXIT_INVALID)],
-    ids=["height", "artin"])
+    (["artin", "--m", "5", "--r", "3"], cli.EXIT_INVALID),
+    (["kummer", "--p-min", "999900"], cli.EXIT_BUDGET)],
+    ids=["height", "artin", "kummer"])
 def test_survey_fails_before_the_pool_starts(capsys, monkeypatch, argv, code):
     # an (m, r) error fails every row, so the first row raises it in
-    # process; a pool started first would work through every queued prime
-    def no_pool(*_, **__):
-        raise AssertionError("worker pool started")
+    # process, and a kummer prime over budget raises before any row; a
+    # sieve or a pool run first would work through every prime of the
+    # window
+    def never(*_, **__):
+        raise AssertionError("window sieved or worker pool started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(cli, "_primes_in", never)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert run(capsys, "survey", *argv, "--p-max", "1000", "--jobs", "4")[:2] \
-        == (code, "")
+    assert run(capsys, "survey", *argv, "--p-max", "16000000",
+               "--jobs", "4")[:2] == (code, "")
 
 
 def test_kummer_command(capsys):

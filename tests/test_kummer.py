@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyheights import kummer
 from cyheights.errors import BudgetError, InputError
 from cyheights.fermat import INFINITE, height_fermat
 from cyheights.kummer import (abelian_height, ec_count_points, kummer_report,
@@ -13,6 +14,29 @@ from cyheights.kummer import (abelian_height, ec_count_points, kummer_report,
 def _primes(lo, hi):
     return [p for p in range(lo, hi)
             if p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+# curves for the oracle tests; (-1, 0) has full 2-torsion over every F_p
+ORACLE_CURVES = [(0, 1), (0, 7), (1, 0), (-1, 0), (2, 3), (5, 7)]
+
+
+def _symbols(p):
+    """The Legendre symbols (v/p) for v = 0..p-1, read off the squares."""
+    symbol = [-1] * p
+    symbol[0] = 0
+    for y in range(1, (p + 1) // 2):
+        symbol[y * y % p] = 1
+    return symbol
+
+
+def _sweep(p, a, b, symbol):
+    """#E(F_p) = p + 1 + sum over x of (f(x)/p): the oracle for the count
+    from point orders, which shares none of its steps."""
+    return p + 1 + sum(symbol[((x * x + a) * x + b) % p] for x in range(p))
+
+
+def _nonsingular(p):
+    return [(a, b) for a, b in ORACLE_CURVES if (4 * a**3 + 27 * b**2) % p]
 
 
 def test_legendre_small():
@@ -59,6 +83,58 @@ def test_trace_and_hasse():
         assert trace * trace <= 4 * p
 
 
+@pytest.mark.parametrize("lo,hi", [(230, 1000), (1000, 2000), (2000, 3000)])
+def test_point_orders_match_the_sweep(lo, hi):
+    # above 229 the count comes from point orders on E and its twist
+    for p in _primes(lo, hi):
+        symbol = _symbols(p)
+        for a, b in _nonsingular(p):
+            assert ec_count_points(p, a, b) == _sweep(p, a, b, symbol), \
+                (p, a, b)
+
+
+@pytest.mark.parametrize("p,a,b", [(100003, 0, 1), (100003, -1, 0),
+                                   (999983, 0, 1)])
+def test_point_orders_match_the_sweep_at_large_p(p, a, b):
+    assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
+
+
+@pytest.mark.parametrize("a,b", [(11, 154), (0, 1), (2, 3)])
+def test_order_multiples_match_a_scan(a, b):
+    # every point (c*x, c^2) the walk can meet at p = 233, where the baby
+    # steps are 1..6: on the twist of y^2 = x^3 + 11x + 154 the point at
+    # x = 1 has order 12, so its sixth baby step is 2-torsion
+    p, r = 233, 30
+    for x in range(p):
+        c = ((x * x + a) * x + b) % p
+        if c == 0:
+            continue
+        A, P = a * c * c % p, (c * x % p, c * c % p)
+        Q, scan = kummer._ec_mul(p + 1 - r, P, A, p), set()
+        for n in range(p + 1 - r, p + 2 + r):
+            if Q is None:
+                scan.add(n)
+            Q = kummer._ec_add(Q, P, A, p)
+        assert kummer._order_multiples(P, A, p, r) == scan, x
+    assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
+
+
+def test_point_orders_take_over_above_229(monkeypatch):
+    # Mestre's theorem needs p > 229; 229 and 233 are consecutive primes
+    seen = []
+    real = kummer._count_by_orders
+
+    def recording(p, a, b):
+        seen.append(p)
+        return real(p, a, b)
+
+    monkeypatch.setattr(kummer, "_count_by_orders", recording)
+    for p in (229, 233):
+        for a, b in _nonsingular(p):
+            assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
+    assert seen == [233] * len(_nonsingular(233))
+
+
 def test_point_count_budget():
     with pytest.raises(BudgetError):
         ec_count_points(101, 0, 1, budget=50)
@@ -71,7 +147,7 @@ def test_p_rank_examples():
 
 
 def test_supersingular_pattern_mod_3():
-    for p in _primes(5, 1000):
+    for p in _primes(5, 20000):
         rank = kummer_report(p)["p_rank"]
         assert (rank == 0) == (p % 3 == 2)
 
@@ -127,9 +203,7 @@ def test_kummer_report_reads_the_standard_curve_after_reduction(p, a, b):
 def test_kummer_example_agrees_with_fermat_cubic():
     # both the quotient threefold and the Fermat cubic curve see the same
     # ordinary/supersingular dichotomy for the j = 0 curve
-    for p in _primes(5, 100):
-        if p % 3 == 0:
-            continue
+    for p in _primes(5, 20000):
         quotient = kummer_report(p)["quotient_height"]
         cubic = height_fermat(p, 3, 1)
         if quotient != "inf":
