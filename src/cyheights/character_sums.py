@@ -23,6 +23,12 @@ character fills (Berndt-Evans-Williams, Gauss and Jacobi Sums, ch. 2);
 a J then costs O(min(q, m^2)).  The values produced are
 identical, coefficient for coefficient, to the dense convolution; the
 independent check is the literal enumeration in jacobi_sum_naive.
+
+Jacobi sums are fixed by Frobenius: x -> x^p permutes the solutions of
+1 + v_1 + ... + v_{r+1} = 0 and sends chi to chi^p, so
+j(p*alpha) = j(alpha), that is sigma_p(j) = j (Ireland-Rosen, ch. 14).
+jacobi_sum_table relies on it to fill a table with one Galois image per
+coset of <p> in (Z/m)^*, and checks it on every sum it evaluates.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .cyclotomic import CycInt
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import FiniteField, units_mod
 
 DEFAULT_NAIVE_BUDGET = 10**7
@@ -42,7 +48,7 @@ class Character:
     One O(q) pass walks field.powers() into logs mod m; only e(-1) and
     the cyclotomic numbers are kept."""
 
-    __slots__ = ("m", "q", "minus_one_exp", "cyclotomic_numbers")
+    __slots__ = ("m", "p", "q", "minus_one_exp", "cyclotomic_numbers")
 
     def __init__(self, field: FiniteField, m: int):
         if m < 1:
@@ -50,7 +56,7 @@ class Character:
         q, p = field.q, field.p
         if (q - 1) % m != 0:
             raise InputError(f"order m={m} does not divide q-1={q - 1}")
-        self.m, self.q = m, q
+        self.m, self.p, self.q = m, p, q
         e = [0] * q  # e[x] = dlog(x) mod m for x != 0
         for k, x in enumerate(field.powers()):
             e[x] = k % m
@@ -158,24 +164,49 @@ def jacobi_sum_naive(alpha: tuple[int, ...], field: FiniteField, m: int,
     return total
 
 
+def _frobenius_cosets(p: int, m: int) -> list[list[int]]:
+    """(Z/m)^* split into cosets t*<p>, p a unit mod m, each listed in
+    power order from its least unit t."""
+    cosets, covered = [], set()
+    for t in units_mod(m):
+        if t not in covered:
+            coset, s = [t], t * p % m
+            while s != t:
+                coset.append(s)
+                s = s * p % m
+            covered.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
 def jacobi_sum_table(chi: Character, multisets) -> dict:
     """Jacobi sums of exponent multisets, each given as its sorted vector.
 
     j(alpha) is a product of Gauss sums, one per component, so it is
     symmetric in all r + 2 components and one value serves a multiset.
     One multiset per (Z/m)^*-orbit is evaluated; the rest of its orbit is
-    filled via j(t*alpha) = sigma_t(j(alpha)) under the sorted key of
-    t*alpha.  The table holds every multiset in the orbits asked for.
+    filled via j(t*alpha) = sigma_t(j(alpha)).  Since j(p*alpha) =
+    j(alpha), sigma_t(j) is computed once per coset representative t of
+    (Z/m)^*/<p> and stored under the sorted key of every t*u*alpha, u in
+    <p>.  Hard check: sigma_p(j) = j for every evaluated j, else
+    InternalCheckError.  The table holds every multiset in the orbits
+    asked for.
     """
-    m = chi.m
-    units = units_mod(m)
+    m, p = chi.m, chi.p
+    cosets = _frobenius_cosets(p, m)
     table: dict[tuple[int, ...], CycInt] = {}
     for alpha in multisets:
         if alpha in table:
             continue
         j = jacobi_sum(alpha, chi)
-        for t in units:
-            key = tuple(sorted((t * a) % m for a in alpha))
-            if key not in table:
-                table[key] = j.galois(t)
+        if j.galois(p % m) != j:
+            raise InternalCheckError(
+                f"sigma_p does not fix j({alpha}) = {j!r}")
+        for coset in cosets:
+            # the table holds whole <p>-orbits, so one key answers for t*<p>
+            if tuple(sorted(coset[0] * a % m for a in alpha)) in table:
+                continue
+            image = j.galois(coset[0])
+            for s in coset:
+                table[tuple(sorted(s * a % m for a in alpha))] = image
     return table

@@ -552,10 +552,11 @@ def stickelberger_check(p: int, m: int, r: int, *,
     with the verdict all_equal (error and precision_failures stay None
     and 0: every valuation is exact or the call raises).
 
-    Both sides are symmetric in alpha and computed once per multiset:
-    the left side from the Jacobi sum through the lifted root of unity,
-    the right side from integer arithmetic alone (_multiset_exponent; it
-    equals stickelberger_exponent on every vector).  The two share
+    Both sides are symmetric in alpha: the left side comes from the
+    Jacobi sum through the lifted root of unity, once per distinct
+    value of the table, the right side from integer arithmetic alone,
+    once per multiset (_multiset_exponent; it equals
+    stickelberger_exponent on every vector).  The two share
     nothing but the field construction.  Every distinct Jacobi sum must
     satisfy |j|^2 = q^r first, so a table fault that breaks it is an
     internal error rather than a mismatch.  That check also bounds
@@ -568,9 +569,11 @@ def stickelberger_check(p: int, m: int, r: int, *,
     field, weights, sums = _checked_jacobi_sums(params, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     exponent = _multiset_exponent(m, params.subgroup)
-    by_key, equal_count = {}, 0
+    by_key, equal_count, valuations = {}, 0, {}
     for key, j in sums.items():
-        val = padic_valuation(j, ctx)
+        if j not in valuations:
+            valuations[j] = padic_valuation(j, ctx)
+        val = valuations[j]
         if val is None:
             raise InternalCheckError(
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "

@@ -7,9 +7,10 @@ from cyheights import character_sums
 from cyheights.character_sums import (Character, jacobi_sum,
                                       jacobi_sum_naive, jacobi_sum_table)
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
-from cyheights.errors import BudgetError, InputError
+from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import exponent_multisets, exponent_vectors
-from cyheights.finite_field import FiniteField, build_field
+from cyheights.finite_field import (FiniteField, build_field,
+                                    frobenius_subgroup)
 from cyheights.padic import PadicContext, padic_valuation
 
 
@@ -266,6 +267,34 @@ def test_jacobi_sum_table_matches_pointwise(chi_9_4):
     assert set(table) == set(multisets)
     for alpha in exponent_vectors(4, 2):
         assert table[tuple(sorted(alpha))] == jacobi_sum(alpha, chi_9_4)
+
+
+# the five fields_warm shapes, then composite m, f up to 9, up to 12
+# cosets of <p> in (Z/m)^*, and p = 2
+@pytest.mark.parametrize("p,m,r", [(2, 73, 1), (2, 63, 1), (7, 57, 1),
+                                   (5, 31, 1), (3, 11, 2), (2, 15, 2),
+                                   (2, 21, 1), (3, 8, 2)])
+def test_coset_fill_matches_jacobi_sum_everywhere(p, m, r):
+    chi = Character(build_field(p, len(frobenius_subgroup(p, m))), m)
+    multisets = list(exponent_multisets(m, r))
+    table = jacobi_sum_table(chi, multisets)
+    direct = {alpha: jacobi_sum(alpha, chi) for alpha in multisets}
+    assert table == direct
+    # Frobenius fixes every Jacobi sum, read without the table
+    for alpha, j in direct.items():
+        assert direct[tuple(sorted(p * a % m for a in alpha))] == j
+
+
+@pytest.mark.parametrize("p,f,m", [(3, 2, 4), (2, 3, 7)])
+def test_table_rejects_a_sum_frobenius_moves(monkeypatch, p, f, m):
+    # j * zeta_m keeps |j|^2 = q^r, but sigma_p moves it since p != 1 mod m
+    chi = Character(build_field(p, f), m)
+    real = character_sums.jacobi_sum
+    monkeypatch.setattr(character_sums, "jacobi_sum",
+                        lambda alpha, chi: real(alpha, chi)
+                        * CycInt.root_of_unity(chi.m))
+    with pytest.raises(InternalCheckError, match="sigma_p"):
+        jacobi_sum_table(chi, list(exponent_multisets(m, 1)))
 
 
 @pytest.mark.parametrize("p,f,m,r", [(3, 2, 4, 2), (7, 1, 3, 1),

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cyheights import cli, fermat, finite_field, kummer
+from cyheights import character_sums, cli, fermat, finite_field, kummer
 from cyheights.cli import main
+from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InternalCheckError
 from cyheights.finite_field import DEFAULT_TABLE_BUDGET
 
@@ -428,6 +429,17 @@ def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch):
                          "--r", "1")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert "generator order" in err
+
+
+def test_a_sum_frobenius_moves_exits_4(capsys, monkeypatch):
+    real = character_sums.jacobi_sum
+    monkeypatch.setattr(character_sums, "jacobi_sum",
+                        lambda alpha, chi: real(alpha, chi)
+                        * CycInt.root_of_unity(chi.m))
+    code, out, err = run(capsys, "stickelberger", "--p", "2", "--m", "7",
+                         "--r", "1")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert "sigma_p" in err
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 3), (2, 100), (5, 5), (90, 80),

@@ -21,8 +21,9 @@ from cyheights.fermat import (INFINITE, FermatParams,
                               stickelberger_exponent, variety_report,
                               zeta_fermat)
 from cyheights.finite_field import (FiniteField, build_field,
-                                    frobenius_subgroup)
+                                    frobenius_subgroup, units_mod)
 from cyheights.kummer import abelian_height
+from cyheights.padic import PadicContext, default_precision, padic_valuation
 
 
 def test_params_validation():
@@ -290,6 +291,47 @@ def test_stickelberger_rows_follow_per_vector_definition(p, m, r):
                                                          p, m)
         assert row["equal"] and row["error"] is None
     assert report["all_equal"]
+
+# the fields_warm shapes: distinct Jacobi sums, <p>-orbits and
+# (Z/m)^*-orbits of exponent multisets; 352, 490 and 76 in all
+@pytest.mark.parametrize("p,m,r,distinct,p_orbits,unit_orbits", [
+    (2, 73, 1, 64, 104, 13), (2, 63, 1, 71, 119, 29),
+    (7, 57, 1, 152, 194, 20), (5, 31, 1, 60, 60, 6), (3, 11, 2, 5, 13, 8)])
+def test_one_galois_image_per_orbit_and_one_valuation_per_sum(
+        monkeypatch, p, m, r, distinct, p_orbits, unit_orbits):
+    f = FermatParams.create(p, m, r).f
+    field = build_field(p, f)
+    multisets = exponent_multisets(m, r)
+
+    def orbit_count(group):
+        return len({frozenset(tuple(sorted(t * a % m for a in alpha))
+                              for t in group) for alpha in multisets})
+
+    assert orbit_count(frobenius_subgroup(p, m)) == p_orbits
+    assert orbit_count(units_mod(m)) == unit_orbits
+    images = []
+    real_galois = CycInt.galois
+    with monkeypatch.context() as patch:
+        patch.setattr(CycInt, "galois",
+                      lambda j, t: images.append(t) or real_galois(j, t))
+        table = character_sums.jacobi_sum_table(Character(field, m),
+                                                multisets)
+    # one image per <p>-orbit, one sigma_p check per evaluated sum
+    assert len(images) == p_orbits + unit_orbits
+    assert len(set(table.values())) == distinct
+
+    ctx = PadicContext(field, m, default_precision(f, r))
+    per_multiset = {alpha: padic_valuation(table[alpha], ctx)
+                    for alpha in multisets}
+    valued = []
+    monkeypatch.setattr(fermat, "padic_valuation",
+                        lambda j, ctx: valued.append(j)
+                        or padic_valuation(j, ctx))
+    report = stickelberger_check(p, m, r)
+    assert len(valued) == len(set(valued)) == distinct
+    for row in report["rows"]:
+        assert row["valuation"] == per_multiset[tuple(sorted(row["alpha"]))]
+
 
 def test_variety_report_shape():
     from cyheights.fermat import variety_report
