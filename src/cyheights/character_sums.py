@@ -33,7 +33,10 @@ coset of <p> in (Z/m)^*, and checks it on every sum it evaluates.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
+from math import isqrt
 
 from .cyclotomic import CycInt
 from .errors import BudgetError, InputError, InternalCheckError
@@ -45,8 +48,14 @@ DEFAULT_NAIVE_BUDGET = 10**7
 class Character:
     """The canonical order-m multiplicative character of a finite field.
 
-    One O(q) pass walks field.powers() into logs mod m; only e(-1) and
-    the cyclotomic numbers are kept."""
+    One O(q) pass reads field.power_blocks() into logs mod m and counts
+    the cyclotomic numbers from them; only e(-1) and the cyclotomic
+    numbers are kept.  The pass runs in list and big-integer passes,
+    with no Python-level call per element.  A block of the walk holds
+    m * s powers, s = isqrt((q-1)/m), so the slice block[j::m] holds
+    the s or so powers with log j mod m.  The logs go into an array of
+    q items, each wide enough for a pair key e(y-1) * m + e(y) (one byte
+    for m <= 16, two for m <= 256), dropped once the keys are counted."""
 
     __slots__ = ("m", "p", "q", "minus_one_exp", "cyclotomic_numbers")
 
@@ -57,18 +66,31 @@ class Character:
         if (q - 1) % m != 0:
             raise InputError(f"order m={m} does not divide q-1={q - 1}")
         self.m, self.p, self.q = m, p, q
-        e = [0] * q  # e[x] = dlog(x) mod m for x != 0
-        for k, x in enumerate(field.powers()):
-            e[x] = k % m
+        code = next(c for c in "BHIQ" if m * m <= 1 << 8 * array(c).itemsize)
+        e = array(code, [0]) * q  # e[x] = dlog(x) mod m for x != 0
+        for block in field.power_blocks(m * max(1, isqrt((q - 1) // m))):
+            for j in range(1, m):
+                for x in block[j::m]:
+                    e[x] = j
         minus_one = self.minus_one_exp = e[field.neg(1)]
-        # (i, j, #{y outside {0, 1} : e(1-y) = i, e(y) = j}).  Only the
-        # constant digit of y changes in y - 1, so its encoding is y - 1,
-        # or y + p - 1 when that digit is 0; e(1-y) = e(-1) + e(y-1).
-        counts = Counter(
-            (minus_one + e[y - 1 if y % p else y + p - 1]) % m * m + e[y]
-            for y in range(2, q))
+        # (i, j, #{y outside {0, 1} : e(1-y) = i, e(y) = j}), with
+        # e(1-y) = e(-1) + e(y-1).  Only the constant digit of y changes
+        # in y - 1, so its encoding is y - 1, or y + p - 1 when that digit
+        # is 0.  before[k] = e(y-1) at y = k + 2.  Read as big integers,
+        # before * m + e[2:] holds the key e(y-1) * m + e(y) < m^2 in the
+        # item of y, as no item carries into the next; 2^16 items a time.
+        before = e[1:-1]
+        before[p - 2::p] = e[2 * p - 1::p]
+        counts, order = Counter(), sys.byteorder
+        for k in range(0, q - 2, 1 << 16):
+            part = before[k:k + (1 << 16)]
+            keys = (int.from_bytes(part, order) * m
+                    + int.from_bytes(e[k + 2:k + 2 + len(part)], order))
+            counts.update(memoryview(keys.to_bytes(
+                len(part) * e.itemsize, order)).cast(code))
         self.cyclotomic_numbers = tuple(
-            (key // m, key % m, count) for key, count in counts.items())
+            ((minus_one + key // m) % m, key % m, count)
+            for key, count in counts.items())
 
     def two_variable_sum(self, s: int, b: int) -> CycInt:
         """J(s, b) = sum over y outside {0, 1} of chi(1-y)^s chi(y)^b,

@@ -335,7 +335,8 @@ def _add_alpha_budget(sub: argparse.ArgumentParser, bounds: str) -> None:
 def _add_table_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
                      help="max elements q of a field; a character pass "
-                          "or a point count holds a q-entry table")
+                          "holds q log items of 1 to 8 bytes (1 for "
+                          "m <= 16), a point count a q-entry list")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,10 @@ n is p here and p^k in the p-adic ring R_k, which shares the helpers.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterator
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import BudgetError, InputError, InternalCheckError
 
@@ -171,8 +173,9 @@ class FiniteField:
     """Immutable GF(p^f): its modulus and a generator g, and no tables.
 
     Addition works on integer encodings; a caller that needs logarithms
-    walks powers() once and keeps what it reads.  Instances are safe to
-    share between processes; nothing is mutated after construction.
+    walks power_blocks() or powers() once and keeps what it reads.
+    Instances are safe to share between processes; nothing is mutated
+    after construction.
     """
 
     __slots__ = ("p", "f", "q", "modulus", "generator")
@@ -189,14 +192,43 @@ class FiniteField:
         return f"FiniteField(p={self.p}, f={self.f})"
 
     def powers(self) -> Iterator[int]:
-        """Yield g^0, ..., g^(q-2) by steps x -> g*x; after the last,
-        raise InternalCheckError unless the walk closes at 1."""
-        step = _multiplier(self.p, self.f, self.modulus, self.generator)
-        cur = 1
-        for _ in range(self.q - 1):
-            yield cur
-            cur = step(cur)
-        if cur != 1:
+        """Yield g^0, ..., g^(q-2), read off power_blocks()."""
+        for block in self.power_blocks(max(1, isqrt(self.q - 1))):
+            yield from block
+
+    def power_blocks(self, length: int) -> Iterator[list[int]]:
+        """Yield g^0, ..., g^(q-2) as lists of length powers, the last
+        list possibly shorter, or as one list when the walk is at most
+        f + 1 lists long; after the last list, raise InternalCheckError
+        unless the walk closes at 1.
+
+        The first list comes from steps x -> g*x.  Every later one is the
+        first times g^(k*length), computed by _block_multiplier in
+        big-integer passes with no Python-level work per element.  Its
+        set-up reads f digits of each element of the first list, about
+        the work of f lists of steps, so a shorter walk takes steps only.
+        """
+        if length < 1:
+            raise InputError(f"list length must be >= 1, got {length}")
+        p, f, n = self.p, self.f, self.q - 1
+        if n <= (f + 1) * length:
+            length = n
+        step = _multiplier(p, f, self.modulus, self.generator)
+        x, block = 1, []
+        for _ in range(length):
+            block.append(x)
+            x = step(x)
+        yield block
+        done = len(block)
+        if done < n:  # x = g^done
+            times, state = _block_multiplier(
+                p, f, block, _images(p, f, self.modulus, x))
+        while done < n:
+            block, state = times(state)
+            del block[n - done:]
+            done += len(block)
+            yield block
+        if step(block[-1]) != 1:
             raise InternalCheckError("generator order check failed")
 
     # --- element arithmetic on encodings ---
@@ -260,6 +292,21 @@ def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
         _enc_pow(enc, n // ell, modulus, p) != 1 for ell in prime_factors)
 
 
+def _images(p: int, f: int, modulus, y: int) -> list[list[int]]:
+    """Coefficient lists of y * x^i modulo the modulus, i < f: the
+    columns of the F_p-linear map x -> y * x on coefficient vectors.
+    Each is the one before times x, reduced by the monic modulus."""
+    image = _poly_from_enc(y, p)
+    image += [0] * (f - len(image))
+    images = [image]
+    for _ in range(f - 1):
+        lead = image[-1]
+        image = [(c - lead * r) % p
+                 for c, r in zip([0] + image[:-1], modulus)]
+        images.append(image)
+    return images
+
+
 def _multiplier(p: int, f: int, modulus, generator: int):
     """The map x -> generator * x on encodings, as plain integer work.
 
@@ -273,9 +320,7 @@ def _multiplier(p: int, f: int, modulus, generator: int):
     """
     if f == 1:
         return lambda x: x * generator % p
-    gen_poly = _poly_from_enc(generator, p)
-    images = [_poly_rem(_poly_mul([0] * i + [1], gen_poly, p),
-                        list(modulus), p) for i in range(f)]
+    images = _images(p, f, modulus, generator)
     width = 1 if p == 2 else (f * (p - 1) ** 2).bit_length()
     packed = [sum(c << (width * k) for k, c in enumerate(image))
               for image in images]
@@ -320,6 +365,86 @@ def _multiplier(p: int, f: int, modulus, generator: int):
             out = out * p + (acc >> shift & mask) % p
         return out
     return step
+
+
+def _block_multiplier(p: int, f: int, block: list[int],
+                      images: list[list[int]]):
+    """Products of a fixed block by the powers of h, in big-integer passes.
+
+    images are the coefficient lists of h * x^i (i < f).  Returns
+    (times, state): times(state) is ([y * x for x in block], state'),
+    where state holds y and state' holds y * h; the first state holds h.
+
+    Each cell of one big integer holds an element of the block, or one
+    of the h * x^i, as f slots.  For every digit position i the cells'
+    i-th digits are packed once into a column; y * x is then the sum of
+    the columns, each times the packed image y * x^i, so a product costs
+    f multiplications of big integers by small ones.  For odd p the slot
+    sums are reduced mod p all at once (Barrett: s // p is
+    s * magic >> shift for every slot sum s) and the digits are merged
+    pairwise into encodings; for p = 2 a slot is one bit, the sum is XOR
+    and the cell is the encoding.  The cells of the h * x^i, reduced,
+    are the images of y * h.
+    """
+    cells = block + [_enc_from_poly(image, p) for image in images]
+    n = len(cells)
+    if p == 2:
+        width, slots = 1, f
+    else:
+        top = f * (p - 1) ** 2  # the largest slot sum
+        shift = ((top + 1) * p - 1).bit_length()  # 2^shift >= (top + 1) p
+        magic = -(-(1 << shift) // p)
+        width = (top * magic).bit_length()
+        slots = 1 << (f - 1).bit_length()  # room for the pairwise merges
+    cell = 8
+    while cell < slots * width:
+        cell *= 2
+    code = {8: "B", 16: "H", 32: "I"}.get(cell, "Q")
+    stride = max(1, cell // 64)
+
+    def spread(pattern: int) -> int:  # pattern in every cell
+        return int.from_bytes(pattern.to_bytes(cell // 8, "little") * n,
+                              "little")
+
+    def pack(column: list[int]) -> int:  # column[k] in cell k
+        words = array(code, bytes(n * cell // 8))
+        words[::stride] = array(code, column)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    columns = [pack([c // d % p for c in cells])
+               for d in (p**i for i in range(f))]
+    if p != 2:
+        keep = spread(sum(((1 << (width - shift)) - 1) << (width * k)
+                          for k in range(f)))
+    merges = []  # (bits, p^span, groups of span slots that take a partner)
+    span = 1
+    while p != 2 and span < f:
+        group = (1 << (span * width)) - 1
+        merges.append((span * width, p**span, spread(sum(
+            group << (width * k) for k in range(0, f, 2 * span)))))
+        span *= 2
+    ones = (1 << cell) - 1
+    first_image = cell * (n - f)
+
+    def times(state: list[int]) -> tuple[list[int], list[int]]:
+        acc = 0
+        for column, image in zip(columns, state):
+            acc = acc ^ column * image if p == 2 else acc + column * image
+        if p != 2:
+            acc -= (acc * magic >> shift & keep) * p
+        state = [acc >> (first_image + cell * i) & ones for i in range(f)]
+        for bits, scale, groups in merges:
+            acc = (acc & groups) + scale * (acc >> bits & groups)
+        words = array(code, acc.to_bytes(n * cell // 8, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words[:(n - f) * stride:stride].tolist(), state
+
+    state = [sum(c << (width * k) for k, c in enumerate(image))
+             for image in images]
+    return times, state
 
 
 def build_field(p: int, f: int, *,

@@ -2,6 +2,8 @@ import signal
 
 import pytest
 
+from cyheights import finite_field
+
 
 @pytest.fixture
 def deadline():
@@ -16,3 +18,20 @@ def deadline():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def walk_breakers():
+    """Two ways to break the walk of powers so that it never returns to 1,
+    each a function of a monkeypatch: a per-element step x -> 2, and a
+    block kernel whose every product is 2.  Each leaves the walk's
+    closing check as the only guard."""
+    def break_step(patch):
+        patch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
+
+    def break_kernel(patch):
+        patch.setattr(finite_field, "_block_multiplier",
+                      lambda p, f, block, images: (
+                          lambda state: ([2] * len(block), state), None))
+
+    return {"step": break_step, "kernel": break_kernel}

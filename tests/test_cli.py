@@ -423,12 +423,16 @@ def test_internal_errors_exit_4(capsys, monkeypatch, exc):
     assert err == f"internal error: {type(exc).__name__}: forced\n"
 
 
-def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
-    code, out, err = run(capsys, "stickelberger", "--p", "7", "--m", "3",
-                         "--r", "1")
-    assert (code, out) == (cli.EXIT_INTERNAL, "")
-    assert "generator order" in err
+def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch,
+                                            walk_breakers):
+    # GF(31) with m = 3 walks a first list of steps, then kernel products
+    for break_walk in walk_breakers.values():
+        with monkeypatch.context() as patch:
+            break_walk(patch)
+            code, out, err = run(capsys, "stickelberger", "--p", "31",
+                                 "--m", "3", "--r", "1")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert "generator order" in err
 
 
 def test_a_sum_frobenius_moves_exits_4(capsys, monkeypatch):
@@ -655,7 +659,7 @@ def _readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = _readme_commands()
-    assert len(commands) == 8
+    assert len(commands) == 10
     for argv in commands:
         if argv[0] == "survey":
             argv += ["--jobs", "1"]

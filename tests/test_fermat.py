@@ -526,19 +526,27 @@ def test_point_count_oracle_uses_no_characters(monkeypatch):
     assert brute_force_point_count(7, 3, 1, 2) == 63
 
 
-def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch):
-    # a step that never returns to 1: both O(q) passes exhaust the walk,
-    # so both reach its closing check
-    monkeypatch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
-    field = build_field(7, 1)
-    walk = field.powers()
-    assert [next(walk) for _ in range(6)] == [1, 2, 2, 2, 2, 2]
-    with pytest.raises(InternalCheckError, match="generator order"):
-        next(walk)
-    with pytest.raises(InternalCheckError, match="generator order"):
-        Character(field, 3)
-    with pytest.raises(InternalCheckError, match="generator order"):
-        brute_force_point_count(7, 3, 1, 1)
+def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch,
+                                                         walk_breakers):
+    # a step or a block kernel that never returns to 1: every O(q) pass
+    # exhausts the walk, so each reaches its closing check.  GF(31) walks
+    # its 30 powers as a first list of steps and kernel products after it.
+    field = build_field(31, 1)
+    first_lists = {"step": [[1, 2, 2, 2, 2], [2, 4, 4, 4, 4]],
+                   "kernel": [[1, 3, 9, 27, 19], [2, 2, 2, 2, 2]]}
+    for part, break_walk in walk_breakers.items():
+        with monkeypatch.context() as patch:
+            break_walk(patch)
+            blocks = field.power_blocks(5)
+            assert [next(blocks) for _ in range(2)] == first_lists[part]
+            with pytest.raises(InternalCheckError, match="generator order"):
+                list(blocks)
+            with pytest.raises(InternalCheckError, match="generator order"):
+                list(field.powers())
+            with pytest.raises(InternalCheckError, match="generator order"):
+                Character(field, 3)
+            with pytest.raises(InternalCheckError, match="generator order"):
+                brute_force_point_count(31, 3, 1, 1)
 
 
 def test_point_budget_counts_field_subtractions():
