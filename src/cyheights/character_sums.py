@@ -40,7 +40,7 @@ from math import isqrt
 
 from .cyclotomic import CycInt
 from .errors import BudgetError, InputError, InternalCheckError
-from .finite_field import FiniteField, units_mod
+from .finite_field import FiniteField, frobenius_subgroup, units_mod
 
 DEFAULT_NAIVE_BUDGET = 10**7
 
@@ -192,10 +192,7 @@ def _frobenius_cosets(p: int, m: int) -> list[list[int]]:
     cosets, covered = [], set()
     for t in units_mod(m):
         if t not in covered:
-            coset, s = [t], t * p % m
-            while s != t:
-                coset.append(s)
-                s = s * p % m
+            coset = [t * u % m for u in frobenius_subgroup(p, m)]
             covered.update(coset)
             cosets.append(coset)
     return cosets

@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--full", action="store_true",
                      help="include slopes, Hodge numbers and the "
                           "algebraic-cycle predicate in the report")
-    _add_alpha_budget(sub, "multiset-walk heads")
+    _add_alpha_budget(sub, "multiset-walk entries, heads x (r + 2)")
     _add_common(sub)
     sub.set_defaults(run=_cmd_height)
 
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sub.add_argument("--m", type=int, required=True)
             sub.add_argument("--r", type=int, required=True)
-            _add_alpha_budget(sub, "multiset-walk heads per prime")
+            _add_alpha_budget(sub, "multiset-walk entries per prime")
         sub.add_argument("--p-min", type=int, default=2)
         sub.add_argument("--p-max", type=int, required=True)
         sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

@@ -307,12 +307,8 @@ class CycInt:
 
 
 def modulus_squared(z: CycInt) -> CycInt:
-    """z times its complex conjugate, i.e. z * z.galois(m - 1).
-
-    For conductor <= 2 conjugation is trivial and this is z*z.
-    """
-    if z.m <= 2:
-        return z * z
+    """z times its complex conjugate, i.e. z * z.galois(m - 1); for
+    conductor <= 2, m - 1 is the identity and this is z*z."""
     return z * z.galois(z.m - 1)
 
 

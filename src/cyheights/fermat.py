@@ -107,12 +107,14 @@ def _alpha_budget_check(m: int, r: int, budget: int) -> int:
 
 
 def _multiset_budget_check(m: int, r: int, budget: int) -> None:
-    """Validates (m, r) and bounds the C(m+r-1, r+1) heads of the multiset
-    walk; C(n, k) >= 2^k for k <= n/2."""
+    """Validates (m, r) and bounds the multiset walk in entries: its
+    C(m+r-1, r+1) heads times the r + 2 entries each builds.
+    C(n, k) >= 2^k for k <= n/2."""
     _check_shape(m, r)
     n, k = m + r - 1, min(r + 1, m - 2)
-    _check_budget(None if k >= budget.bit_length() else comb(n, k), budget,
-                  "exponent-vector budget exceeded: {} multisets")
+    entries = None if k >= budget.bit_length() else comb(n, k) * (r + 2)
+    _check_budget(entries, budget,
+                  "exponent-vector budget exceeded: {} multiset entries")
 
 
 def exponent_vectors(m: int, r: int, *,

@@ -145,8 +145,6 @@ def _enc_from_poly(a: list[int], p: int) -> int:
 def _is_irreducible(poly: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for k in range(p**d):
             low = _poly_from_enc(k, p)
@@ -172,8 +170,9 @@ def _smallest_irreducible(p: int, f: int) -> list[int]:
 class FiniteField:
     """Immutable GF(p^f): its modulus and a generator g, and no tables.
 
-    Addition works on integer encodings; a caller that needs logarithms
-    walks power_blocks() or powers() once and keeps what it reads.
+    Addition works on integer encodings; products of the field come from
+    the walk, power_blocks() or powers(), which a caller that needs
+    logarithms runs once, keeping what it reads.
     Instances are safe to share between processes; nothing is mutated
     after construction.
     """
@@ -198,37 +197,40 @@ class FiniteField:
 
     def power_blocks(self, length: int) -> Iterator[list[int]]:
         """Yield g^0, ..., g^(q-2) as lists of length powers, the last
-        list possibly shorter, or as one list when the walk is at most
-        f + 1 lists long; after the last list, raise InternalCheckError
+        list possibly shorter; after the last list, raise InternalCheckError
         unless the walk closes at 1.
 
-        The first list comes from steps x -> g*x.  Every later one is the
-        first times g^(k*length), computed by _block_multiplier in
-        big-integer passes with no Python-level work per element.  Its
-        set-up reads f digits of each element of the first list, about
-        the work of f lists of steps, so a shorter walk takes steps only.
+        Every product comes from _block_multiplier, in big-integer passes
+        with no Python-level work per element.  The first list grows from
+        [1] by doubling, block + block * g^len(block), one set-up per
+        doubling; every later one is the first times g^(k*length).  The
+        closing check, last * g = 1, is polynomial arithmetic that shares
+        nothing with the kernel.
         """
         if length < 1:
             raise InputError(f"list length must be >= 1, got {length}")
-        p, f, n = self.p, self.f, self.q - 1
-        if n <= (f + 1) * length:
-            length = n
-        step = _multiplier(p, f, self.modulus, self.generator)
-        x, block = 1, []
-        for _ in range(length):
-            block.append(x)
-            x = step(x)
+        p, f, n, modulus, g = (self.p, self.f, self.q - 1, self.modulus,
+                               self.generator)
+        length = min(length, n)
+
+        def times_next(block: list[int]):  # block * y^k, y = block[-1] * g
+            y = _enc_mul(block[-1], g, modulus, p)
+            return _block_multiplier(p, f, block, _images(p, f, modulus, y))
+
+        block = [1]
+        while len(block) < length:
+            times, state = times_next(block)
+            block += times(state)[0][:length - len(block)]
         yield block
-        done = len(block)
-        if done < n:  # x = g^done
-            times, state = _block_multiplier(
-                p, f, block, _images(p, f, self.modulus, x))
+        done = length
+        if done < n:
+            times, state = times_next(block)
         while done < n:
             block, state = times(state)
             del block[n - done:]
             done += len(block)
             yield block
-        if step(block[-1]) != 1:
+        if _enc_mul(block[-1], g, modulus, p) != 1:
             raise InternalCheckError("generator order check failed")
 
     # --- element arithmetic on encodings ---
@@ -277,6 +279,12 @@ class FiniteField:
         return _enc_from_poly(coeffs, self.p)
 
 
+def _enc_mul(a: int, b: int, modulus, p: int) -> int:
+    """a * b on encodings, modulo the field's modulus."""
+    product = _poly_mul(_poly_from_enc(a, p), _poly_from_enc(b, p), p)
+    return _enc_from_poly(_poly_rem(product, modulus, p), p)
+
+
 def _enc_pow(enc: int, e: int, modulus, p: int) -> int:
     """enc**e on encodings, modulo the field's modulus."""
     if len(modulus) == 2:  # f = 1: elements are residues mod p
@@ -305,66 +313,6 @@ def _images(p: int, f: int, modulus, y: int) -> list[list[int]]:
                  for c, r in zip([0] + image[:-1], modulus)]
         images.append(image)
     return images
-
-
-def _multiplier(p: int, f: int, modulus, generator: int):
-    """The map x -> generator * x on encodings, as plain integer work.
-
-    Multiplication by g is F_p-linear, so it is fixed by the images
-    g * x^i (i < f), computed once with the polynomial helpers.  Each
-    image is packed one coefficient per bit slot, and the digits of x are
-    read in chunks of at most 256 values, each looked up in a table of
-    the summed images for that chunk.  For p = 2 a slot is one bit and
-    the sum is XOR, so the result is the encoding itself; for odd p the
-    slots hold unreduced sums and are reduced mod p at the end.
-    """
-    if f == 1:
-        return lambda x: x * generator % p
-    images = _images(p, f, modulus, generator)
-    width = 1 if p == 2 else (f * (p - 1) ** 2).bit_length()
-    packed = [sum(c << (width * k) for k, c in enumerate(image))
-              for image in images]
-    digits = 1  # digits per chunk
-    while p ** (digits + 1) <= 256:
-        digits += 1
-    tables = []
-    for start in range(0, f, digits):
-        table = [0]
-        for row in packed[start:start + digits]:
-            if p == 2:
-                table += [t ^ row for t in table]
-            else:
-                table = [t + d * row for d in range(p) for t in table]
-        tables.append(table)
-
-    if p == 2:
-        if len(tables) == 1:
-            return tables[0].__getitem__
-
-        low = (1 << digits) - 1
-
-        def step(x: int) -> int:
-            out = 0
-            for table in tables:
-                out ^= table[x & low]
-                x >>= digits
-            return out
-        return step
-
-    chunk = p**digits
-    mask = (1 << width) - 1
-    shifts = [width * k for k in reversed(range(f))]
-
-    def step(x: int) -> int:
-        acc = 0
-        for table in tables:
-            x, d = divmod(x, chunk)
-            acc += table[d]
-        out = 0
-        for shift in shifts:
-            out = out * p + (acc >> shift & mask) % p
-        return out
-    return step
 
 
 def _block_multiplier(p: int, f: int, block: list[int],

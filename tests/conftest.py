@@ -23,15 +23,17 @@ def deadline():
 @pytest.fixture
 def walk_breakers():
     """Two ways to break the walk of powers so that it never returns to 1,
-    each a function of a monkeypatch: a per-element step x -> 2, and a
-    block kernel whose every product is 2.  Each leaves the walk's
-    closing check as the only guard."""
-    def break_step(patch):
-        patch.setattr(finite_field, "_multiplier", lambda *_: lambda x: 2)
-
+    each a function of a monkeypatch: a block kernel whose every product
+    is 2, and images of multiplication by 1 in place of those of the
+    given power.  Each leaves the walk's closing check as the only
+    guard."""
     def break_kernel(patch):
         patch.setattr(finite_field, "_block_multiplier",
                       lambda p, f, block, images: (
                           lambda state: ([2] * len(block), state), None))
 
-    return {"step": break_step, "kernel": break_kernel}
+    def break_images(patch):
+        patch.setattr(finite_field, "_images", lambda p, f, modulus, y: [
+            [int(i == k) for i in range(f)] for k in range(f)])
+
+    return {"kernel": break_kernel, "images": break_images}

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from cyheights import character_sums, finite_field
+from cyheights import character_sums
 from cyheights.character_sums import (Character, jacobi_sum,
                                       jacobi_sum_naive, jacobi_sum_table)
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
@@ -229,23 +229,23 @@ def test_no_q_entry_table_is_stored():
                         and len(value) >= field.q - 1), name
 
 
-# One field per walk: kernel products for f = 1, for odd p at f = 2 and
-# f = 6 (pairwise digit merges over a non-power-of-two f) and for p = 2,
-# and walks short enough to take steps only.  Log items of one byte
-# (m <= 16), two (m <= 256) and four (m = 511); q - 2 > 2^16 pairs, more
-# than one stretch of keys, at p = 100003.
-@pytest.mark.parametrize("p,f,m,kernel", [
+# Kernel products for f = 1, for odd p at f = 2 and f = 6 (pairwise
+# digit merges over a non-power-of-two f) and for p = 2; walks of a few
+# lists, and one whose first list, built by doubling, is the whole walk.
+# Log items of one byte (m <= 16), two (m <= 256) and four (m = 511);
+# q - 2 > 2^16 pairs, more than one stretch of keys, at p = 100003.
+@pytest.mark.parametrize("p,f,m,later", [
     (1009, 1, 7, True), (1009, 1, 36, True), (100003, 1, 7, True),
     (131, 2, 3, True), (3, 6, 7, True), (2, 12, 13, True),
-    (3, 5, 11, False), (2, 11, 23, False), (2, 9, 511, False)])
+    (3, 5, 11, True), (2, 11, 23, True), (2, 9, 511, False)])
 def test_cyclotomic_numbers_match_a_direct_count(monkeypatch, p, f, m,
-                                                 kernel):
+                                                 later):
     field = build_field(p, f)
-    real, calls = finite_field._block_multiplier, []
-    monkeypatch.setattr(finite_field, "_block_multiplier",
-                        lambda *args: calls.append(args) or real(*args))
+    real, lists = FiniteField.power_blocks, []
+    monkeypatch.setattr(FiniteField, "power_blocks", lambda self, length: (
+        lists.append(block) or block for block in real(self, length)))
     chi = Character(field, m)
-    assert bool(calls) == kernel
+    assert (len(lists) > 1) == later
     e = {x: k % m for x, k in _logs(field).items()}
     direct = Counter((e[field.sub(1, y)], e[y]) for y in range(2, field.q))
     assert Counter(chi.cyclotomic_numbers) == Counter(

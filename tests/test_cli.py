@@ -210,6 +210,41 @@ def test_survey_csv_headers(capsys):
     assert lines[1] == "p,height,predicted_height,agree"
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", "1,2"],
+     ["# schema=cyheights.zeta-checks/v1",
+      "p,m,r,s,zeta_count,brute_force_count,match",
+      "7,3,1,1,9,9,True", "7,3,1,2,63,63,True"]),
+    (["kummer", "--p", "7"],
+     ["# schema=cyheights.kummer/v1",
+      "p,a,b,points,trace,p_rank,abelian_dim,curve_formal_height,"
+      "quotient_height,predicted_height,agree",
+      "7,0,1,12,-4,1,3,1,1,1,True"])])
+def test_zeta_and_kummer_csv_schemas(capsys, argv, lines):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == lines
+
+
+def test_height_text_without_a_prediction(capsys):
+    # m = 4, r = 1: the closed form needs m = r + 2
+    code, out, _ = run(capsys, "height", "--p", "5", "--m", "4", "--r", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "no closed-form prediction applies (needs m = r + 2, r >= 2)")
+
+
+@pytest.mark.parametrize("checks,message", [("1,x", "bad s-list '1,x'"),
+                                            ("0", "s values must be >= 1")])
+def test_zeta_rejects_a_bad_check_list(capsys, checks, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--p", "7", "--m", "3", "--r", "1", "--check", checks])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --check: {message}" in captured.err
+
+
 @pytest.mark.parametrize("kind", [["height", "--m", "5", "--r", "3"],
                                   ["artin", "--m", "4", "--r", "2"],
                                   ["kummer"]],
@@ -384,13 +419,13 @@ def test_height_beyond_the_vector_count(capsys, p, height):
 
 
 def test_height_alpha_budget_bounds_multisets(capsys):
-    # (5, 3): 204 exponent vectors, C(7, 4) = 35 multisets
+    # (5, 3): 204 exponent vectors, C(7, 4) = 35 heads of 5 entries each
     args = ["height", "--p", "11", "--m", "5", "--r", "3", "--alpha-budget"]
-    code, out, err = run(capsys, *args, "34")
+    code, out, err = run(capsys, *args, "174")
     assert code == 3
     assert out == ""
     assert "budget" in err
-    code, _, _ = run(capsys, *args, "35")
+    code, _, _ = run(capsys, *args, "175")
     assert code == 0
 
 
@@ -398,15 +433,15 @@ def test_height_alpha_budget_bounds_multisets(capsys):
 @pytest.mark.parametrize("kind,m,r,rows", [("height", "5", "3", 5),
                                            ("artin", "4", "2", 5)])
 def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
-    # C(7, 4) = 35 multisets at (5, 3) and C(5, 3) = 10 at (4, 2)
-    heads = {"5": 35, "4": 10}[m]
+    # C(7, 4) = 35 heads of 5 entries at (5, 3), C(5, 3) = 10 of 4 at (4, 2)
+    entries = {"5": 35 * 5, "4": 10 * 4}[m]
     args = ["survey", kind, "--m", m, "--r", r, "--p-max", "14",
             "--jobs", jobs, "--format", "json", "--alpha-budget"]
-    code, out, err = run(capsys, *args, str(heads - 1))
+    code, out, err = run(capsys, *args, str(entries - 1))
     assert code == 3
     assert out == ""
-    assert f"{heads} multisets > {heads - 1}" in err
-    code, out, _ = run(capsys, *args, str(heads))
+    assert f"{entries} multiset entries > {entries - 1}" in err
+    code, out, _ = run(capsys, *args, str(entries))
     assert code == 0
     assert len(json.loads(out)["rows"]) == rows
 
@@ -425,7 +460,7 @@ def test_internal_errors_exit_4(capsys, monkeypatch, exc):
 
 def test_a_walk_that_does_not_close_exits_4(capsys, monkeypatch,
                                             walk_breakers):
-    # GF(31) with m = 3 walks a first list of steps, then kernel products
+    # GF(31) with m = 3: a broken kernel, or broken images of the powers
     for break_walk in walk_breakers.values():
         with monkeypatch.context() as patch:
             break_walk(patch)
@@ -456,17 +491,17 @@ def test_primes_in_matches_trial_division(lo, hi):
 
 
 # Each size is rejected before the work named beside it, which the test
-# refuses: building <p> of (Z/m)^*, the exact multiset count, the exact
+# refuses: building <p> of (Z/m)^*, the exact multiset-walk count, the exact
 # |A|, or the power sums behind N_s.
 @pytest.mark.parametrize("argv,refused,message", [
     ("height --p 2 --m 1000000007 --r 1", "frobenius_subgroup",
-     "500000006500000021 multisets > 1000000"),
+     "1500000019500000063 multiset entries > 1000000"),
     ("zeta --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
      "|A| = more than 1000000"),
     ("stickelberger --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
      "|A| = more than 1000000"),
     ("height --p 3 --m 1000001 --r 999999", "comb",
-     "more than 1000000 multisets"),
+     "more than 1000000 multiset entries"),
     ("zeta --p 3 --m 5 --r 2000000", "alpha_count",
      "|A| = more than 1000000"),
     ("zeta --p 3 --m 5 --r 1000000000", "alpha_count",

@@ -428,7 +428,8 @@ def test_budgets_are_checked_before_derived_work(monkeypatch):
 
 
 def test_budget_messages_for_counts_never_formed():
-    with pytest.raises(BudgetError, match="more than 1000000 multisets"):
+    with pytest.raises(BudgetError,
+                       match="more than 1000000 multiset entries"):
         height_fermat(3, 10**6 + 1, 10**6 - 1)
     with pytest.raises(BudgetError, match=r"\|A\| = more than 1000000"):
         zeta_fermat(3, 5, 2 * 10**6)
@@ -438,19 +439,20 @@ def test_budget_messages_for_counts_never_formed():
     with pytest.raises(BudgetError,
                        match="more than 100000000 field subtractions"):
         brute_force_point_count(2, 10**8 + 1, 1, 1)
-    with pytest.raises(BudgetError, match="35 multisets > 34"):
-        height_fermat(11, 5, 3, budget=34)
+    with pytest.raises(BudgetError, match="175 multiset entries > 174"):
+        height_fermat(11, 5, 3, budget=174)
     with pytest.raises(BudgetError, match=r"\|A\| = 204 > 203"):
         zeta_fermat(11, 5, 3, alpha_budget=203)
 
 
 def test_slope_budget_counts_multisets():
-    # (8, 6) has 720601 exponent vectors but only C(13, 7) = 1716 multisets
+    # (8, 6) has 720601 exponent vectors but only C(13, 7) = 1716 heads,
+    # each building 8 entries
     with pytest.raises(BudgetError):
         height_fermat(3, 8, 6, budget=100)
     with pytest.raises(BudgetError):
-        hodge_numbers_fermat(8, 6, budget=1715)
-    assert height_fermat(3, 8, 6, budget=1716) == INFINITE
+        hodge_numbers_fermat(8, 6, budget=13727)
+    assert height_fermat(3, 8, 6, budget=13728) == INFINITE
 
 
 def test_hodge_rejects_bad_shape():
@@ -528,12 +530,12 @@ def test_point_count_oracle_uses_no_characters(monkeypatch):
 
 def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch,
                                                          walk_breakers):
-    # a step or a block kernel that never returns to 1: every O(q) pass
-    # exhausts the walk, so each reaches its closing check.  GF(31) walks
-    # its 30 powers as a first list of steps and kernel products after it.
+    # a walk that never returns to 1: every O(q) pass exhausts it, so
+    # each reaches its closing check.  GF(31) doubles [1] into its first
+    # list of 5 powers and multiplies that list after it.
     field = build_field(31, 1)
-    first_lists = {"step": [[1, 2, 2, 2, 2], [2, 4, 4, 4, 4]],
-                   "kernel": [[1, 3, 9, 27, 19], [2, 2, 2, 2, 2]]}
+    first_lists = {"kernel": [[1, 2, 2, 2, 2], [2, 2, 2, 2, 2]],
+                   "images": [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]}
     for part, break_walk in walk_breakers.items():
         with monkeypatch.context() as patch:
             break_walk(patch)

@@ -73,7 +73,7 @@ def test_tables_match_the_polynomial_walk(p, f):
 
 
 # lists of one power, lengths that divide q - 1 or leave a shorter last
-# list, and walks of at most f + 1 lists, which come as one list of steps
+# list, and walks of a few lists
 @pytest.mark.parametrize("p,f,length", [(5, 3, 1), (2, 9, 7), (3, 7, 46),
                                         (131, 2, 100), (2, 8, 64),
                                         (7, 2, 24)])
@@ -82,11 +82,8 @@ def test_power_blocks_are_the_walk_in_order(p, f, length):
     blocks = list(field.power_blocks(length))
     assert [x for block in blocks for x in block] == list(
         _reference_field(p, f)[2])
-    if field.q - 1 <= (f + 1) * length:
-        assert len(blocks) == 1
-    else:
-        assert {len(block) for block in blocks[:-1]} == {length}
-        assert 0 < len(blocks[-1]) <= length
+    assert {len(block) for block in blocks[:-1]} == {length}
+    assert 0 < len(blocks[-1]) <= length
     with pytest.raises(InputError):
         next(field.power_blocks(0))
 
