@@ -24,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 
@@ -259,18 +260,30 @@ def _cmd_survey(args) -> int:
     if first is None:
         raise InputError("empty prime range")
 
+    # A height or artin row depends on p only through <p>, so through
+    # p mod m: one row is computed per class, on its least prime, and
+    # copied to the other primes of the class.
+    def row_class(p: int) -> int:
+        return p if args.kind == "kummer" else p % m
+
     started = time.monotonic()
-    rows = [worker((first, *extra))]
-    rest = [(p, *extra) for p in _primes_in(first + 1, args.p_max)
-            if gcd(p, m) == 1]
-    workers = _worker_count(args.jobs, len(rest))
+    computed = {row_class(first): worker((first, *extra))}
+    primes = [first] + [p for p in _primes_in(first + 1, args.p_max)
+                        if gcd(p, m) == 1]
+    todo: dict[int, int] = {}
+    for p in primes:
+        if row_class(p) not in computed:
+            todo.setdefault(row_class(p), p)
+    tasks = [(p, *extra) for p in todo.values()]
+    workers = _worker_count(args.jobs, len(tasks))
     if workers > 1:
-        chunksize = -(-len(rest) // (4 * workers))
+        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows += pool.map(worker, rest, chunksize=chunksize)
+            computed.update(zip(todo, pool.map(worker, tasks,
+                                               chunksize=chunksize)))
     else:
-        rows += map(worker, rest)
-    rows.sort(key=lambda row: row["p"])
+        computed.update(zip(todo, map(worker, tasks)))
+    rows = [{**computed[row_class(p)], "p": p} for p in primes]
     _diag(f"survey {args.kind}: {len(rows)} rows in "
           f"{time.monotonic() - started:.2f}s with {workers} worker(s)")
 
@@ -353,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--full", action="store_true",
                      help="include slopes, Hodge numbers and the "
                           "algebraic-cycle predicate in the report")
-    _add_alpha_budget(sub, "multiset-walk entries, heads x (r + 2)")
+    _add_alpha_budget(sub, "slope-profile DP transitions, bounded before "
+                           "the DP runs")
     _add_common(sub)
-    sub.set_defaults(run=_cmd_height)
 
     sub = subs.add_parser("zeta", help="zeta function and point-count checks")
     sub.add_argument("--p", type=int, required=True)
@@ -372,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_alpha_budget(sub, "exponent vectors |A|, the degree of P(T)")
     _add_table_budget(sub)
     _add_common(sub)
-    sub.set_defaults(run=_cmd_zeta)
 
     sub = subs.add_parser("stickelberger",
                           help="compare Jacobi-sum valuations with "
@@ -383,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_alpha_budget(sub, "exponent vectors |A|, the row count")
     _add_table_budget(sub)
     _add_common(sub)
-    sub.set_defaults(run=_cmd_stickelberger)
 
     survey = subs.add_parser("survey", help="sweep a range of primes")
     kinds = survey.add_subparsers(dest="kind", required=True)
@@ -394,21 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sub.add_argument("--m", type=int, required=True)
             sub.add_argument("--r", type=int, required=True)
-            _add_alpha_budget(sub, "multiset-walk entries per prime")
+            _add_alpha_budget(sub, "slope-profile DP transitions per "
+                                   "profile")
         sub.add_argument("--p-min", type=int, default=2)
         sub.add_argument("--p-max", type=int, required=True)
         sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="worker processes, capped at the prime and "
-                              "CPU counts (default: CPU count)")
+                         help="worker processes, capped at the rows left "
+                              "to compute and the CPU count (default: CPU "
+                              "count)")
         _add_common(sub)
-        sub.set_defaults(run=_cmd_survey)
 
     sub = subs.add_parser("kummer", help="elliptic-curve and Kummer heights")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--a", type=int, default=0)
     sub.add_argument("--b", type=int, default=1)
     _add_common(sub)
-    sub.set_defaults(run=_cmd_kummer)
 
     return parser
 
@@ -423,9 +434,15 @@ def _parse_s_list(text: str) -> list[int]:
     return values
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: main runs many times in a test
+    or benchmark process, and each build takes milliseconds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for name in ("jobs", "alpha_budget", "table_budget", "point_budget"):
         if getattr(args, name, 1) < 1:
             _diag(f"error: --{name.replace('_', '-')} must be positive")
@@ -433,7 +450,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         with _int_digits_unlimited():
-            code = args.run(args)
+            # looked up at each call, so a replaced _cmd_* function runs
+            code = globals()[f"_cmd_{args.command}"](args)
     except InputError as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID

@@ -8,10 +8,13 @@ the valuations normalized by f are the Newton slopes, the slopes in
 [0, 1) count the height of the formal group attached to H^r(X, O_X),
 and the full eigenvalue product is the interesting factor of the zeta
 function.  The Jacobi sum, its Stickelberger exponent and its Hodge
-level are symmetric in all r + 2 components, so every invariant is read
-off one walk over exponent multisets (exponent_multisets).  The slopes
-depend on p only through <p> in (Z/m)^*, which FermatParams builds once,
-after the budget admits (m, r).  Results are plain values.  When
+level are symmetric in all r + 2 components, so the zeta function and
+the Stickelberger rows are read off one walk over exponent multisets
+(exponent_multisets).  The exponent and the level are sums of one term
+per component, so the slope invariants come from a dynamic program over
+two running sums (_slope_profile), at a cost polynomial in m and r.  The
+slopes depend on p only through <p> in (Z/m)^*, which FermatParams
+builds once, after the budget admits (m, r).  Results are plain values.  When
 m = r + 2 the hypersurface is Calabi-Yau and the height is the invariant
 the theorems here are about; everything is computed from first
 principles so the closed-form predictions stay testable.
@@ -19,12 +22,12 @@ principles so the closed-form predictions stay testable.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
@@ -106,15 +109,14 @@ def _alpha_budget_check(m: int, r: int, budget: int) -> int:
     return count
 
 
-def _multiset_budget_check(m: int, r: int, budget: int) -> None:
-    """Validates (m, r) and bounds the multiset walk in entries: its
-    C(m+r-1, r+1) heads times the r + 2 entries each builds.
-    C(n, k) >= 2^k for k <= n/2."""
+def _slope_budget_check(m: int, r: int, budget: int) -> None:
+    """Validates (m, r) and refuses a slope profile whose (r + 2)(m - 1)
+    alone exceeds the budget: that product is below its transition bound
+    (_transition_bound, two passes of at least (r + 1)(m - 1) + 1 each)
+    and needs no <p>, so callers run this before FermatParams.create."""
     _check_shape(m, r)
-    n, k = m + r - 1, min(r + 1, m - 2)
-    entries = None if k >= budget.bit_length() else comb(n, k) * (r + 2)
-    _check_budget(entries, budget,
-                  "exponent-vector budget exceeded: {} multiset entries")
+    if (r + 2) * (m - 1) > budget:
+        _check_budget(None, budget, _SLOPE_BUDGET)
 
 
 def exponent_vectors(m: int, r: int, *,
@@ -176,37 +178,99 @@ def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
     return total
 
 
+def _weights(m: int, subgroup: tuple[int, ...]) -> list[int]:
+    """w(a) = sum over t in subgroup of (t * a mod m), for a = 0..m-1."""
+    return [sum((t * a) % m for t in subgroup) for a in range(m)]
+
+
 def _multiset_exponent(m: int, subgroup: tuple[int, ...]
                        ) -> Callable[[AlphaVector], int]:
     """The Stickelberger exponent summed over subgroup, as a function of
     an exponent vector's entries in any order.
 
-    With w(a) = sum over t in subgroup of (t * a mod m), the exponent is
-    sum_i w(a_i) / m - |subgroup|: every t * alpha sums to 0 mod m, so
-    the division is exact.  The empty subgroup gives exponent 0.
+    The exponent is sum_i w(a_i) / m - |subgroup| (_weights): every
+    t * alpha sums to 0 mod m, so the division is exact.  The empty
+    subgroup gives exponent 0.
     """
-    w = [sum((t * a) % m for t in subgroup) for a in range(m)]
+    w = _weights(m, subgroup)
     f = len(subgroup)
     return lambda alpha: sum(w[a] for a in alpha) // m - f
 
 
-def _slope_profile(m: int, r: int, subgroup: tuple[int, ...]
+# The Hodge level sum_i a_i / m - 1 is the exponent over the subgroup {1}.
+_LEVELS = (1,)
+_SLOPE_BUDGET = "exponent-vector budget exceeded: {} DP transitions"
+
+
+def _transition_bound(m: int, r: int, subgroup: tuple[int, ...],
+                      budget: int) -> int | None:
+    """The transitions _exponent_histogram(m, r, subgroup) makes at most,
+    or None once that exceeds the budget.
+
+    After k steps at most min(m (k spread + 1), (m-1)^k) states stand,
+    spread being max w - min w over a = 1..m-1; each state makes m - 1
+    transitions in the first r + 1 steps and one in the closing step.
+    """
+    w = _weights(m, subgroup)[1:]
+    spread = max(w) - min(w)
+    total, reach = 0, 1
+    for k in range(r + 1):
+        total += reach * (m - 1)
+        if total > budget:
+            return None
+        reach = min(reach * (m - 1), m * ((k + 1) * spread + 1))
+    total += reach
+    return None if total > budget else total
+
+
+def _exponent_histogram(m: int, r: int, subgroup: tuple[int, ...]
+                        ) -> Counter:
+    """The Stickelberger exponent over subgroup (_multiset_exponent) of
+    every exponent vector, as a histogram.
+
+    A dynamic program over the states (sum of a_i mod m, sum of w(a_i)),
+    each holding its number of partial vectors, since the exponent reads
+    only these two sums.  The first r + 1 steps add an entry 1..m-1; the
+    closing entry is -(sum so far) mod m, which must be nonzero.
+    """
+    w = _weights(m, subgroup)
+    f = len(subgroup)
+    steps = [(a, w[a]) for a in range(1, m)]
+    states = {(0, 0): 1}
+    for _ in range(r + 1):
+        grown: defaultdict = defaultdict(int)
+        for (s, total), count in states.items():
+            for a, wa in steps:
+                grown[(s + a) % m, total + wa] += count
+        states = grown
+    exponents: Counter = Counter()
+    for (s, total), count in states.items():
+        if s:
+            exponents[(total + w[m - s]) // m - f] += count
+    return exponents
+
+
+def _slope_profile(m: int, r: int, subgroup: tuple[int, ...], budget: int
                    ) -> tuple[Counter, list[int]]:
     """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
-    empty) and the Hodge level of all exponent vectors, in one pass.
+    empty) and the Hodge level of all exponent vectors.
 
-    Both are symmetric functions of alpha: the exponent is
-    sum_i w(a_i) / m - |subgroup| (_multiset_exponent) and the level
-    sum_i a_i / m - 1, so each multiset stands for its whole orbit.
-    Callers run _multiset_budget_check first.
+    One _exponent_histogram pass each, the second over _LEVELS; the
+    budget bounds their transitions together, before either runs, and
+    each must count alpha_count(m, r) vectors.  Callers run
+    _slope_budget_check first.
     """
-    exponent = _multiset_exponent(m, subgroup)
-    exponents: Counter = Counter()
-    hodge = [0] * (r + 1)
-    for alpha, weight in exponent_multisets(m, r).items():
-        exponents[exponent(alpha)] += weight
-        hodge[sum(alpha) // m - 1] += weight
-    return exponents, hodge
+    bound = _transition_bound(m, r, _LEVELS, budget)
+    if bound is not None:
+        rest = _transition_bound(m, r, subgroup, budget - bound)
+        bound = None if rest is None else bound + rest
+    _check_budget(bound, budget, _SLOPE_BUDGET)
+    exponents = _exponent_histogram(m, r, subgroup)
+    levels = _exponent_histogram(m, r, _LEVELS)
+    expected = alpha_count(m, r)
+    if (sum(exponents.values()), sum(levels.values())) != (expected,) * 2:
+        raise InternalCheckError("slope histograms disagree with closed form")
+    return exponents, [levels[k] for k in range(r + 1)]
 
 
 def _height(slopes: Slopes) -> tuple[int, int | str]:
@@ -251,10 +315,11 @@ def _slopes(exponents: Counter, f: int, r: int) -> Slopes:
 def newton_slopes(p: int, m: int, r: int, *,
                   budget: int = DEFAULT_ALPHA_BUDGET) -> Slopes:
     """The eigenvalue slopes, Stickelberger exponents over f, as sorted
-    (Fraction, multiplicity) pairs; the budget bounds the multiset walk."""
-    _multiset_budget_check(m, r, budget)
+    (Fraction, multiplicity) pairs; the budget bounds the transitions of
+    the slope profile."""
+    _slope_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, _ = _slope_profile(m, r, params.subgroup)
+    exponents, _ = _slope_profile(m, r, params.subgroup, budget)
     return _slopes(exponents, params.f, r)
 
 
@@ -263,21 +328,27 @@ def hodge_numbers_fermat(m: int, r: int, *,
                          ) -> tuple[int, ...]:
     """Primitive Hodge numbers (h^(r,0), ..., h^(0,r)) of middle cohomology
     by the Griffiths-style count: alpha has level sum(a_j)/m - 1."""
-    _multiset_budget_check(m, r, budget)
-    return tuple(_slope_profile(m, r, ())[1])
+    _slope_budget_check(m, r, budget)
+    return tuple(_slope_profile(m, r, (), budget)[1])
 
 
-def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
-    """Whether -1 lies in the subgroup of (Z/m)^* generated by p.
+def _fully_rigged(m: int, subgroup: tuple[int, ...]) -> bool:
+    """Whether -1 lies in <p>, given as subgroup of (Z/m)^*.
 
     Equivalent to all even-degree etale cohomology being spanned by
     algebraic cycles for the degree-m Fermat variety of even dimension.
     """
+    return m - 1 in subgroup
+
+
+def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
+    """Whether -1 lies in the subgroup of (Z/m)^* generated by p
+    (_fully_rigged), for even r and m >= 4."""
     if r % 2:
         raise InputError(f"dimension r must be even, got {r}")
     if m < 4:
         raise InputError(f"degree m must be >= 4, got {m}")
-    return m - 1 in frobenius_subgroup(p, m)
+    return _fully_rigged(m, frobenius_subgroup(p, m))
 
 
 def artin_comparison(p: int, m: int, r: int, *,
@@ -296,21 +367,55 @@ def artin_comparison(p: int, m: int, r: int, *,
             "fully_rigged": report["fully_rigged"]}
 
 
+def _check_slopes(slopes: Slopes, hodge: list[int],
+                  cy_height: int | str | None) -> None:
+    """Hard checks on a slope profile, each O(distinct slopes + r): the
+    slopes are symmetric under s -> r - s (functional equation); the
+    Newton polygon lies on or above the Hodge polygon with the same end
+    points (Mazur); and a finite Calabi-Yau height (cy_height, None when
+    m != r + 2) is at most h^(r-1,1) + 1."""
+    r = len(hodge) - 1
+    mult = dict(slopes)
+    if any(mult.get(r - slope) != n for slope, n in slopes):
+        raise InternalCheckError("Newton slopes are not symmetric under "
+                                 "s -> r - s")
+    # Between two Newton vertices the Newton polygon is linear and the
+    # Hodge polygon convex, so checking the Newton vertices suffices.
+    x, y = 0, Fraction(0)
+    level, hodge_x, hodge_y = 0, 0, 0  # Hodge vertex at or before x
+    for slope, n in slopes:
+        x, y = x + n, y + slope * n
+        while level <= r and hodge_x + hodge[level] <= x:
+            hodge_x += hodge[level]
+            hodge_y += level * hodge[level]
+            level += 1
+        if y < hodge_y + level * (x - hodge_x):
+            raise InternalCheckError(f"Newton polygon below the Hodge "
+                                     f"polygon at x = {x}")
+    if (x, y) != (sum(hodge), sum(k * h for k, h in enumerate(hodge))):
+        raise InternalCheckError("Newton and Hodge polygons end apart")
+    if cy_height not in (None, INFINITE) and cy_height > hodge[1] + 1:
+        raise InternalCheckError(f"height {cy_height} exceeds "
+                                 f"h^(r-1,1) + 1 = {hodge[1] + 1}")
+
+
 def variety_report(p: int, m: int, r: int, *,
                    budget: int = DEFAULT_ALPHA_BUDGET) -> dict:
     """One JSON-ready record of the slope-level invariants and the height
-    prediction, all read off one weighted pass over exponent multisets and
-    one <p>.  Timings are absent so identical inputs serialize identically.
+    prediction, all read off one slope profile and one <p>, after the
+    hard checks of _check_slopes.  Timings are absent so identical inputs
+    serialize identically.
     """
-    _multiset_budget_check(m, r, budget)
+    _slope_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, hodge = _slope_profile(m, r, params.subgroup)
+    exponents, hodge = _slope_profile(m, r, params.subgroup, budget)
     slopes = _slopes(exponents, params.f, r)
     count, height = _height(slopes)
+    _check_slopes(slopes, hodge, height if m == r + 2 else None)
     predicted = predicted_height(p, m, r)
     rigged = None
-    if r % 2 == 0 and m >= 4:  # fully_rigged_fermat on the same <p>
-        rigged = m - 1 in params.subgroup
+    if r % 2 == 0 and m >= 4:
+        rigged = _fully_rigged(m, params.subgroup)
     return {
         "p": params.p, "m": params.m, "r": params.r,
         "f": params.f, "q": params.q,

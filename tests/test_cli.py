@@ -246,11 +246,12 @@ def test_zeta_rejects_a_bad_check_list(capsys, checks, message):
 
 
 @pytest.mark.parametrize("kind", [["height", "--m", "5", "--r", "3"],
-                                  ["artin", "--m", "4", "--r", "2"],
+                                  ["artin", "--m", "8", "--r", "6"],
                                   ["kummer"]],
                          ids=["height", "artin", "kummer"])
 def test_survey_parallel_matches_serial(capsys, monkeypatch, kind):
-    # about 77 rows below 400, so each of the 8 chunks holds 10 rows
+    # about 77 rows below 400: kummer computes each in 8 chunks of 10,
+    # height and artin one per class mod m, 3 after the first row's
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["survey", *kind, "--p-max", "400", "--format", "json"]
     code1, serial, _ = run(capsys, *argv, "--jobs", "1")
@@ -418,14 +419,17 @@ def test_height_beyond_the_vector_count(capsys, p, height):
     assert payload["height"] == payload["predicted_height"] == height
 
 
-def test_height_alpha_budget_bounds_multisets(capsys):
-    # (5, 3): 204 exponent vectors, C(7, 4) = 35 heads of 5 entries each
+def test_height_alpha_budget_bounds_transitions(capsys):
+    # (11, 5, 3): 204 exponent vectors; the slope and the Hodge-level pass
+    # both run over <11> = {1}, with spread 3: after k steps at most
+    # 1, 4, 16, 50 and 65 states, so (1 + 4 + 16 + 50) x 4 + 65 = 349
+    # transitions each
     args = ["height", "--p", "11", "--m", "5", "--r", "3", "--alpha-budget"]
-    code, out, err = run(capsys, *args, "174")
+    code, out, err = run(capsys, *args, "697")
     assert code == 3
     assert out == ""
-    assert "budget" in err
-    code, _, _ = run(capsys, *args, "175")
+    assert "more than 697 DP transitions" in err
+    code, _, _ = run(capsys, *args, "698")
     assert code == 0
 
 
@@ -433,15 +437,17 @@ def test_height_alpha_budget_bounds_multisets(capsys):
 @pytest.mark.parametrize("kind,m,r,rows", [("height", "5", "3", 5),
                                            ("artin", "4", "2", 5)])
 def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
-    # C(7, 4) = 35 heads of 5 entries at (5, 3), C(5, 3) = 10 of 4 at (4, 2)
-    entries = {"5": 35 * 5, "4": 10 * 4}[m]
+    # the most transitions are at p = 1 mod m, not at the first prime:
+    # 349 + 349 at (5, 3), where p = 2 takes 349 + 65, and 66 + 66 at
+    # (4, 2), where p = 3 takes 66 + 28
+    transitions = {"5": 698, "4": 132}[m]
     args = ["survey", kind, "--m", m, "--r", r, "--p-max", "14",
             "--jobs", jobs, "--format", "json", "--alpha-budget"]
-    code, out, err = run(capsys, *args, str(entries - 1))
+    code, out, err = run(capsys, *args, str(transitions - 1))
     assert code == 3
     assert out == ""
-    assert f"{entries} multiset entries > {entries - 1}" in err
-    code, out, _ = run(capsys, *args, str(entries))
+    assert f"more than {transitions - 1} DP transitions" in err
+    code, out, _ = run(capsys, *args, str(transitions))
     assert code == 0
     assert len(json.loads(out)["rows"]) == rows
 
@@ -491,17 +497,17 @@ def test_primes_in_matches_trial_division(lo, hi):
 
 
 # Each size is rejected before the work named beside it, which the test
-# refuses: building <p> of (Z/m)^*, the exact multiset-walk count, the exact
-# |A|, or the power sums behind N_s.
+# refuses: building <p> of (Z/m)^*, the exact |A|, or the power sums
+# behind N_s.
 @pytest.mark.parametrize("argv,refused,message", [
     ("height --p 2 --m 1000000007 --r 1", "frobenius_subgroup",
-     "1500000019500000063 multiset entries > 1000000"),
+     "more than 1000000 DP transitions"),
     ("zeta --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
      "|A| = more than 1000000"),
     ("stickelberger --p 3 --m 1000000007 --r 1", "frobenius_subgroup",
      "|A| = more than 1000000"),
-    ("height --p 3 --m 1000001 --r 999999", "comb",
-     "more than 1000000 multiset entries"),
+    ("height --p 3 --m 1000001 --r 999999", "frobenius_subgroup",
+     "more than 1000000 DP transitions"),
     ("zeta --p 3 --m 5 --r 2000000", "alpha_count",
      "|A| = more than 1000000"),
     ("zeta --p 3 --m 5 --r 1000000000", "alpha_count",
@@ -521,6 +527,41 @@ def test_hostile_sizes_exit_3_before_derived_work(capsys, monkeypatch, argv,
     assert code == 3
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("p,m,r,height", [(5, 12, 10, "inf"),
+                                          (29, 14, 12, 1),
+                                          (3, 14, 12, "inf")])
+def test_heights_in_dimension_10_to_12(capsys, deadline, p, m, r, height):
+    # the multiset walk took 0.4 s at (5, 12, 10) and exceeded the default
+    # budget in its own unit; the transition bound is 158974 at
+    # (5, 12, 10) and 340394 at (29, 14, 12)
+    code, out, _ = run(capsys, "height", "--p", str(p), "--m", str(m),
+                       "--r", str(r), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["height"] == payload["predicted_height"] == height
+
+
+@pytest.mark.parametrize("kind,m,r", [("height", 5, 3), ("artin", 8, 6)])
+def test_survey_computes_one_profile_per_class(capsys, monkeypatch, kind, m,
+                                               r):
+    # a row depends on p only through <p>, so only through p mod m
+    calls = []
+    real = fermat.variety_report
+
+    def counted(p, m, r, **kwargs):
+        calls.append(p)
+        return real(p, m, r, **kwargs)
+
+    monkeypatch.setattr(fermat, "variety_report", counted)
+    code, out, _ = run(capsys, "survey", kind, "--m", str(m), "--r", str(r),
+                       "--p-max", "200", "--jobs", "1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) > len(calls)
+    assert sorted(calls) == sorted({row["p"] % m: row["p"]
+                                    for row in reversed(rows)}.values())
 
 
 def test_height_at_a_prime_near_1e18(capsys, deadline):

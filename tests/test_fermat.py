@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd
+from math import gcd
 
 import pytest
 
@@ -382,6 +382,92 @@ def test_slope_views_match_per_vector_oracle(p, m, r):
         assert artin_comparison(p, m, r)["additive_type"] == (deficient == 0)
 
 
+def _walk_profile(multisets, m, r, subgroup):
+    """The slope profile by the multiset walk: the exponent
+    (_multiset_exponent) and the Hodge level of each multiset, weighted
+    by its orbit size."""
+    exponent = fermat._multiset_exponent(m, subgroup)
+    exponents, hodge = Counter(), [0] * (r + 1)
+    for alpha, weight in multisets.items():
+        exponents[exponent(alpha)] += weight
+        hodge[sum(alpha) // m - 1] += weight
+    return exponents, hodge
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_slope_profile_matches_the_multiset_walk(m):
+    # every <p> of the primes below, and the empty subgroup
+    primes = (2, 3, 5, 7, 11, 13, 17, 29)
+    subgroups = {()} | {frobenius_subgroup(p, m)
+                        for p in primes if gcd(p, m) == 1}
+    for r in range(1, 7):
+        multisets = exponent_multisets(m, r)
+        for subgroup in subgroups:
+            assert (fermat._slope_profile(m, r, subgroup, 10**6)
+                    == _walk_profile(multisets, m, r, subgroup))
+
+
+@pytest.mark.parametrize("p,m,r", [(3, 8, 6), (2, 7, 5), (13, 6, 4),
+                                   (11, 5, 3), (3, 10, 8), (5, 12, 10),
+                                   (7, 5, 1), (2, 9, 3)])
+def test_slope_profile_matches_the_walk_up_to_dimension_10(p, m, r):
+    params = FermatParams.create(p, m, r)
+    exponents, hodge = _walk_profile(exponent_multisets(m, r), m, r,
+                                     params.subgroup)
+    assert fermat._slope_profile(m, r, params.subgroup, 10**6) == (
+        exponents, hodge)
+    report = variety_report(p, m, r)  # and passes the slope checks
+    assert report["hodge"] == hodge
+    assert report["slopes"] == [
+        [str(Fraction(e, params.f)), n] for e, n in sorted(exponents.items())]
+
+
+def test_a_histogram_that_loses_a_vector_is_an_internal_error(monkeypatch):
+    real = fermat._exponent_histogram
+
+    def lossy(m, r, subgroup):
+        histogram = real(m, r, subgroup)
+        histogram[max(histogram)] -= 1
+        return histogram
+
+    monkeypatch.setattr(fermat, "_exponent_histogram", lossy)
+    with pytest.raises(InternalCheckError, match="closed form"):
+        variety_report(11, 5, 3)
+
+
+def _doctored(monkeypatch, exponents, hodge):
+    monkeypatch.setattr(fermat, "_slope_profile",
+                        lambda m, r, subgroup, budget: (Counter(exponents),
+                                                        hodge))
+
+
+# (11, 5, 3) is ordinary: slopes 0, 1, 2 and 3 with the Hodge numbers
+# 1, 101, 101 and 1 as multiplicities, and height 1
+def test_asymmetric_slopes_are_an_internal_error(monkeypatch):
+    _doctored(monkeypatch, {0: 1, 1: 102, 2: 100, 3: 1}, [1, 101, 101, 1])
+    with pytest.raises(InternalCheckError, match="not symmetric"):
+        variety_report(11, 5, 3)
+
+
+@pytest.mark.parametrize("exponents,message", [
+    ({0: 2, 1: 100, 2: 100, 3: 2}, "below the Hodge polygon at x = 2"),
+    ({0: 1, 1: 100, 2: 100, 3: 1}, "end apart")])
+def test_newton_below_hodge_is_an_internal_error(monkeypatch, exponents,
+                                                 message):
+    _doctored(monkeypatch, exponents, [1, 101, 101, 1])
+    with pytest.raises(InternalCheckError, match=message):
+        variety_report(11, 5, 3)
+
+
+def test_height_above_the_hodge_bound_is_an_internal_error(monkeypatch):
+    # Newton equal to Hodge, both symmetric, but h^(3,0) = 52 slopes 0
+    # give height 52 > h^(2,1) + 1 = 51
+    _doctored(monkeypatch, {0: 52, 1: 50, 2: 50, 3: 52}, [52, 50, 50, 52])
+    with pytest.raises(InternalCheckError, match="exceeds h"):
+        variety_report(11, 5, 3)
+    assert variety_report(7, 6, 3)["height"] == 52  # not Calabi-Yau
+
+
 def test_frobenius_subgroup_built_once_per_record(monkeypatch):
     calls = []
 
@@ -403,7 +489,7 @@ def test_budgets_are_checked_before_derived_work(monkeypatch):
     def refuse(*_, **__):
         raise AssertionError("derived work ran before the budget check")
 
-    def small(count):  # alpha_count(m, r) and comb(n, k), in full
+    def small(count):  # alpha_count(m, r), in full
         def guarded(a, b):
             assert b < 100, f"{count.__name__}({a}, {b}) formed in full"
             return count(a, b)
@@ -412,7 +498,6 @@ def test_budgets_are_checked_before_derived_work(monkeypatch):
     monkeypatch.setattr(fermat, "frobenius_subgroup", refuse)
     monkeypatch.setattr(finite_field, "frobenius_subgroup", refuse)
     monkeypatch.setattr(fermat, "alpha_count", small(alpha_count))
-    monkeypatch.setattr(fermat, "comb", small(comb), raising=False)
     m = 10**9 + 7
     for call in (lambda: newton_slopes(2, m, 1),
                  lambda: height_fermat(2, m, 1),
@@ -429,7 +514,7 @@ def test_budgets_are_checked_before_derived_work(monkeypatch):
 
 def test_budget_messages_for_counts_never_formed():
     with pytest.raises(BudgetError,
-                       match="more than 1000000 multiset entries"):
+                       match="more than 1000000 DP transitions"):
         height_fermat(3, 10**6 + 1, 10**6 - 1)
     with pytest.raises(BudgetError, match=r"\|A\| = more than 1000000"):
         zeta_fermat(3, 5, 2 * 10**6)
@@ -439,20 +524,60 @@ def test_budget_messages_for_counts_never_formed():
     with pytest.raises(BudgetError,
                        match="more than 100000000 field subtractions"):
         brute_force_point_count(2, 10**8 + 1, 1, 1)
-    with pytest.raises(BudgetError, match="175 multiset entries > 174"):
-        height_fermat(11, 5, 3, budget=174)
+    with pytest.raises(BudgetError, match="more than 697 DP transitions"):
+        height_fermat(11, 5, 3, budget=697)
     with pytest.raises(BudgetError, match=r"\|A\| = 204 > 203"):
         zeta_fermat(11, 5, 3, alpha_budget=203)
 
 
-def test_slope_budget_counts_multisets():
-    # (8, 6) has 720601 exponent vectors but only C(13, 7) = 1716 heads,
-    # each building 8 entries
-    with pytest.raises(BudgetError):
+def _transitions(m, r, subgroup):
+    """The transition bound of one slope pass, in closed form: after k
+    steps at most min(m (k spread + 1), (m-1)^k) states, each leaving by
+    m - 1 transitions in the first r + 1 steps and by one at the close."""
+    w = [sum(t * a % m for t in subgroup) for a in range(1, m)]
+    spread = max(w) - min(w)
+    states = [min(m * (k * spread + 1), (m - 1)**k) for k in range(r + 2)]
+    return sum(states[:-1]) * (m - 1) + states[-1]
+
+
+def _states_reached(m, r, subgroup):
+    """The distinct (sum a mod m, sum w(a)) states after each of the
+    r + 2 steps, by a forward walk over sets that counts nothing."""
+    w = [sum(t * a % m for t in subgroup) for a in range(m)]
+    states, sizes = {(0, 0)}, [1]
+    for _ in range(r + 1):
+        states = {((s + a) % m, total + w[a])
+                  for s, total in states for a in range(1, m)}
+        sizes.append(len(states))
+    return sizes
+
+
+@pytest.mark.parametrize("p,m,r", [(3, 8, 6), (17, 8, 6), (5, 12, 10),
+                                   (3, 14, 12), (29, 14, 12), (2, 7, 5),
+                                   (7, 5, 1), (2, 9, 3)])
+def test_transition_bound_covers_the_transitions_made(p, m, r):
+    for subgroup in (frobenius_subgroup(p, m), (1,), ()):
+        bound = _transitions(m, r, subgroup)
+        assert fermat._transition_bound(m, r, subgroup, bound) == bound
+        assert fermat._transition_bound(m, r, subgroup, bound - 1) is None
+        sizes = _states_reached(m, r, subgroup)
+        assert sum(sizes[:-1]) * (m - 1) + sizes[-1] <= bound
+
+
+def test_slope_budget_counts_transitions():
+    # (8, 6) has 720601 exponent vectors; its profile at p = 3 takes
+    # 7015 transitions for the Hodge levels and 9143 for the slopes, and
+    # hodge_numbers_fermat 344 more over the empty subgroup
+    assert (_transitions(8, 6, (1,)), _transitions(8, 6, (1, 3)),
+            _transitions(8, 6, ())) == (7015, 9143, 344)
+    with pytest.raises(BudgetError, match="more than 100 DP transitions"):
         height_fermat(3, 8, 6, budget=100)
     with pytest.raises(BudgetError):
-        hodge_numbers_fermat(8, 6, budget=13727)
-    assert height_fermat(3, 8, 6, budget=13728) == INFINITE
+        height_fermat(3, 8, 6, budget=16157)
+    assert height_fermat(3, 8, 6, budget=16158) == INFINITE
+    with pytest.raises(BudgetError):
+        hodge_numbers_fermat(8, 6, budget=7358)
+    assert hodge_numbers_fermat(8, 6, budget=7359)[0] == 1
 
 
 def test_hodge_rejects_bad_shape():
