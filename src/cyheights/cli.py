@@ -43,8 +43,10 @@ EXIT_INTERNAL = 4
 
 
 def _emit_json(payload: dict) -> None:
-    """One line with sorted keys; without indent the C encoder runs."""
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    """One line with sorted keys; without indent the C encoder runs.
+    Payloads are fresh trees, so the circular-reference check is off."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True,
+                                check_circular=False) + "\n")
 
 
 def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:

@@ -12,12 +12,13 @@ level are symmetric in all r + 2 components, so the zeta function and
 the Stickelberger rows are read off one walk over exponent multisets
 (exponent_multisets).  The exponent and the level are sums of one term
 per component, so the slope invariants come from a dynamic program over
-two running sums (_slope_profile), at a cost polynomial in m and r.  The
-slopes depend on p only through <p> in (Z/m)^*, which FermatParams
-builds once, after the budget admits (m, r).  Results are plain values.  When
-m = r + 2 the hypersurface is Calabi-Yau and the height is the invariant
-the theorems here are about; everything is computed from first
-principles so the closed-form predictions stay testable.
+two running sums (_exponent_histogram), at a cost polynomial in m and
+r.  The slopes depend on p only through <p> in (Z/m)^*, which
+FermatParams builds once, after the budget admits (m, r).  Results are
+plain values.  When m = r + 2 the hypersurface is Calabi-Yau and the
+height is the invariant the theorems here are about; everything is
+computed from first principles so the closed-form predictions stay
+testable.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd
 
-from .character_sums import Character, jacobi_sum_table
+from .character_sums import Character, _frobenius_cosets, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from .errors import BudgetError, InputError, InternalCheckError
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
-                           frobenius_subgroup, is_prime, units_mod)
+                           frobenius_subgroup, is_prime)
 from .padic import PadicContext, default_precision, padic_valuation
 
 DEFAULT_ALPHA_BUDGET = 10**6
@@ -110,10 +111,11 @@ def _alpha_budget_check(m: int, r: int, budget: int) -> int:
 
 
 def _slope_budget_check(m: int, r: int, budget: int) -> None:
-    """Validates (m, r) and refuses a slope profile whose (r + 2)(m - 1)
-    alone exceeds the budget: that product is below its transition bound
-    (_transition_bound, two passes of at least (r + 1)(m - 1) + 1 each)
-    and needs no <p>, so callers run this before FermatParams.create."""
+    """Validates (m, r) and refuses a slope pass whose (r + 2)(m - 1)
+    alone exceeds the budget: that product is at most the transition
+    bound of any pass (_transition_bound; at least m - 1 states stand
+    after each step) and needs no <p>, so callers run this before
+    FermatParams.create."""
     _check_shape(m, r)
     if (r + 2) * (m - 1) > budget:
         _check_budget(None, budget, _SLOPE_BUDGET)
@@ -140,8 +142,9 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
 
     The walk visits the C(m+r-1, r+1) sorted heads a_1 <= ... <= a_{r+1}
     and keeps a head when a_0 = -sum(head) mod m is at least a_{r+1}, so
-    every multiset appears once, with a largest entry as a_0.  Callers
-    bound the walk in their own unit before calling.
+    every multiset appears once, with a largest entry as a_0.  The vector
+    is sorted, so the k-th entry of a run of equal entries divides the
+    weight by k.  Callers bound the walk in their own unit before calling.
     """
     _check_shape(m, r)
     top = factorial(r + 2)
@@ -151,9 +154,13 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
         if last < head[-1]:  # also skips last = 0
             continue
         alpha = head + (last,)
-        weight = top
-        for mult in Counter(alpha).values():
-            weight //= factorial(mult)
+        weight, run, previous = top, 0, 0
+        for a in alpha:
+            if a == previous:
+                run += 1
+                weight //= run
+            else:
+                run, previous = 1, a
         out[alpha] = weight
     if sum(out.values()) != alpha_count(m, r):
         raise InternalCheckError("multiset weights disagree with closed form")
@@ -207,18 +214,22 @@ def _transition_bound(m: int, r: int, subgroup: tuple[int, ...],
     """The transitions _exponent_histogram(m, r, subgroup) makes at most,
     or None once that exceeds the budget.
 
-    After k steps at most min(m (k spread + 1), (m-1)^k) states stand,
-    spread being max w - min w over a = 1..m-1; each state makes m - 1
-    transitions in the first r + 1 steps and one in the closing step.
+    w(a) = (sum of subgroup) * a mod m, so a state's sum w fixes its sum a
+    up to g = gcd(sum of subgroup, m) values mod m.  After k steps sum w
+    takes at most k spread + 1 values, spread being max w - min w over
+    a = 1..m-1, so at most min(g (k spread + 1), (m-1)^k) states stand;
+    each makes m - 1 transitions in the first r + 1 steps and one in the
+    closing step.
     """
     w = _weights(m, subgroup)[1:]
     spread = max(w) - min(w)
+    per_value = gcd(sum(subgroup), m)
     total, reach = 0, 1
     for k in range(r + 1):
         total += reach * (m - 1)
         if total > budget:
             return None
-        reach = min(reach * (m - 1), m * ((k + 1) * spread + 1))
+        reach = min(reach * (m - 1), per_value * ((k + 1) * spread + 1))
     total += reach
     return None if total > budget else total
 
@@ -250,26 +261,31 @@ def _exponent_histogram(m: int, r: int, subgroup: tuple[int, ...]
     return exponents
 
 
+def _histograms(m: int, r: int, subgroups: tuple[tuple[int, ...], ...],
+                budget: int) -> list[Counter]:
+    """One _exponent_histogram pass per subgroup.  The budget bounds
+    their transitions together, before any runs, and each must count
+    alpha_count(m, r) vectors.  Callers run _slope_budget_check first.
+    """
+    total = 0
+    for subgroup in subgroups:
+        bound = _transition_bound(m, r, subgroup, budget - total)
+        _check_budget(bound, budget, _SLOPE_BUDGET)
+        total += bound
+    histograms = [_exponent_histogram(m, r, subgroup)
+                  for subgroup in subgroups]
+    expected = alpha_count(m, r)
+    if any(sum(histogram.values()) != expected for histogram in histograms):
+        raise InternalCheckError("slope histograms disagree with closed form")
+    return histograms
+
+
 def _slope_profile(m: int, r: int, subgroup: tuple[int, ...], budget: int
                    ) -> tuple[Counter, list[int]]:
-    """Histograms of the Stickelberger exponent (summed over subgroup, 0 if
-    empty) and the Hodge level of all exponent vectors.
-
-    One _exponent_histogram pass each, the second over _LEVELS; the
-    budget bounds their transitions together, before either runs, and
-    each must count alpha_count(m, r) vectors.  Callers run
-    _slope_budget_check first.
-    """
-    bound = _transition_bound(m, r, _LEVELS, budget)
-    if bound is not None:
-        rest = _transition_bound(m, r, subgroup, budget - bound)
-        bound = None if rest is None else bound + rest
-    _check_budget(bound, budget, _SLOPE_BUDGET)
-    exponents = _exponent_histogram(m, r, subgroup)
-    levels = _exponent_histogram(m, r, _LEVELS)
-    expected = alpha_count(m, r)
-    if (sum(exponents.values()), sum(levels.values())) != (expected,) * 2:
-        raise InternalCheckError("slope histograms disagree with closed form")
+    """Histograms of the Stickelberger exponent (summed over subgroup) and
+    the Hodge level of all exponent vectors: two _histograms passes, the
+    second over _LEVELS, under one budget."""
+    exponents, levels = _histograms(m, r, (subgroup, _LEVELS), budget)
     return exponents, [levels[k] for k in range(r + 1)]
 
 
@@ -316,10 +332,10 @@ def newton_slopes(p: int, m: int, r: int, *,
                   budget: int = DEFAULT_ALPHA_BUDGET) -> Slopes:
     """The eigenvalue slopes, Stickelberger exponents over f, as sorted
     (Fraction, multiplicity) pairs; the budget bounds the transitions of
-    the slope profile."""
+    the exponent pass."""
     _slope_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, _ = _slope_profile(m, r, params.subgroup, budget)
+    exponents, = _histograms(m, r, (params.subgroup,), budget)
     return _slopes(exponents, params.f, r)
 
 
@@ -327,9 +343,11 @@ def hodge_numbers_fermat(m: int, r: int, *,
                          budget: int = DEFAULT_ALPHA_BUDGET
                          ) -> tuple[int, ...]:
     """Primitive Hodge numbers (h^(r,0), ..., h^(0,r)) of middle cohomology
-    by the Griffiths-style count: alpha has level sum(a_j)/m - 1."""
+    by the Griffiths-style count: alpha has level sum(a_j)/m - 1.  The
+    budget bounds the transitions of the level pass."""
     _slope_budget_check(m, r, budget)
-    return tuple(_slope_profile(m, r, (), budget)[1])
+    levels, = _histograms(m, r, (_LEVELS,), budget)
+    return tuple(levels[k] for k in range(r + 1))
 
 
 def _fully_rigged(m: int, subgroup: tuple[int, ...]) -> bool:
@@ -434,20 +452,42 @@ def variety_report(p: int, m: int, r: int, *,
 
 
 def _checked_jacobi_sums(params: FermatParams, table_budget: int):
-    """The field, the exponent multisets with their orbit sizes, and the
-    Jacobi sum of every multiset, with |j|^2 = q^r checked once per
-    distinct value.  Callers bound |A|, the degree of P(T) and the
-    number of Stickelberger rows, before FermatParams.create.
+    """The field, the exponent multisets with their orbit sizes, the
+    Jacobi sum of every multiset, and the (Z/m)^*-orbits of the distinct
+    sums, with |j|^2 = q^r checked once per Galois orbit.
+
+    Complex conjugation is sigma_{-1} and Gal(Q(zeta_m)/Q) is abelian, so
+    |sigma_t(j)|^2 = sigma_t(|j|^2) = sigma_t(q^r) = q^r: one check holds
+    for a whole orbit.  The distinct sums are walked in table order, and
+    each one no orbit covers yet is a representative: it must satisfy
+    |j|^2 = q^r and, when f > 1, sigma_p(j) = j, so its images sigma_t(j),
+    one per coset t<p> (_frobenius_cosets), are its whole orbit, which is
+    then covered.  Nothing trusts the table's structure: a sum that is no
+    image of an earlier representative is checked as one itself.  Orbits
+    list their distinct members, in coset order, and come in table order.
+    Callers bound |A|, the degree of P(T) and the number of Stickelberger
+    rows, before FermatParams.create.
     """
-    field = build_field(params.p, params.f, table_budget=table_budget)
-    weights = exponent_multisets(params.m, params.r)
-    sums = jacobi_sum_table(Character(field, params.m), weights)
-    q_to_r = CycInt.integer(params.m, params.q**params.r)
-    for j in set(sums.values()):
+    p, m = params.p, params.m
+    field = build_field(p, params.f, table_budget=table_budget)
+    weights = exponent_multisets(m, params.r)
+    sums = jacobi_sum_table(Character(field, m), weights)
+    q_to_r = CycInt.integer(m, params.q**params.r)
+    cosets = _frobenius_cosets(p, m)
+    orbits: list[list[CycInt]] = []
+    covered: set[CycInt] = set()
+    for j in sums.values():
+        if j in covered:
+            continue
         if modulus_squared(j) != q_to_r:
             raise InternalCheckError(
                 f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
-    return field, weights, sums
+        if params.f > 1 and j.galois(p % m) != j:
+            raise InternalCheckError(f"sigma_p does not fix j = {j!r}")
+        orbit = list(dict.fromkeys(j.galois(coset[0]) for coset in cosets))
+        covered.update(orbit)
+        orbits.append(orbit)
+    return field, weights, sums, orbits
 
 
 def zeta_fermat(p: int, m: int, r: int, *,
@@ -460,33 +500,29 @@ def zeta_fermat(p: int, m: int, r: int, *,
     P(T) = prod (1 - j(alpha) T) is assembled from the distinct eigenvalues.
 
     j(t alpha) = sigma_t(j(alpha)), so the eigenvalue multiset is stable
-    under (Z/m)^*.  Each Galois orbit of distinct eigenvalues contributes
-    its norm polynomial N_i(T) = prod_{beta in orbit} (1 - beta T) to the
-    power e_i, its multiplicity, and P = prod N_i^e_i is expanded over Z.
-    Hard checks: |j|^2 = q^r for every distinct eigenvalue, one
-    multiplicity along each orbit, norm polynomials in Z[T], exact
-    division in the expansion and deg P = |A|.  The alpha budget bounds
-    |A| before <p> is built.
+    under (Z/m)^*.  Each Galois orbit of distinct eigenvalues, as
+    _checked_jacobi_sums finds it, contributes its norm polynomial
+    N_i(T) = prod_{beta in orbit} (1 - beta T) to the power e_i, its
+    multiplicity, and P = prod N_i^e_i is expanded over Z.  Hard checks:
+    |j|^2 = q^r once per Galois orbit (conjugation commutes with every
+    sigma_t), one multiplicity along each orbit, norm polynomials in
+    Z[T], exact division in the expansion and deg P = |A|.  The alpha
+    budget bounds |A| before <p> is built.
     """
     _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    _, weights, sums = _checked_jacobi_sums(params, table_budget)
+    _, weights, sums, orbits = _checked_jacobi_sums(params, table_budget)
     multiplicity: Counter = Counter()
     for alpha, weight in weights.items():
         multiplicity[sums[alpha]] += weight
 
-    units = units_mod(m)
     factors: list[tuple[list[int], int]] = []
-    seen: set[CycInt] = set()
-    for j, mult in multiplicity.items():
-        if j in seen:
-            continue
-        orbit = {j.galois(t) for t in units}
+    for orbit in orbits:
+        mult = multiplicity[orbit[0]]
         if any(multiplicity[beta] != mult for beta in orbit):
             raise InternalCheckError(
                 f"eigenvalue multiplicities differ along the Galois orbit "
-                f"of {j!r}")
-        seen |= orbit
+                f"of {orbit[0]!r}")
         factors.append((_norm_polynomial(orbit, m), mult))
     coeffs = _expand_power_product(factors, alpha_count(m, r))
     return {"p": p, "m": m, "r": r, "q": params.q,
@@ -664,16 +700,17 @@ def stickelberger_check(p: int, m: int, r: int, *,
     value of the table, the right side from integer arithmetic alone,
     once per multiset (_multiset_exponent; it equals
     stickelberger_exponent on every vector).  The two share
-    nothing but the field construction.  Every distinct Jacobi sum must
-    satisfy |j|^2 = q^r first, so a table fault that breaks it is an
-    internal error rather than a mismatch.  That check also bounds
-    ord_P(j) by ord_P(q^r) = f*r, below the working precision f*r + 2, so
-    every valuation is exact or the table is at fault.  The alpha budget
-    bounds |A| before <p> is built.
+    nothing but the field construction.  Every Jacobi sum must satisfy
+    |j|^2 = q^r first, checked once per Galois orbit since conjugation
+    commutes with every sigma_t (_checked_jacobi_sums), so a table fault
+    that breaks it is an internal error rather than a mismatch.  That
+    check also bounds ord_P(j) by ord_P(q^r) = f*r, below the working
+    precision f*r + 2, so every valuation is exact or the table is at
+    fault.  The alpha budget bounds |A| before <p> is built.
     """
     _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    field, weights, sums = _checked_jacobi_sums(params, table_budget)
+    field, weights, sums, _ = _checked_jacobi_sums(params, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     exponent = _multiset_exponent(m, params.subgroup)
     by_key, equal_count, valuations = {}, 0, {}

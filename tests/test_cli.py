@@ -421,15 +421,15 @@ def test_height_beyond_the_vector_count(capsys, p, height):
 
 def test_height_alpha_budget_bounds_transitions(capsys):
     # (11, 5, 3): 204 exponent vectors; the slope and the Hodge-level pass
-    # both run over <11> = {1}, with spread 3: after k steps at most
-    # 1, 4, 16, 50 and 65 states, so (1 + 4 + 16 + 50) x 4 + 65 = 349
-    # transitions each
+    # both run over <11> = {1}, with spread 3 and one state per value of
+    # sum w: after k steps at most 1, 4, 7, 10 and 13 states, so
+    # (1 + 4 + 7 + 10) x 4 + 13 = 101 transitions each
     args = ["height", "--p", "11", "--m", "5", "--r", "3", "--alpha-budget"]
-    code, out, err = run(capsys, *args, "697")
+    code, out, err = run(capsys, *args, "201")
     assert code == 3
     assert out == ""
-    assert "more than 697 DP transitions" in err
-    code, _, _ = run(capsys, *args, "698")
+    assert "more than 201 DP transitions" in err
+    code, _, _ = run(capsys, *args, "202")
     assert code == 0
 
 
@@ -438,9 +438,9 @@ def test_height_alpha_budget_bounds_transitions(capsys):
                                            ("artin", "4", "2", 5)])
 def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
     # the most transitions are at p = 1 mod m, not at the first prime:
-    # 349 + 349 at (5, 3), where p = 2 takes 349 + 65, and 66 + 66 at
-    # (4, 2), where p = 3 takes 66 + 28
-    transitions = {"5": 698, "4": 132}[m]
+    # 101 + 101 at (5, 3), where p = 2 takes 65 + 101, and 34 + 34 at
+    # (4, 2), where p = 3 takes 28 + 34
+    transitions = {"5": 202, "4": 68}[m]
     args = ["survey", kind, "--m", m, "--r", r, "--p-max", "14",
             "--jobs", jobs, "--format", "json", "--alpha-budget"]
     code, out, err = run(capsys, *args, str(transitions - 1))

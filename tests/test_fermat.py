@@ -8,7 +8,7 @@ import pytest
 
 from cyheights import character_sums, fermat, finite_field
 from cyheights.character_sums import Character, jacobi_sum
-from cyheights.cyclotomic import CycInt
+from cyheights.cyclotomic import CycInt, modulus_squared
 from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import (INFINITE, FermatParams,
                               alpha_count, artin_comparison,
@@ -524,19 +524,21 @@ def test_budget_messages_for_counts_never_formed():
     with pytest.raises(BudgetError,
                        match="more than 100000000 field subtractions"):
         brute_force_point_count(2, 10**8 + 1, 1, 1)
-    with pytest.raises(BudgetError, match="more than 697 DP transitions"):
-        height_fermat(11, 5, 3, budget=697)
+    with pytest.raises(BudgetError, match="more than 100 DP transitions"):
+        height_fermat(11, 5, 3, budget=100)
     with pytest.raises(BudgetError, match=r"\|A\| = 204 > 203"):
         zeta_fermat(11, 5, 3, alpha_budget=203)
 
 
 def _transitions(m, r, subgroup):
     """The transition bound of one slope pass, in closed form: after k
-    steps at most min(m (k spread + 1), (m-1)^k) states, each leaving by
-    m - 1 transitions in the first r + 1 steps and by one at the close."""
+    steps at most min(g (k spread + 1), (m-1)^k) states, g = gcd(sum of
+    subgroup, m), each leaving by m - 1 transitions in the first r + 1
+    steps and by one at the close."""
     w = [sum(t * a % m for t in subgroup) for a in range(1, m)]
     spread = max(w) - min(w)
-    states = [min(m * (k * spread + 1), (m - 1)**k) for k in range(r + 2)]
+    g = gcd(sum(subgroup), m)
+    states = [min(g * (k * spread + 1), (m - 1)**k) for k in range(r + 2)]
     return sum(states[:-1]) * (m - 1) + states[-1]
 
 
@@ -565,19 +567,26 @@ def test_transition_bound_covers_the_transitions_made(p, m, r):
 
 
 def test_slope_budget_counts_transitions():
-    # (8, 6) has 720601 exponent vectors; its profile at p = 3 takes
-    # 7015 transitions for the Hodge levels and 9143 for the slopes, and
-    # hodge_numbers_fermat 344 more over the empty subgroup
+    # (8, 6) has 720601 exponent vectors; at p = 3 the slope pass takes
+    # 4771 transitions (4 states per value of sum w) and the Hodge-level
+    # pass 974 (one state per value, exactly the transitions made);
+    # the empty subgroup keeps m = 8 states per value, and no caller runs it
     assert (_transitions(8, 6, (1,)), _transitions(8, 6, (1, 3)),
-            _transitions(8, 6, ())) == (7015, 9143, 344)
+            _transitions(8, 6, ())) == (974, 4771, 344)
+    assert _states_reached(8, 6, (1,)) == [1, 7, 13, 19, 25, 31, 37, 43]
     with pytest.raises(BudgetError, match="more than 100 DP transitions"):
         height_fermat(3, 8, 6, budget=100)
+    # height_fermat runs the slope pass only, hodge_numbers_fermat the
+    # level pass only, and variety_report both
     with pytest.raises(BudgetError):
-        height_fermat(3, 8, 6, budget=16157)
-    assert height_fermat(3, 8, 6, budget=16158) == INFINITE
+        height_fermat(3, 8, 6, budget=4770)
+    assert height_fermat(3, 8, 6, budget=4771) == INFINITE
     with pytest.raises(BudgetError):
-        hodge_numbers_fermat(8, 6, budget=7358)
-    assert hodge_numbers_fermat(8, 6, budget=7359)[0] == 1
+        hodge_numbers_fermat(8, 6, budget=973)
+    assert hodge_numbers_fermat(8, 6, budget=974)[0] == 1
+    with pytest.raises(BudgetError):
+        variety_report(3, 8, 6, budget=5744)
+    assert variety_report(3, 8, 6, budget=5745)["height"] == INFINITE
 
 
 def test_hodge_rejects_bad_shape():
@@ -711,6 +720,73 @@ def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch, check):
     monkeypatch.setattr(fermat, "jacobi_sum_table", corrupted)
     with pytest.raises(InternalCheckError, match="q\\^r"):
         check(7, 3, 1)
+
+
+def _value_orbits(table, m):
+    """The (Z/m)^*-orbits of the table's distinct values, each as a set,
+    in the order their first members appear."""
+    orbits = {}
+    for j in table.values():
+        if not any(j in orbit for orbit in orbits.values()):
+            orbits[j] = {j.galois(t) for t in units_mod(m)}
+    return list(orbits.values())
+
+
+def _table_of(p, m, r):
+    chi = Character(build_field(p, FermatParams.create(p, m, r).f), m)
+    return character_sums.jacobi_sum_table(chi, exponent_multisets(m, r))
+
+
+_CHECKS = pytest.mark.parametrize("check", [zeta_fermat, stickelberger_check],
+                                  ids=lambda check: check.__name__)
+
+
+@_CHECKS
+def test_every_member_of_an_orbit_is_checked(monkeypatch, check):
+    # (2, 31, 1): f = 5, six images per orbit.  Whichever member of an
+    # orbit is corrupted, and so whichever member the check meets first,
+    # the off-modulus value is no image of a checked sum
+    real = _table_of(2, 31, 1)
+    orbits = _value_orbits(real, 31)
+    orbit = max(orbits[1:], key=len)
+    assert len(orbit) == 6
+    for beta in orbit:
+        table = {alpha: j * 2 if j == beta else j
+                 for alpha, j in real.items()}
+        monkeypatch.setattr(fermat, "jacobi_sum_table",
+                            lambda chi, alphas, table=table: dict(table))
+        with pytest.raises(InternalCheckError, match="q\\^r"):
+            check(2, 31, 1)
+
+
+@_CHECKS
+def test_a_sum_frobenius_moves_is_caught_outside_the_table(monkeypatch,
+                                                          check):
+    # zeta * j keeps |j|^2 = q^r, but sigma_2 moves it since 2 != 1 mod 31;
+    # one multiset of a later orbit gets it, the rest of its coset keeps j
+    real = _table_of(2, 31, 1)
+    later = _value_orbits(real, 31)[-1]
+    alpha = next(a for a, j in real.items() if j in later)
+    moved = real[alpha] * CycInt.root_of_unity(31)
+    assert moved not in real.values()
+    table = {**real, alpha: moved}
+    monkeypatch.setattr(fermat, "jacobi_sum_table",
+                        lambda chi, alphas: dict(table))
+    with pytest.raises(InternalCheckError, match="sigma_p"):
+        check(2, 31, 1)
+
+
+# the fields_warm shapes: 352 distinct Jacobi sums in 49 Galois orbits
+@pytest.mark.parametrize("p,m,r,orbits", [
+    (2, 73, 1, 8), (2, 63, 1, 16), (7, 57, 1, 16), (5, 31, 1, 6),
+    (3, 11, 2, 3)])
+def test_one_modulus_check_per_galois_orbit(monkeypatch, p, m, r, orbits):
+    assert len(_value_orbits(_table_of(p, m, r), m)) == orbits
+    checked = []
+    monkeypatch.setattr(fermat, "modulus_squared",
+                        lambda j: checked.append(j) or modulus_squared(j))
+    stickelberger_check(p, m, r)
+    assert len(checked) == orbits
 
 
 def test_zeta_and_valuations_do_not_depend_on_the_generator(monkeypatch):
