@@ -22,7 +22,8 @@ Each J(s, b) is read off the cyclotomic numbers
 character fills (Berndt-Evans-Williams, Gauss and Jacobi Sums, ch. 2);
 a J then costs O(min(q, m^2)).  The values produced are
 identical, coefficient for coefficient, to the dense convolution; the
-independent check is the literal enumeration in jacobi_sum_naive.
+independent check is a literal enumeration of the solutions, which the
+tests keep with their other oracles (tests/oracles.py).
 
 Jacobi sums are fixed by Frobenius: x -> x^p permutes the solutions of
 1 + v_1 + ... + v_{r+1} = 0 and sends chi to chi^p, so
@@ -39,11 +40,8 @@ from collections import Counter
 from math import isqrt
 
 from .cyclotomic import CycInt
-from .errors import BudgetError, InputError, InternalCheckError
+from .errors import InputError, InternalCheckError
 from .finite_field import FiniteField, frobenius_subgroup, units_mod
-
-DEFAULT_NAIVE_BUDGET = 10**7
-
 
 class Character:
     """The canonical order-m multiplicative character of a finite field.
@@ -142,48 +140,6 @@ def jacobi_sum(alpha: tuple[int, ...], chi: Character) -> CycInt:
     if r % 2:
         return -value_at_minus_one
     return value_at_minus_one
-
-
-def jacobi_sum_naive(alpha: tuple[int, ...], field: FiniteField, m: int,
-                     *, budget: int = DEFAULT_NAIVE_BUDGET) -> CycInt:
-    """Literal enumeration oracle for jacobi_sum, sharing no code with
-    Character: its logs mod m come from its own walk of field.powers().
-
-    Walks all (v_1, ..., v_r) in (F_q^*)^r, solves for v_{r+1}, and
-    tallies character exponents.  Enumeration size q^r must stay within
-    budget.
-    """
-    r = _check_alpha(alpha, m)
-    q = field.q
-    if (q - 1) % m != 0:
-        raise InputError(f"order m={m} does not divide q-1={q - 1}")
-    if q**r > budget:
-        raise BudgetError(
-            f"naive-oracle budget exceeded: q^r = {q}^{r} = {q**r} > {budget}")
-
-    e = [0] * q
-    for k, x in enumerate(field.powers()):
-        e[x] = k % m
-    exps = alpha[1:]
-    counts = [0] * m
-    minus_one = field.neg(1)
-    units = range(1, q)
-
-    def walk(depth: int, acc_sum: int, acc_exp: int) -> None:
-        if depth == r:
-            v_last = field.sub(minus_one, acc_sum)
-            if v_last:
-                counts[(acc_exp + exps[r] * e[v_last]) % m] += 1
-            return
-        a = exps[depth]
-        for v in units:
-            walk(depth + 1, field.add(acc_sum, v), acc_exp + a * e[v])
-
-    walk(0, 0, 0)
-    total = CycInt.from_exponent_counts(m, counts)
-    if r % 2:
-        return -total
-    return total
 
 
 def _frobenius_cosets(p: int, m: int) -> list[list[int]]:

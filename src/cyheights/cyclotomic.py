@@ -9,7 +9,6 @@ grow without bound.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd
 
@@ -310,14 +309,3 @@ def modulus_squared(z: CycInt) -> CycInt:
     """z times its complex conjugate, i.e. z * z.galois(m - 1); for
     conductor <= 2, m - 1 is the identity and this is z*z."""
     return z * z.galois(z.m - 1)
-
-
-def complex_embed(z: CycInt) -> complex:
-    """Evaluate the coordinates at exp(2*pi*i/m).  For reporting only."""
-    zeta = cmath.exp(2j * cmath.pi / z.m)
-    acc = 0j
-    power = 1 + 0j
-    for c in z.coeffs:
-        acc += c * power
-        power *= zeta
-    return acc

@@ -167,24 +167,6 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
     return out
 
 
-def stickelberger_exponent(alpha: AlphaVector, p: int, m: int) -> int:
-    """sum over t in <p> of [sum_{j>=1} <t * a_j / m>].
-
-    [x] and <x> are the integer and fractional parts; the component a_0
-    is excluded from the inner sum.  This is ord_P of the Jacobi sum
-    j(alpha) at the canonical prime P.  It is the per-vector definition;
-    the library reads the same value off each multiset
-    (_multiset_exponent), and tests compare the two.
-    """
-    total = 0
-    for t in frobenius_subgroup(p, m):
-        s = 0
-        for a in alpha[1:]:
-            s += (t * a) % m
-        total += s // m
-    return total
-
-
 def _weights(m: int, subgroup: tuple[int, ...]) -> list[int]:
     """w(a) = sum over t in subgroup of (t * a mod m), for a = 0..m-1."""
     return [sum((t * a) % m for t in subgroup) for a in range(m)]
@@ -192,12 +174,15 @@ def _weights(m: int, subgroup: tuple[int, ...]) -> list[int]:
 
 def _multiset_exponent(m: int, subgroup: tuple[int, ...]
                        ) -> Callable[[AlphaVector], int]:
-    """The Stickelberger exponent summed over subgroup, as a function of
-    an exponent vector's entries in any order.
+    """The Stickelberger exponent, sum over t in subgroup of
+    [sum_{j>=1} <t * a_j / m>] ([x], <x> the integer and fractional
+    parts; ord_P of j(alpha) when subgroup is <p>), as a function of an
+    exponent vector's entries in any order.
 
     The exponent is sum_i w(a_i) / m - |subgroup| (_weights): every
-    t * alpha sums to 0 mod m, so the division is exact.  The empty
-    subgroup gives exponent 0.
+    t * alpha sums to 0 mod m, so the division is exact and a_0 drops
+    out.  The empty subgroup gives exponent 0.  The tests check it
+    against the per-vector definition.
     """
     w = _weights(m, subgroup)
     f = len(subgroup)
@@ -698,8 +683,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per distinct
     value of the table, the right side from integer arithmetic alone,
-    once per multiset (_multiset_exponent; it equals
-    stickelberger_exponent on every vector).  The two share
+    once per multiset (_multiset_exponent).  The two share
     nothing but the field construction.  Every Jacobi sum must satisfy
     |j|^2 = q^r first, checked once per Galois orbit since conjugation
     commutes with every sigma_t (_checked_jacobi_sums), so a table fault

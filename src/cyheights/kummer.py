@@ -14,7 +14,9 @@ sweep that shares none of its steps is its oracle in the tests.
 The intermediate Jacobian of the rigid quotient is C modulo the lattice
 generated by 1, omega, omega^2, omega^3 for a quadratic omega; the
 lattice lives in Q(omega) and is handled with exact rational arithmetic
-in Hermite normal form.
+in Hermite normal form, found by Euclid on the generator rows and
+checked against them.  No command reads the lattices; they back the
+claim that the periods of zeta_3 and i span Z + Z*omega.
 """
 
 from __future__ import annotations
@@ -248,52 +250,32 @@ Pair = tuple[Fraction, Fraction]
 
 def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[tuple[int, int],
                                                     tuple[int, int]]:
-    """Hermite normal form [[a, b], [0, c]] of a rank-2 integer row span."""
-    work = [list(r) for r in rows if r != (0, 0)]
-    # clear the first column down to a single pivot by gcd elimination
-    while True:
-        nonzero = [r for r in work if r[0] != 0]
-        if len(nonzero) <= 1:
-            break
-        nonzero.sort(key=lambda r: abs(r[0]))
-        pivot = nonzero[0]
-        for r in nonzero[1:]:
-            t = r[0] // pivot[0]
-            r[0] -= t * pivot[0]
-            r[1] -= t * pivot[1]
-        work = [r for r in work if r != [0, 0]]
-    pivot_rows = [r for r in work if r[0] != 0]
-    tail = [r[1] for r in work if r[0] == 0]
-    if not pivot_rows or not any(tail):
+    """Hermite normal form [[a, b], [0, c]] of a rank-2 integer row span,
+    by Euclid on whole rows (Cohen, section 2.4.2): each row is folded
+    into the pivot (a, b) until its first entry is 0, and c is the gcd of
+    the second entries left over."""
+    a = b = c = 0
+    for u, v in rows:
+        while u:
+            t = a // u
+            a, b, u, v = u, v, a - t * u, b - t * v
+        c = gcd(c, v)
+    if a == 0 or c == 0:
         raise InputError("generators do not span a rank-2 lattice")
-    a, b = pivot_rows[0]
     if a < 0:
         a, b = -a, -b
-    c = 0
-    for y in tail:
-        c = gcd(c, y)
-    b %= c
-    return (a, b), (0, c)
+    return (a, b % c), (0, c)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadLattice:
     """A rank-2 Z-module in Q(omega), coordinates (u, v) for u + v*omega.
 
-    Equality compares the quadratic field and the canonical basis, so
-    two generating sets of the same module compare equal."""
+    The basis is canonical, so two generating sets of the same module
+    compare equal."""
 
     min_poly: MinPoly
-    generators: tuple[Pair, ...]
     basis: tuple[Pair, Pair]  # canonical: [[a, b], [0, c]] over a denominator
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QuadLattice)
-                and self.min_poly == other.min_poly
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.min_poly, self.basis))
 
     def contains(self, u, v) -> bool:
         u, v = Fraction(u), Fraction(v)
@@ -323,7 +305,7 @@ def lattice_from_generators(min_poly: MinPoly, generators) -> QuadLattice:
     basis = ((Fraction(a, den), Fraction(b, den)),
              (Fraction(0), Fraction(c, den)))
     _verify_same_span(int_rows, a, b, c)
-    return QuadLattice(poly, tuple(pairs), basis)
+    return QuadLattice(poly, basis)
 
 
 def _verify_same_span(int_rows, a: int, b: int, c: int) -> None:

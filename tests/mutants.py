@@ -1,0 +1,151 @@
+"""Mutation gate: every mutant is a fault that the named tests must catch.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+Each mutant is one exact-text replacement in one file.  The harness
+copies src/ and tests/ into a temporary directory, checks that the old
+text occurs there exactly once, applies the replacement and runs
+``pytest -x -q`` on the mutant's test files.  The mutant is killed when
+a test fails (pytest exit status 1); a mutant that pytest cannot even
+collect is broken, not killed.  The named test files must pass on the
+unmutated copy first.  The run exits 1 if the clean run fails, if any
+mutant's text no longer matches exactly once, or if any mutant
+survives or is broken.
+
+The file name keeps pytest from collecting this module.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, old text, new text, test files)
+MUTANTS = [
+    ("doubling slope + 2*A", "src/cyheights/kummer.py",
+     "slope = (3 * x1 * x1 + A)", "slope = (3 * x1 * x1 + 2 * A)",
+     ["test_kummer.py"]),
+    ("twist test flipped", "src/cyheights/kummer.py",
+     "if legendre(c, p) < 0:", "if legendre(c, p) > 0:",
+     ["test_kummer.py"]),
+    ("Hasse interval one short", "src/cyheights/kummer.py",
+     "fits = range(p + 1 - r, p + 2 + r)",
+     "fits = range(p + 1 - r, p + 1 + r)",
+     ["test_kummer.py"]),
+    ("Miller-Rabin without base 41", "src/cyheights/finite_field.py",
+     "29, 31, 37, 41)", "29, 31, 37)",
+     ["test_finite_field.py"]),
+    ("floor Barrett magic", "src/cyheights/finite_field.py",
+     "magic = -(-(1 << shift) // p)", "magic = (1 << shift) // p",
+     ["test_finite_field.py"]),
+    ("e(-1) forced to 0", "src/cyheights/character_sums.py",
+     "minus_one = self.minus_one_exp = e[field.neg(1)]",
+     "minus_one = self.minus_one_exp = 0",
+     ["test_characters.py"]),
+    ("p-adic precision f*r + 1", "src/cyheights/padic.py",
+     "return f * r + 2", "return f * r + 1",
+     ["test_padic.py", "test_fermat.py"]),
+    ("budget >=", "src/cyheights/fermat.py",
+     "if count > budget:", "if count >= budget:",
+     ["test_fermat.py"]),
+    ("m - 2 in _fully_rigged", "src/cyheights/fermat.py",
+     "return m - 1 in subgroup", "return m - 2 in subgroup",
+     ["test_fermat.py"]),
+    ("row exponent over alpha[1:]", "src/cyheights/fermat.py",
+     "sum(w[a] for a in alpha) // m - f",
+     "sum(w[a] for a in alpha[1:]) // m - f",
+     ["test_fermat.py"]),
+    ("|j|^2 check dropped", "src/cyheights/fermat.py",
+     "if modulus_squared(j) != q_to_r:", "if False:",
+     ["test_fermat.py"]),
+    ("sigma_p check dropped from jacobi_sum_table",
+     "src/cyheights/character_sums.py",
+     "if j.galois(p % m) != j:", "if False:",
+     ["test_characters.py"]),
+    ("sigma_p check dropped from _checked_jacobi_sums",
+     "src/cyheights/fermat.py",
+     "if params.f > 1 and j.galois(p % m) != j:", "if False:",
+     ["test_fermat.py"]),
+    ("HNF entry b left unreduced", "src/cyheights/kummer.py",
+     "return (a, b % c), (0, c)", "return (a, b), (0, c)",
+     ["test_kummer.py"]),
+    ("span check on the first entry dropped", "src/cyheights/kummer.py",
+     "s, rem = divmod(u, a)\n        if rem:",
+     "s, rem = divmod(u, a)\n        if False:",
+     ["test_kummer.py"]),
+    ("span check on the second entry dropped", "src/cyheights/kummer.py",
+     "t, rem = divmod(v - s * b, c)\n        if rem:",
+     "t, rem = divmod(v - s * b, c)\n        if False:",
+     ["test_kummer.py"]),
+    ("span check on the reach dropped", "src/cyheights/kummer.py",
+     "if identity != ((1, 0), (0, 1)):", "if False:",
+     ["test_kummer.py"]),
+    ("oracle imports from a layer it checks", "tests/oracles.py",
+     "from cyheights.errors import", "from cyheights.fermat import",
+     ["test_oracles.py"]),
+]
+
+
+def _pytest(tree: Path, files: list[str]) -> tuple[int, str]:
+    """pytest -x on the given test files of the tree: the exit status and
+    the first line that names a failed test."""
+    # No .pyc in the copy: one keyed on mtime and size could outlive a
+    # mutation of equal length made within the same second.
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q",
+               "-p", "no:cacheprovider", *files]
+    run = subprocess.run(command, cwd=tree / "tests", env=env,
+                         capture_output=True, text=True)
+    failed = [line for line in run.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR"))]
+    return run.returncode, failed[0] if failed else ""
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        files = sorted({f for *_, tests in MUTANTS for f in tests})
+        status, failed = _pytest(tree, files)
+        if status:
+            print(f"clean copy fails its tests ({failed}); no mutant judged")
+            return 1
+        for name, path, old, new, tests in MUTANTS:
+            target = tree / path
+            source = target.read_text()
+            found = source.count(old)
+            if found != 1:
+                print(f"STALE     {name}: old text found {found} times")
+                failures.append(name)
+                continue
+            started = time.monotonic()
+            target.write_text(source.replace(old, new))
+            try:
+                status, failed = _pytest(tree, tests)
+            finally:
+                target.write_text(source)
+            # pytest exits 1 when tests fail, 2-4 when it could not run them
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, "BROKEN")
+            print(f"{verdict:9} {name} ({time.monotonic() - started:.1f} s)"
+                  f"\n          {failed}", flush=True)
+            if status != 1:
+                failures.append(name)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,126 @@
+"""Reference computations that the tests hold the package's fast paths to.
+
+Each oracle computes its value from the definition and shares no
+shortcut with the code it checks.  This module imports only
+cyheights.finite_field, cyheights.cyclotomic, cyheights.errors and the
+standard library (test_oracles_import_only_the_lower_layers reads its
+imports), so no oracle can borrow a step from the layers it checks.
+"""
+
+from __future__ import annotations
+
+import cmath
+from math import gcd
+
+from cyheights.cyclotomic import CycInt
+from cyheights.errors import BudgetError, InputError
+from cyheights.finite_field import FiniteField, frobenius_subgroup
+
+DEFAULT_NAIVE_BUDGET = 10**7
+
+
+def _check_alpha(alpha: tuple[int, ...], m: int) -> int:
+    """Validate an exponent vector; returns r = len(alpha) - 2."""
+    if (len(alpha) < 3 or any(not 0 < a < m for a in alpha)
+            or sum(alpha) % m):
+        raise InputError(f"{alpha} is no exponent vector mod {m}")
+    return len(alpha) - 2
+
+
+def jacobi_sum_naive(alpha: tuple[int, ...], field: FiniteField, m: int,
+                     *, budget: int = DEFAULT_NAIVE_BUDGET) -> CycInt:
+    """Literal enumeration oracle for character_sums.jacobi_sum: its logs
+    mod m come from its own walk of field.powers().
+
+    Walks all (v_1, ..., v_r) in (F_q^*)^r, solves for v_{r+1}, and
+    tallies character exponents.  Enumeration size q^r must stay within
+    budget.
+    """
+    r = _check_alpha(alpha, m)
+    q = field.q
+    if (q - 1) % m != 0:
+        raise InputError(f"order m={m} does not divide q-1={q - 1}")
+    if q**r > budget:
+        raise BudgetError(
+            f"naive-oracle budget exceeded: q^r = {q}^{r} = {q**r} > {budget}")
+
+    e = [0] * q
+    for k, x in enumerate(field.powers()):
+        e[x] = k % m
+    exps = alpha[1:]
+    counts = [0] * m
+    minus_one = field.neg(1)
+    units = range(1, q)
+
+    def walk(depth: int, acc_sum: int, acc_exp: int) -> None:
+        if depth == r:
+            v_last = field.sub(minus_one, acc_sum)
+            if v_last:
+                counts[(acc_exp + exps[r] * e[v_last]) % m] += 1
+            return
+        a = exps[depth]
+        for v in units:
+            walk(depth + 1, field.add(acc_sum, v), acc_exp + a * e[v])
+
+    walk(0, 0, 0)
+    total = CycInt.from_exponent_counts(m, counts)
+    if r % 2:
+        return -total
+    return total
+
+
+def stickelberger_exponent(alpha: tuple[int, ...], p: int, m: int) -> int:
+    """sum over t in <p> of [sum_{j>=1} <t * a_j / m>].
+
+    [x] and <x> are the integer and fractional parts; the component a_0
+    is excluded from the inner sum.  This is ord_P of the Jacobi sum
+    j(alpha) at the canonical prime P, by its per-vector definition.
+    """
+    total = 0
+    for t in frobenius_subgroup(p, m):
+        s = 0
+        for a in alpha[1:]:
+            s += (t * a) % m
+        total += s // m
+    return total
+
+
+def complex_embed(z: CycInt) -> complex:
+    """Evaluate the coordinates at exp(2*pi*i/m)."""
+    zeta = cmath.exp(2j * cmath.pi / z.m)
+    acc = 0j
+    power = 1 + 0j
+    for c in z.coeffs:
+        acc += c * power
+        power *= zeta
+    return acc
+
+
+def hnf_rows_by_elimination(rows: list[tuple[int, int]]
+                            ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Hermite normal form [[a, b], [0, c]] of a rank-2 integer row span
+    by gcd elimination: the rows with a nonzero first entry are reduced
+    by the least of them until one is left."""
+    work = [list(r) for r in rows if r != (0, 0)]
+    while True:
+        nonzero = [r for r in work if r[0] != 0]
+        if len(nonzero) <= 1:
+            break
+        nonzero.sort(key=lambda r: abs(r[0]))
+        pivot = nonzero[0]
+        for r in nonzero[1:]:
+            t = r[0] // pivot[0]
+            r[0] -= t * pivot[0]
+            r[1] -= t * pivot[1]
+        work = [r for r in work if r != [0, 0]]
+    pivot_rows = [r for r in work if r[0] != 0]
+    tail = [r[1] for r in work if r[0] == 0]
+    if not pivot_rows or not any(tail):
+        raise InputError("generators do not span a rank-2 lattice")
+    a, b = pivot_rows[0]
+    if a < 0:
+        a, b = -a, -b
+    c = 0
+    for y in tail:
+        c = gcd(c, y)
+    return (a, b % c), (0, c)

@@ -20,11 +20,11 @@ from cyheights.fermat import (INFINITE, FermatParams,
                               brute_force_point_count, exponent_vectors,
                               height_fermat, hodge_numbers_fermat,
                               newton_slopes, point_count_from_zeta,
-                              predicted_height, stickelberger_exponent,
-                              zeta_fermat)
+                              predicted_height, zeta_fermat)
 from cyheights.finite_field import build_field, is_prime
 from cyheights.kummer import kummer_report
 from cyheights.padic import PadicContext, default_precision, padic_valuation
+from oracles import stickelberger_exponent
 
 STICKELBERGER_INSTANCES = [(3, 4, 2, 21), (2, 5, 3, 204), (7, 5, 3, 204),
                            (3, 5, 3, 204)]

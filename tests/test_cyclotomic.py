@@ -4,10 +4,11 @@ from math import gcd
 
 import pytest
 
-from cyheights.cyclotomic import (CycInt, _kronecker_product, complex_embed,
+from cyheights.cyclotomic import (CycInt, _kronecker_product,
                                   cyclotomic_polynomial, degree,
                                   modulus_squared)
 from cyheights.errors import InputError
+from oracles import complex_embed
 
 
 def test_cyclotomic_polynomial_small():

@@ -17,13 +17,13 @@ from cyheights.fermat import (INFINITE, FermatParams,
                               height_fermat, hodge_numbers_fermat,
                               newton_slopes,
                               point_count_from_zeta, predicted_height,
-                              stickelberger_check,
-                              stickelberger_exponent, variety_report,
+                              stickelberger_check, variety_report,
                               zeta_fermat)
 from cyheights.finite_field import (FiniteField, build_field,
                                     frobenius_subgroup, units_mod)
 from cyheights.kummer import abelian_height
 from cyheights.padic import PadicContext, default_precision, padic_valuation
+from oracles import stickelberger_exponent
 
 
 def test_params_validation():

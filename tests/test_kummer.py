@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cyheights import kummer
-from cyheights.errors import BudgetError, InputError
+from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import INFINITE, height_fermat
 from cyheights.kummer import (abelian_height, ec_count_points, kummer_report,
                               lattice_from_generators, lattice_index,
                               legendre, period_lattice, standard_lattice)
+from oracles import hnf_rows_by_elimination
 
 
 def _primes(lo, hi):
@@ -297,3 +298,98 @@ def test_index_direction():
     coarse = standard_lattice(poly)
     assert lattice_index(fine, coarse) == Fraction(1, 4)
     assert lattice_index(coarse, fine) == 4
+
+
+def _unimodular(rng):
+    """A random integer 2x2 matrix of determinant +-1, as rows, from
+    elementary row operations."""
+    rows = [[1, 0], [0, 1]]
+    for _ in range(rng.randint(1, 6)):
+        i, k = rng.randrange(2), rng.randint(-4, 4)
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[1 - i])]
+        if rng.random() < 0.3:
+            rows.reverse()
+        if rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def test_equal_modules_compare_equal_under_changes_of_generators():
+    rng = random.Random(61)
+    polys = [(1, 0, 1), (1, 1, 1), (4, 0, 1), (2, 1, 3)]
+    for _ in range(300):
+        den = rng.randint(1, 6)
+        gens = [tuple(Fraction(rng.randint(-9, 9), den) for _ in range(2))
+                for _ in range(2)]
+        (u0, v0), (u1, v1) = gens
+        if u0 * v1 == u1 * v0:
+            continue
+        moved = [(x * u0 + y * u1, x * v0 + y * v1)
+                 for x, y in _unimodular(rng)]
+        moved += [(x * u0 + y * u1, x * v0 + y * v1)
+                  for x, y in ((rng.randint(-5, 5), rng.randint(-5, 5))
+                               for _ in range(rng.randint(0, 3)))]
+        rng.shuffle(moved)
+        poly = rng.choice(polys)
+        a = lattice_from_generators(poly, gens)
+        b = lattice_from_generators(poly, moved)
+        assert a == b, (gens, moved)
+        assert hash(a) == hash(b)
+
+
+def test_hnf_rows_match_elimination():
+    rng = random.Random(67)
+    deficient = 0
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append((0, 0))
+            elif kind < 0.2:
+                rows.append((0, rng.randint(-30, 30)))
+            elif kind < 0.3 and rows:
+                k, (u, v) = rng.randint(-3, 3), rng.choice(rows)
+                rows.append((k * u, k * v))
+            else:
+                rows.append((rng.randint(-30, 30), rng.randint(-30, 30)))
+        try:
+            want = hnf_rows_by_elimination(rows)
+        except InputError:
+            deficient += 1
+            with pytest.raises(InputError, match="rank-2"):
+                kummer._hnf_rows(rows)
+            continue
+        assert kummer._hnf_rows(rows) == want, rows
+    assert 100 < deficient < 2900
+
+
+def _corrupt_first_form(monkeypatch, corrupt):
+    """kummer._hnf_rows returns corrupt(form) on its first call only, so
+    _verify_same_span checks a wrong basis with the right elimination."""
+    real, calls = kummer._hnf_rows, []
+
+    def first_call_corrupted(rows):
+        calls.append(rows)
+        form = real(rows)
+        return corrupt(form) if len(calls) == 1 else form
+
+    monkeypatch.setattr(kummer, "_hnf_rows", first_call_corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda form: ((2 * form[0][0], form[0][1]), form[1]),
+    lambda form: (form[0], (0, 2 * form[1][1])),
+], ids=["a-doubled", "c-doubled"])
+def test_a_basis_that_misses_a_generator_is_an_internal_error(
+        monkeypatch, corrupt):
+    _corrupt_first_form(monkeypatch, corrupt)
+    with pytest.raises(InternalCheckError, match="escapes"):
+        lattice_from_generators((1, 0, 1), [(1, 0), (0, 1), (3, 5)])
+
+
+def test_a_basis_the_generators_do_not_reach_is_an_internal_error(
+        monkeypatch):
+    _corrupt_first_form(monkeypatch, lambda form: ((1, 0), (0, 1)))
+    with pytest.raises(InternalCheckError, match="not generated"):
+        lattice_from_generators((1, 0, 1), [(2, 0), (2, 4), (0, 6)])
