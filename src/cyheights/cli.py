@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache
 from itertools import compress
@@ -167,7 +166,7 @@ def _cmd_stickelberger(args) -> int:
               f"valuations equal their Stickelberger exponents")
         for row in record["rows"]:
             if not row["equal"]:
-                print(f"  MISMATCH alpha={tuple(row['alpha'])}: exponent "
+                print(f"  MISMATCH alpha={row['alpha']}: exponent "
                       f"{row['exponent']}, valuation {row['valuation']}")
     return EXIT_OK if record["all_equal"] else EXIT_MISMATCH
 
@@ -243,6 +242,11 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def _cmd_survey(args) -> int:
+    """One row per prime of [p_min, p_max) prime to m.  The first row
+    is computed in process; the other row classes run in a pool of
+    _worker_count processes when that count exceeds 1.  Only then is
+    concurrent.futures imported, so no other call loads it or
+    multiprocessing."""
     worker, schema, fields = _SURVEY_KINDS[args.kind]
     if args.kind == "kummer":
         lo, m, extra = max(args.p_min, 5), 1, ()
@@ -279,6 +283,8 @@ def _cmd_survey(args) -> int:
     tasks = [(p, *extra) for p in todo.values()]
     workers = _worker_count(args.jobs, len(tasks))
     if workers > 1:
+        # Imported here, so no other call pays the pool's start-up.
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed.update(zip(todo, pool.map(worker, tasks,

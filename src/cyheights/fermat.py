@@ -678,7 +678,9 @@ def stickelberger_check(p: int, m: int, r: int, *,
     """One JSON-ready record of ord_P(j(alpha)) against the Stickelberger
     exponent, a row per exponent vector in the order of exponent_vectors,
     with the verdict all_equal (error and precision_failures stay None
-    and 0: every valuation is exact or the call raises).
+    and 0: every valuation is exact or the call raises).  A row's alpha
+    is the tuple exponent_vectors yields, not a copy; json.dumps writes
+    it as a list.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per distinct
@@ -710,7 +712,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
         by_key[key] = {"exponent": exp, "valuation": val,
                        "equal": exp == val, "error": None}
         equal_count += weights[key] * (exp == val)
-    rows = [{"alpha": list(alpha), **by_key[tuple(sorted(alpha))]}
+    rows = [{"alpha": alpha, **by_key[tuple(sorted(alpha))]}
             for alpha in exponent_vectors(m, r, budget=alpha_budget)]
     return {
         "p": params.p, "m": params.m, "r": params.r, "f": params.f,

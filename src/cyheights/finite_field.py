@@ -236,12 +236,15 @@ class FiniteField:
     # --- element arithmetic on encodings ---
 
     def _combine(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b, one base-p digit at a time (XOR for p = 2)."""
+        """a + sign * b, one base-p digit at a time (XOR for p = 2); for
+        f = 1 an encoding is the residue itself, so one reduction mod p."""
         q = self.q
         if not (0 <= a < q and 0 <= b < q):
             raise InputError(
                 f"field encodings lie in [0, {q}), got {a} and {b}")
         p = self.p
+        if self.f == 1:
+            return (a + sign * b) % p
         if p == 2:
             return a ^ b
         out = 0

@@ -89,6 +89,9 @@ MUTANTS = [
     ("span check on the reach dropped", "src/cyheights/kummer.py",
      "if identity != ((1, 0), (0, 1)):", "if False:",
      ["test_kummer.py"]),
+    ("prime-field sum with the sign flipped", "src/cyheights/finite_field.py",
+     "return (a + sign * b) % p", "return (a - sign * b) % p",
+     ["test_finite_field.py", "test_fermat.py"]),
     ("oracle imports from a layer it checks", "tests/oracles.py",
      "from cyheights.errors import", "from cyheights.fermat import",
      ["test_oracles.py"]),

@@ -1,7 +1,10 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
@@ -274,11 +277,31 @@ def test_survey_fails_before_the_pool_starts(capsys, monkeypatch, argv, code):
     def never(*_, **__):
         raise AssertionError("window sieved or worker pool started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
     monkeypatch.setattr(cli, "_primes_in", never)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert run(capsys, "survey", *argv, "--p-max", "16000000",
                "--jobs", "4")[:2] == (code, "")
+
+
+def test_serial_calls_never_load_the_pool():
+    # a fresh interpreter, since this one may hold concurrent.futures
+    # from other tests; --jobs 2 still starts 2 workers (above)
+    script = """
+import sys
+from cyheights.cli import main
+for argv in (["height", "--p", "11", "--m", "5", "--r", "3",
+              "--format", "json"],
+             ["survey", "kummer", "--p-max", "500", "--jobs", "1"]):
+    assert main(argv) == 0
+print(sorted(name for name in sys.modules
+             if name.partition(".")[0] in ("concurrent", "multiprocessing")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_kummer_command(capsys):

@@ -1,3 +1,4 @@
+import random
 from math import isqrt
 
 import pytest
@@ -302,6 +303,27 @@ def test_add_sub_neg_match_reference_loops(p, f):
             assert field.add(a, b) == _ref_add(p, a, b)
             assert field.sub(a, b) == _ref_add(p, a, _ref_neg(p, b))
 
+
+
+@pytest.mark.parametrize("p", [3, 5, 1009, 100003])
+def test_prime_field_add_sub_neg_match_the_digit_loop(p):
+    # for f = 1 the sum is one reduction mod p; the digit loop it skips
+    # stays the reference, on both ends of the range and random pairs
+    field = build_field(p, 1)
+    rng = random.Random(p)
+    pairs = [(a, b) for a in (0, 1, p - 1) for b in (0, 1, p - 1)]
+    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(300)]
+    for a, b in pairs:
+        assert field.add(a, b) == _ref_add(p, a, b)
+        assert field.sub(a, b) == _ref_add(p, a, _ref_neg(p, b))
+        assert field.neg(b) == _ref_neg(p, b)
+    for bad in (-1, p, 2 * p - 1):
+        with pytest.raises(InputError, match="encodings"):
+            field.add(bad, 0)
+        with pytest.raises(InputError, match="encodings"):
+            field.sub(0, bad)
+        with pytest.raises(InputError, match="encodings"):
+            field.neg(bad)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
