@@ -154,7 +154,7 @@ def _cmd_stickelberger(args) -> int:
                                         alpha_budget=args.alpha_budget,
                                         table_budget=args.table_budget)
     if args.format == "json":
-        _emit_json({"command": "stickelberger", **record})
+        _emit_stickelberger_json({"command": "stickelberger", **record})
     elif args.format == "csv":
         fields = ["alpha", "exponent", "valuation", "equal", "error"]
         rows = [{**row, "alpha": " ".join(map(str, row["alpha"]))}
@@ -169,6 +169,27 @@ def _cmd_stickelberger(args) -> int:
                 print(f"  MISMATCH alpha={row['alpha']}: exponent "
                       f"{row['exponent']}, valuation {row['valuation']}")
     return EXIT_OK if record["all_equal"] else EXIT_MISMATCH
+
+
+def _emit_stickelberger_json(payload: dict) -> None:
+    """The bytes of _emit_json(payload) without a dict per row for the
+    encoder.  An alpha of r + 2 >= 3 ints, tuple or list, prints as its
+    JSON list inside str(alpha)[1:-1]; the rest of a row is encoded once
+    per distinct verdict, keyed with the type of equal since True == 1."""
+    tails = {}
+    rows = []
+    for row in payload["rows"]:
+        equal = row["equal"]
+        key = (type(equal), equal, row["error"], row["exponent"],
+               row["valuation"])
+        tail = tails.get(key)
+        if tail is None:
+            rest = {k: v for k, v in row.items() if k != "alpha"}
+            tail = tails[key] = json.dumps(rest, sort_keys=True)[1:]
+        rows.append(f'{{"alpha": [{str(row["alpha"])[1:-1]}], {tail}')
+    head, _, end = json.dumps({**payload, "rows": []}, sort_keys=True,
+                              check_circular=False).partition('"rows": []')
+    sys.stdout.write(f'{head}"rows": [{", ".join(rows)}]{end}\n')
 
 
 # --- survey ---

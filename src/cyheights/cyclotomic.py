@@ -149,11 +149,12 @@ def degree(m: int) -> int:
 class CycInt:
     """An element of Z[zeta_m] in reduced power-basis coordinates."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "coeffs", "_hash")
 
     def __init__(self, m: int, coeffs: tuple[int, ...]):
         self.m = m
         self.coeffs = coeffs
+        self._hash = None
 
     # --- constructors ---
 
@@ -271,7 +272,12 @@ class CycInt:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        """hash((m, coeffs)), computed on the first call and kept, as no
+        CycInt changes after construction."""
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.m, self.coeffs))
+        return h
 
     def __repr__(self) -> str:
         return f"CycInt(m={self.m}, {list(self.coeffs)})"

@@ -679,8 +679,8 @@ def stickelberger_check(p: int, m: int, r: int, *,
     exponent, a row per exponent vector in the order of exponent_vectors,
     with the verdict all_equal (error and precision_failures stay None
     and 0: every valuation is exact or the call raises).  A row's alpha
-    is the tuple exponent_vectors yields, not a copy; json.dumps writes
-    it as a list.
+    is the tuple exponent_vectors yields, not a copy; the CLI writes it
+    as the JSON list json.dumps would write.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per distinct

@@ -215,7 +215,8 @@ class FiniteField:
 
         def times_next(block: list[int]):  # block * y^k, y = block[-1] * g
             y = _enc_mul(block[-1], g, modulus, p)
-            return _block_multiplier(p, f, block, _images(p, f, modulus, y))
+            return _block_multiplier(p, f, block, _images(
+                p, f, modulus, _poly_from_enc(y, p)))
 
         block = [1]
         while len(block) < length:
@@ -303,16 +304,16 @@ def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
         _enc_pow(enc, n // ell, modulus, p) != 1 for ell in prime_factors)
 
 
-def _images(p: int, f: int, modulus, y: int) -> list[list[int]]:
-    """Coefficient lists of y * x^i modulo the modulus, i < f: the
-    columns of the F_p-linear map x -> y * x on coefficient vectors.
-    Each is the one before times x, reduced by the monic modulus."""
-    image = _poly_from_enc(y, p)
-    image += [0] * (f - len(image))
+def _images(n: int, f: int, modulus, y: list[int]) -> list[list[int]]:
+    """Coefficient lists of y * x^i modulo the modulus and n, i < f, for
+    y given by its coefficients: the columns of the linear map x -> y * x
+    on coefficient vectors.  Each is the one before times x, reduced by
+    the monic modulus."""
+    image = list(y) + [0] * (f - len(y))
     images = [image]
     for _ in range(f - 1):
         lead = image[-1]
-        image = [(c - lead * r) % p
+        image = [(c - lead * r) % n
                  for c, r in zip([0] + image[:-1], modulus)]
         images.append(image)
     return images

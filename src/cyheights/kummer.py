@@ -202,8 +202,14 @@ def predicted_example_height(p: int) -> int | str:
 
 
 def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
-    """One JSON-ready record for E: y^2 = x^3 + a*x + b over GF(p) and the
-    resolution of E^3 / (diagonal cube-root action), from one point count.
+    """One JSON-ready record for E: y^2 = x^3 + a*x + b over GF(p) and a
+    Calabi-Yau quotient of E^3, from one point count.
+
+    quotient_height is the height of the resolution of E^3 by the (Z/2)^2
+    action that preserves dz1 dz2 dz3, which every E has.  The diagonal
+    cube-root action, and with it E^3 / mu_3, exists only on the j = 0
+    curves (a = 0 mod p); that resolution keeps the same H^{3,0} =
+    H^{1,0}(E)^{(x)3}, so the same height.
 
     The p-rank of E is 0 exactly when a_p = 0 (valid since p >= 5), and
     E^3 has p-rank 3 * rank.  For the standard curve, (a, b) = (0, 1)

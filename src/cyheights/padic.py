@@ -24,8 +24,8 @@ from operator import mul
 
 from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
-from .finite_field import (FiniteField, _enc_pow, _poly_from_enc, _poly_mul,
-                           _poly_pow, _poly_rem)
+from .finite_field import (FiniteField, _enc_pow, _images, _poly_from_enc,
+                           _poly_pow)
 
 
 class PadicContext:
@@ -73,15 +73,20 @@ class PadicContext:
         if field.encode(d % p for d in z) != root_enc:
             raise InternalCheckError("Teichmuller lift moved the residue")
 
-        def padded(a: list[int]) -> list[int]:
-            return a + [0] * (f - len(a))
-
-        self.zeta_hat = tuple(padded(z))
-        powers = [[1]]
+        # images[j] is zeta_hat * x^j, so images[0] is zeta_hat padded to
+        # f coordinates.  Each power of zeta_hat is the one before times
+        # this matrix of multiplication by zeta_hat on R_k: f dot
+        # products, no remainder.
+        images = _images(pk, f, mod, z)
+        self.zeta_hat = tuple(images[0])
+        rows = tuple(zip(*images))
+        power = [1] + [0] * (f - 1)
+        powers = [power]
         for _ in range(degree(m) - 1):
-            powers.append(_poly_rem(_poly_mul(powers[-1], z, pk), mod, pk))
+            power = [sum(map(mul, row, power)) % pk for row in rows]
+            powers.append(power)
         # column i holds coordinate i of zeta_hat^0, ..., zeta_hat^(phi-1)
-        self._zeta_columns = tuple(zip(*map(padded, powers)))
+        self._zeta_columns = tuple(zip(*powers))
 
     def __repr__(self) -> str:
         return (f"PadicContext(p={self.field.p}, f={self.field.f}, "

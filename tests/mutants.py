@@ -5,9 +5,10 @@ Run from anywhere, with pytest installed:
     python tests/mutants.py
 
 Each mutant is one exact-text replacement in one file.  The harness
-copies src/ and tests/ into a temporary directory, checks that the old
-text occurs there exactly once, applies the replacement and runs
-``pytest -x -q`` on the mutant's test files.  The mutant is killed when
+copies src/, tests/ and README.md (whose commands test_cli.py runs) into
+a temporary directory, checks that the old text occurs there exactly
+once, applies the replacement and runs ``pytest -x -q`` on the mutant's
+test files.  The mutant is killed when
 a test fails (pytest exit status 1); a mutant that pytest cannot even
 collect is broken, not killed.  The named test files must pass on the
 unmutated copy first.  The run exits 1 if the clean run fails, if any
@@ -92,6 +93,29 @@ MUTANTS = [
     ("prime-field sum with the sign flipped", "src/cyheights/finite_field.py",
      "return (a + sign * b) % p", "return (a - sign * b) % p",
      ["test_finite_field.py", "test_fermat.py"]),
+    ("stickelberger tail key without equal", "src/cyheights/cli.py",
+     'key = (type(equal), equal, row["error"]', 'key = (row["error"]',
+     ["test_cli.py"]),
+    ("first stickelberger tail reused for every row", "src/cyheights/cli.py",
+     "tail = tails.get(key)", "tail = next(iter(tails.values()), None)",
+     ["test_cli.py"]),
+    ("CycInt hash stored from id(self)", "src/cyheights/cyclotomic.py",
+     "h = self._hash = hash((self.m, self.coeffs))",
+     "h = self._hash = id(self)",
+     ["test_cyclotomic.py", "test_fermat.py"]),
+    ("powers of zeta_hat one short", "src/cyheights/padic.py",
+     "for _ in range(degree(m) - 1):", "for _ in range(degree(m) - 2):",
+     ["test_padic.py"]),
+    ("orbits filled without sigma_t", "src/cyheights/character_sums.py",
+     "image = j.galois(coset[0])", "image = j",
+     ["test_characters.py", "test_fermat.py"]),
+    ("shifted coset index in the Jacobi table",
+     "src/cyheights/character_sums.py",
+     "for s in coset:", "for s in cosets[cosets.index(coset) - 1]:",
+     ["test_characters.py", "test_fermat.py"]),
+    ("shifted coset index in the point count", "src/cyheights/fermat.py",
+     "slot[x] = 1 + k % d", "slot[x] = 1 + (k + 1) % d",
+     ["test_fermat.py"]),
     ("oracle imports from a layer it checks", "tests/oracles.py",
      "from cyheights.errors import", "from cyheights.fermat import",
      ["test_oracles.py"]),
@@ -121,6 +145,7 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "README.md", tree)
         files = sorted({f for *_, tests in MUTANTS for f in tests})
         status, failed = _pytest(tree, files)
         if status:

@@ -14,7 +14,8 @@ from math import gcd
 
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import FiniteField, frobenius_subgroup
+from cyheights.finite_field import (FiniteField, _poly_mul, _poly_rem,
+                                    frobenius_subgroup)
 
 DEFAULT_NAIVE_BUDGET = 10**7
 
@@ -83,6 +84,18 @@ def stickelberger_exponent(alpha: tuple[int, ...], p: int, m: int) -> int:
             s += (t * a) % m
         total += s // m
     return total
+
+
+def zeta_columns_by_products(zeta_hat: tuple[int, ...], modulus, pk: int,
+                             count: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinate columns of zeta_hat^0, ..., zeta_hat^(count - 1) in
+    (Z/pk)[x] / (modulus), each power the one before times zeta_hat by a
+    polynomial product and a remainder by the monic modulus."""
+    f, z, mod = len(zeta_hat), list(zeta_hat), list(modulus)
+    powers = [[1]]
+    for _ in range(count - 1):
+        powers.append(_poly_rem(_poly_mul(powers[-1], z, pk), mod, pk))
+    return tuple(zip(*(power + [0] * (f - len(power)) for power in powers)))
 
 
 def complex_embed(z: CycInt) -> complex:

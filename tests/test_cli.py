@@ -152,6 +152,46 @@ def test_stickelberger_reports_a_mismatch_in_every_format(capsys,
         for alpha in skew]
 
 
+def _corrupt_verdicts(rows):
+    """Verdicts no valid run prints: a mismatch (valuation above its
+    exponent), the same numbers with equal true, and equal the int 1 on
+    a row whose numbers a true row shares."""
+    first, last = rows[0], rows[-1]
+    first.update(valuation=first["exponent"] + 1, equal=False)
+    rows[1].update(exponent=first["exponent"], valuation=first["valuation"],
+                   equal=True)
+    last["equal"] = 1
+    assert any(row["equal"] is True and row["exponent"] == last["exponent"]
+               and row["valuation"] == last["valuation"] for row in rows)
+
+
+# the fields_warm round, the p = 2 class of fields_cold, an r = 3 shape
+# with f = 2, and (3, 4, 2) with the rows of _corrupt_verdicts
+@pytest.mark.parametrize("shape, edit", [
+    *[(shape, None) for shape in [
+        (2, 73, 1), (2, 63, 1), (7, 57, 1), (5, 31, 1), (3, 11, 2),
+        (2, 7, 3), (2, 15, 2), (2, 31, 1), (2, 9, 3), (2, 17, 1),
+        (2, 11, 2), (2, 23, 1), (2, 13, 1), (131, 3, 3)]],
+    ((3, 4, 2), _corrupt_verdicts)])
+def test_stickelberger_json_is_what_json_dumps_writes(capsys, monkeypatch,
+                                                      shape, edit):
+    real, records = fermat.stickelberger_check, []
+
+    def spy(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        if edit:
+            edit(records[-1]["rows"])
+        return records[-1]
+
+    monkeypatch.setattr(fermat, "stickelberger_check", spy)
+    p, m, r = map(str, shape)
+    _, out, _ = run(capsys, "stickelberger", "--p", p, "--m", m, "--r", r,
+                    "--format", "json")
+    payload = {"command": "stickelberger", **records[0]}
+    assert out == json.dumps(payload, sort_keys=True,
+                             check_circular=False) + "\n"
+
+
 def test_stickelberger_csv_schema(capsys):
     code, out, _ = run(capsys, "stickelberger", "--p", "3", "--m", "4",
                        "--r", "2", "--format", "csv")

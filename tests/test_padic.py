@@ -6,6 +6,7 @@ from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import InputError
 from cyheights.finite_field import build_field
 from cyheights.padic import PadicContext, default_precision, padic_valuation
+from oracles import zeta_columns_by_products
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +230,15 @@ def test_context_matches_fixed_length_kernels(p, f, m, k):
         z = CycInt.from_coeffs(m, [p**shift * rng.randint(-10**4, 10**4)
                                    for _ in range(degree(m))])
         assert padic_valuation(z, ctx) == _ref_valuation(z, ctx)
+
+
+# the five stickelberger shapes of the fields_warm benchmark round, with
+# f = 9, 6, 3, 3, 5, and two f = 1 fields
+@pytest.mark.parametrize("p, m, r", [(2, 73, 1), (2, 63, 1), (7, 57, 1),
+                                     (5, 31, 1), (3, 11, 2), (11, 5, 3),
+                                     (31, 10, 1)])
+def test_power_columns_match_products_and_remainders(p, m, r):
+    f = next(f for f in range(1, m) if (p**f - 1) % m == 0)
+    ctx = PadicContext(build_field(p, f), m, default_precision(f, r))
+    assert ctx._zeta_columns == zeta_columns_by_products(
+        ctx.zeta_hat, ctx.modulus, ctx.pk, degree(m))
