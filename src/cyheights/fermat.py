@@ -200,14 +200,16 @@ def _transition_bound(m: int, r: int, subgroup: tuple[int, ...],
     or None once that exceeds the budget.
 
     w(a) = (sum of subgroup) * a mod m, so a state's sum w fixes its sum a
-    up to g = gcd(sum of subgroup, m) values mod m.  After k steps sum w
-    takes at most k spread + 1 values, spread being max w - min w over
-    a = 1..m-1, so at most min(g (k spread + 1), (m-1)^k) states stand;
-    each makes m - 1 transitions in the first r + 1 steps and one in the
-    closing step.
+    up to g = gcd(sum of subgroup, m) values mod m.  The w(a), a = 1..m-1,
+    step by d, the gcd of the differences w(a) - w(1) (1 when all are 0),
+    so after k steps sum w takes at most k spread / d + 1 values, spread
+    being max w - min w, and at most min(g (k spread / d + 1), (m-1)^k)
+    states stand; each makes m - 1 transitions in the first r + 1 steps
+    and one in the closing step.
     """
     w = _weights(m, subgroup)[1:]
-    spread = max(w) - min(w)
+    step = gcd(*(wa - w[0] for wa in w)) or 1
+    spread = (max(w) - min(w)) // step
     per_value = gcd(sum(subgroup), m)
     total, reach = 0, 1
     for k in range(r + 1):

@@ -405,8 +405,10 @@ def build_field(p: int, f: int, *,
 
     The modulus is the lexicographically smallest monic irreducible of
     degree f (coefficient tuple compared leading term first) and the
-    generator is the smallest encoding of multiplicative order q - 1.
-    No work here is O(q); the budget bounds what powers() walks fill.
+    generator is the smallest encoding of multiplicative order q - 1,
+    each from one search for every f and q: the modulus of a prime field
+    is x, and the generator of GF(2) is 1.  No work here is O(q); the
+    budget bounds what powers() walks fill.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
@@ -418,21 +420,14 @@ def build_field(p: int, f: int, *,
             f"table-size budget exceeded: q = {p}^{f} = {q} > {table_budget}"
         )
 
-    if f == 1:
-        modulus = [0, 1]  # the linear polynomial x; elements are residues mod p
+    modulus = _smallest_irreducible(p, f)  # x for f = 1: residues mod p
+    prime_factors = _factorize(q - 1)
+    # For f > 1 the constants 1..p-1 have order dividing p - 1 < q - 1.
+    for generator in range(p if f > 1 else 1, q):
+        if _has_full_order(generator, q, prime_factors, modulus, p):
+            break
     else:
-        modulus = _smallest_irreducible(p, f)
-
-    prime_factors = _factorize(q - 1) if q > 2 else {}
-    generator = None
-    if q == 2:
-        generator = 1
-    else:
-        # For f > 1 the constants 1..p-1 have order dividing p - 1 < q - 1.
-        for cand in range(p if f > 1 else 1, q):
-            if _has_full_order(cand, q, prime_factors, modulus, p):
-                generator = cand
-                break
-    assert generator is not None
+        raise InternalCheckError(  # pragma: no cover
+            f"GF({p}^{f}) has no generator; this cannot happen")
     return FiniteField(p, f, tuple(modulus), generator)
 

@@ -19,7 +19,6 @@ choice under which Jacobi-sum valuations match Stickelberger exponents.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 
 from .cyclotomic import CycInt, degree
@@ -42,8 +41,6 @@ class PadicContext:
         p, f, q = field.p, field.f, field.q
         if m < 1:
             raise InputError(f"conductor must be >= 1, got {m}")
-        if gcd(p, m) != 1:
-            raise InputError(f"gcd(p, m) must be 1, got p={p}, m={m}")
         if (q - 1) % m != 0:
             raise InputError(f"m={m} does not divide q-1={q - 1}")
         if k < 1:
@@ -55,17 +52,14 @@ class PadicContext:
         self.modulus = tuple(c % self.pk for c in field.modulus)
         mod, pk = list(self.modulus), self.pk
 
-        # Teichmuller lift of g^-((q-1)/m): iterating x -> x^q gains at
-        # least one p-adic digit per round, so k rounds stabilize mod p^k.
-        # The helpers return trimmed polynomials, so z starts trimmed too.
+        # Teichmuller lift of the residue g^-((q-1)/m), by one power: if
+        # a = b mod p^j then a^q = b^q mod p^(j+f), and the residue agrees
+        # with its lift mod p, so its q^i-th power agrees mod p^(1+fi),
+        # which is p^k or finer for i = ceil((k-1)/f).
         root_enc = _enc_pow(field.generator, (q - 1) - (q - 1) // m,
                             field.modulus, p)
-        z = _poly_from_enc(root_enc, p)
-        for _ in range(k + 1):
-            nxt = _poly_pow(z, q, mod, pk)
-            if nxt == z:
-                break
-            z = nxt
+        z = _poly_pow(_poly_from_enc(root_enc, p), q**(-(-(k - 1) // f)),
+                      mod, pk)
         if _poly_pow(z, q, mod, pk) != z:
             raise InternalCheckError("Teichmuller lift did not stabilize")
         if _poly_pow(z, m, mod, pk) != [1]:

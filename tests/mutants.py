@@ -5,12 +5,12 @@ Run from anywhere, with pytest installed:
     python tests/mutants.py
 
 Each mutant is one exact-text replacement in one file.  The harness
-copies src/, tests/ and README.md (whose commands test_cli.py runs) into
-a temporary directory, checks that the old text occurs there exactly
-once, applies the replacement and runs ``pytest -x -q`` on the mutant's
-test files.  The mutant is killed when
-a test fails (pytest exit status 1); a mutant that pytest cannot even
-collect is broken, not killed.  The named test files must pass on the
+copies src/, tests/, perfbench/ (whose operations test_padic.py reads)
+and README.md (whose commands test_cli.py runs) into a temporary
+directory, checks that the old text occurs there exactly once, applies
+the replacement and runs ``pytest -x -q`` on the mutant's test files.
+The mutant is killed when a test fails (pytest exit status 1); a mutant
+that pytest cannot even collect is broken, not killed.  The named test files must pass on the
 unmutated copy first.  The run exits 1 if the clean run fails, if any
 mutant's text no longer matches exactly once, or if any mutant
 survives or is broken.
@@ -119,6 +119,53 @@ MUTANTS = [
     ("oracle imports from a layer it checks", "tests/oracles.py",
      "from cyheights.errors import", "from cyheights.fermat import",
      ["test_oracles.py"]),
+    ("lift one round short", "src/cyheights/padic.py",
+     "q**(-(-(k - 1) // f))", "q**((k - 1) // f)",
+     ["test_padic.py"]),
+    ("slope bound without the step of w", "src/cyheights/fermat.py",
+     "step = gcd(*(wa - w[0] for wa in w)) or 1", "step = 1",
+     ["test_fermat.py"]),
+    ("merge scale p**span + 1", "src/cyheights/finite_field.py",
+     "p**span, spread(sum(", "p**span + 1, spread(sum(",
+     ["test_finite_field.py"]),
+    ("images read one cell off", "src/cyheights/finite_field.py",
+     "first_image = cell * (n - f)", "first_image = cell * (n - f - 1)",
+     ["test_finite_field.py"]),
+    ("y - 1 rule reads e one place early", "src/cyheights/character_sums.py",
+     "before[p - 2::p] = e[2 * p - 1::p]",
+     "before[p - 2::p] = e[2 * p - 2::p]",
+     ["test_characters.py"]),
+    ("Kronecker digit width one byte short", "src/cyheights/cyclotomic.py",
+     "w = bound.bit_length() // 8 + 1", "w = bound.bit_length() // 8",
+     ["test_cyclotomic.py"]),
+    ("_reduce without the x^m fold", "src/cyheights/cyclotomic.py",
+     "buf[e - m] += buf[e]", "pass",
+     ["test_cyclotomic.py"]),
+    ("padic_valuation without % pk", "src/cyheights/padic.py",
+     "image = [sum(map(mul, z.coeffs, column)) % pk",
+     "image = [sum(map(mul, z.coeffs, column))",
+     ["test_padic.py"]),
+    ("sieve from the first multiple of n at or above lo",
+     "src/cyheights/cli.py",
+     "start = max(n * n, -(-lo // n) * n)", "start = -(-lo // n) * n",
+     ["test_cli.py"]),
+    ("slope symmetry check dropped", "src/cyheights/fermat.py",
+     "if any(mult.get(r - slope) != n for slope, n in slopes):", "if False:",
+     ["test_fermat.py"]),
+    ("Newton-above-Hodge check dropped", "src/cyheights/fermat.py",
+     "if y < hodge_y + level * (x - hodge_x):", "if False:",
+     ["test_fermat.py"]),
+    ("polygon end-point check dropped", "src/cyheights/fermat.py",
+     "if (x, y) != (sum(hodge), sum(k * h for k, h in enumerate(hodge))):",
+     "if False:",
+     ["test_fermat.py"]),
+    ("height bound h^(r-1,1) + 1 check dropped", "src/cyheights/fermat.py",
+     "if cy_height not in (None, INFINITE) and cy_height > hodge[1] + 1:",
+     "if False:",
+     ["test_fermat.py"]),
+    ("_slope_budget_check disabled", "src/cyheights/fermat.py",
+     "if (r + 2) * (m - 1) > budget:", "if False:",
+     ["test_fermat.py"]),
 ]
 
 
@@ -142,7 +189,7 @@ def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "README.md", tree)

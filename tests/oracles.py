@@ -14,8 +14,8 @@ from math import gcd
 
 from cyheights.cyclotomic import CycInt
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import (FiniteField, _poly_mul, _poly_rem,
-                                    frobenius_subgroup)
+from cyheights.finite_field import (FiniteField, _poly_from_enc, _poly_mul,
+                                    _poly_pow, _poly_rem, frobenius_subgroup)
 
 DEFAULT_NAIVE_BUDGET = 10**7
 
@@ -84,6 +84,30 @@ def stickelberger_exponent(alpha: tuple[int, ...], p: int, m: int) -> int:
             s += (t * a) % m
         total += s // m
     return total
+
+
+def teichmuller_by_iteration(field: FiniteField, m: int, k: int
+                             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The field modulus read mod p^k and the Teichmuller lift of
+    g^-((q-1)/m) in (Z/p^k)[x] / (modulus), padded to f coordinates.
+
+    The lift is the limit of x -> x^q from the residue: each round gains
+    at least one p-adic digit, so the iteration stops repeating within
+    k + 1 rounds.
+    """
+    p, f, q = field.p, field.f, field.q
+    pk = p**k
+    modulus = [c % pk for c in field.modulus]
+    z = _poly_pow(_poly_from_enc(field.generator, p), (q - 1) - (q - 1) // m,
+                  list(field.modulus), p)
+    for _ in range(k + 1):
+        nxt = _poly_pow(z, q, modulus, pk)
+        if nxt == z:
+            break
+        z = nxt
+    else:
+        raise AssertionError("Teichmuller lift did not stabilize")
+    return tuple(modulus), tuple(z + [0] * (f - len(z)))
 
 
 def zeta_columns_by_products(zeta_hat: tuple[int, ...], modulus, pk: int,

@@ -532,11 +532,13 @@ def test_budget_messages_for_counts_never_formed():
 
 def _transitions(m, r, subgroup):
     """The transition bound of one slope pass, in closed form: after k
-    steps at most min(g (k spread + 1), (m-1)^k) states, g = gcd(sum of
-    subgroup, m), each leaving by m - 1 transitions in the first r + 1
-    steps and by one at the close."""
+    steps at most min(g (k spread / d + 1), (m-1)^k) states, g = gcd(sum
+    of subgroup, m) and d the step of the w(a) (1 when they are equal),
+    each leaving by m - 1 transitions in the first r + 1 steps and by one
+    at the close."""
     w = [sum(t * a % m for t in subgroup) for a in range(1, m)]
-    spread = max(w) - min(w)
+    d = gcd(*(wa - w[0] for wa in w)) or 1
+    spread = (max(w) - min(w)) // d
     g = gcd(sum(subgroup), m)
     states = [min(g * (k * spread + 1), (m - 1)**k) for k in range(r + 2)]
     return sum(states[:-1]) * (m - 1) + states[-1]
@@ -567,26 +569,71 @@ def test_transition_bound_covers_the_transitions_made(p, m, r):
 
 
 def test_slope_budget_counts_transitions():
-    # (8, 6) has 720601 exponent vectors; at p = 3 the slope pass takes
-    # 4771 transitions (4 states per value of sum w) and the Hodge-level
-    # pass 974 (one state per value, exactly the transitions made);
-    # the empty subgroup keeps m = 8 states per value, and no caller runs it
+    # (8, 6) has 720601 exponent vectors; at p = 3 the slope pass is
+    # charged 1376 transitions (w = 4, 8, 4, 8, 12, 8, 12 steps by 4, so
+    # 2k + 1 values of sum w after k steps, 4 states per value) and makes
+    # 1362; the Hodge-level pass 974 (one state per value, exactly the
+    # transitions made); the empty subgroup keeps m = 8 states per value,
+    # and no caller runs it
     assert (_transitions(8, 6, (1,)), _transitions(8, 6, (1, 3)),
-            _transitions(8, 6, ())) == (974, 4771, 344)
+            _transitions(8, 6, ())) == (974, 1376, 344)
     assert _states_reached(8, 6, (1,)) == [1, 7, 13, 19, 25, 31, 37, 43]
+    assert _states_reached(8, 6, (1, 3)) == [1, 7, 18, 28, 36, 44, 52, 60]
     with pytest.raises(BudgetError, match="more than 100 DP transitions"):
         height_fermat(3, 8, 6, budget=100)
     # height_fermat runs the slope pass only, hodge_numbers_fermat the
     # level pass only, and variety_report both
     with pytest.raises(BudgetError):
-        height_fermat(3, 8, 6, budget=4770)
-    assert height_fermat(3, 8, 6, budget=4771) == INFINITE
+        height_fermat(3, 8, 6, budget=1375)
+    assert height_fermat(3, 8, 6, budget=1376) == INFINITE
     with pytest.raises(BudgetError):
         hodge_numbers_fermat(8, 6, budget=973)
     assert hodge_numbers_fermat(8, 6, budget=974)[0] == 1
     with pytest.raises(BudgetError):
-        variety_report(3, 8, 6, budget=5744)
-    assert variety_report(3, 8, 6, budget=5745)["height"] == INFINITE
+        variety_report(3, 8, 6, budget=2349)
+    assert variety_report(3, 8, 6, budget=2350)["height"] == INFINITE
+
+
+def test_transition_bound_covers_every_small_walk():
+    # every cyclic subgroup of (Z/m)^*, and the empty one, at m <= 16,
+    # r <= 8 and (m - 1)^(r + 1) <= 3 * 10^6: the bound covers the
+    # transitions made, and charges at most 1.35 times them
+    cases = 0
+    for m in range(2, 17):
+        subgroups = {tuple(sorted(frobenius_subgroup(u, m)))
+                     for u in units_mod(m)} | {()}
+        for r in range(1, 9):
+            if (m - 1)**(r + 1) > 3 * 10**6:
+                continue
+            for subgroup in subgroups:
+                sizes = _states_reached(m, r, subgroup)
+                made = sum(sizes[:-1]) * (m - 1) + sizes[-1]
+                bound = fermat._transition_bound(m, r, subgroup, 10**12)
+                assert made <= bound <= 1.35 * made, (m, r, subgroup)
+                cases += 1
+    assert cases == 396
+
+
+def test_criterion_two_sweep_fits_the_default_budget():
+    # the height theorem at m = r + 2 <= 20, every prime p < 100 prime to m
+    rows = [(p, m) for m in range(4, 21) for p in range(2, 100)
+            if finite_field.is_prime(p) and gcd(p, m) == 1]
+    assert len(rows) == 401
+    for p, m in rows:
+        bound = sum(fermat._transition_bound(m, m - 2, subgroup, 10**12)
+                    for subgroup in (frobenius_subgroup(p, m), (1,)))
+        assert bound <= fermat.DEFAULT_ALPHA_BUDGET, (p, m)
+
+
+@pytest.mark.parametrize("m,primes", [
+    (19, (5, 7, 11, 17, 23, 43, 47, 61, 73, 83)),
+    (20, (3, 7, 13, 17, 23, 37, 43, 47, 53, 67, 73, 83, 97))])
+def test_criterion_two_rows_that_need_the_step_of_w(m, primes):
+    # the rows whose spread of w alone, undivided by its step, exceeds
+    # the default budget: each fits it, and its height is the predicted one
+    for p in primes:
+        report = variety_report(p, m, m - 2)
+        assert report["agree"] is True, p
 
 
 def test_hodge_rejects_bad_shape():

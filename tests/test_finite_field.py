@@ -143,7 +143,8 @@ def test_f9_tables():
 
 def test_f2_degenerate():
     field = build_field(2, 1)
-    assert field.generator == 1
+    assert field.modulus == (0, 1)  # x, from the modulus search
+    assert field.generator == 1     # the search's first candidate
     assert field.q == 2
     assert tuple(field.powers()) == (1,)
 

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,7 @@ from cyheights.cyclotomic import CycInt, degree, modulus_squared
 from cyheights.errors import InputError
 from cyheights.finite_field import build_field
 from cyheights.padic import PadicContext, default_precision, padic_valuation
-from oracles import zeta_columns_by_products
+from oracles import teichmuller_by_iteration, zeta_columns_by_products
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +90,7 @@ def test_context_validations(f9):
         PadicContext(f9, 4, 0)
     field = build_field(2, 4)
     with pytest.raises(InputError):
-        PadicContext(field, 4, 3)  # gcd(p, m) != 1
+        PadicContext(field, 4, 3)  # p | m, so m does not divide q - 1
 
 
 def test_conductor_mismatch(f9):
@@ -242,3 +245,52 @@ def test_power_columns_match_products_and_remainders(p, m, r):
     ctx = PadicContext(build_field(p, f), m, default_precision(f, r))
     assert ctx._zeta_columns == zeta_columns_by_products(
         ctx.zeta_hat, ctx.modulus, ctx.pk, degree(m))
+
+
+def _lift_matches_iteration(field, m, k):
+    ctx = PadicContext(field, m, k)
+    assert ((ctx.modulus, ctx.zeta_hat)
+            == teichmuller_by_iteration(field, m, k))
+
+
+def _benchmark_ops():
+    """perfbench/ops.py, loaded from its file: the operations of the
+    benchmark's workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ops  # dataclasses looks the module up
+    try:
+        spec.loader.exec_module(ops)
+    finally:
+        del sys.modules[spec.name]
+    return ops
+
+
+def test_lift_matches_iteration_on_the_benchmark_fields():
+    # every stickelberger op of fields_cold and fields_warm, full and
+    # smoke size, at the working precision of the op
+    ops = _benchmark_ops()
+    shapes = set()
+    for workload in ("fields_cold", "fields_warm"):
+        for smoke in (False, True):
+            for pool in ops.classes(workload, smoke):
+                for op in pool:
+                    args = dict(zip(op.argv[1::2], op.argv[2::2]))
+                    shapes.add(tuple(int(args[key])
+                                     for key in ("--p", "--m", "--r")))
+    assert len(shapes) == 47
+    for p, m, r in sorted(shapes):
+        f = ops.order_mod(p, m)
+        _lift_matches_iteration(build_field(p, f), m, default_precision(f, r))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("f", range(1, 13))
+def test_lift_matches_iteration_for_every_degree(p, f):
+    # m the largest divisor of q - 1 up to 400, at the least precisions
+    # and at the working precision of r = 3
+    field = build_field(p, f)
+    m = max(d for d in range(1, 401) if (field.q - 1) % d == 0)
+    for k in (1, 2, default_precision(f, 3)):
+        _lift_matches_iteration(field, m, k)
