@@ -76,6 +76,7 @@ INFINITE = "inf"
 
 def alpha_count(m: int, r: int) -> int:
     """Closed form |{alpha}| = ((m-1)^(r+2) + (-1)^(r+2) (m-1)) / m."""
+    _check_shape(m, r)
     sign = 1 if (r + 2) % 2 == 0 else -1
     total = (m - 1) ** (r + 2) + sign * (m - 1)
     if total % m:
@@ -348,12 +349,12 @@ def _fully_rigged(m: int, subgroup: tuple[int, ...]) -> bool:
 
 def fully_rigged_fermat(p: int, m: int, r: int) -> bool:
     """Whether -1 lies in the subgroup of (Z/m)^* generated by p
-    (_fully_rigged), for even r and m >= 4."""
+    (_fully_rigged), for prime p, even r and m >= 4."""
     if r % 2:
         raise InputError(f"dimension r must be even, got {r}")
     if m < 4:
         raise InputError(f"degree m must be >= 4, got {m}")
-    return _fully_rigged(m, frobenius_subgroup(p, m))
+    return _fully_rigged(m, FermatParams.create(p, m, r).subgroup)
 
 
 def artin_comparison(p: int, m: int, r: int, *,

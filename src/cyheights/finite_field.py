@@ -18,6 +18,7 @@ from array import array
 from collections.abc import Iterator
 from math import gcd, isqrt
 
+from .cyclotomic import _schoolbook_product
 from .errors import BudgetError, InputError, InternalCheckError
 
 # Largest q of a field, whose walk may fill a q-entry table, in elements.
@@ -91,12 +92,7 @@ def _poly_trim(a: list[int]) -> list[int]:
 
 
 def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % n
-    return _poly_trim(out)
+    return _poly_trim([c % n for c in _schoolbook_product(a, b)])
 
 
 def _poly_rem(a: list[int], mod: list[int], n: int) -> list[int]:
@@ -200,34 +196,34 @@ class FiniteField:
         list possibly shorter; after the last list, raise InternalCheckError
         unless the walk closes at 1.
 
-        Every product comes from _block_multiplier, in big-integer passes
-        with no Python-level work per element.  The first list grows from
-        [1] by doubling, block + block * g^len(block), one set-up per
-        doubling; every later one is the first times g^(k*length).  The
-        closing check, last * g = 1, is polynomial arithmetic that shares
-        nothing with the kernel.
+        Every product comes from _block_products, in big-integer passes
+        with no Python-level work per element.  The first list is the
+        start of a shorter walk, the lists of power_blocks(isqrt(length))
+        joined and cut to length powers; every later one is the first
+        times h^k, h = g^length.  The closing check, last * g = 1, is
+        polynomial arithmetic that shares nothing with the kernel.
         """
         if length < 1:
             raise InputError(f"list length must be >= 1, got {length}")
         p, f, n, modulus, g = (self.p, self.f, self.q - 1, self.modulus,
                                self.generator)
         length = min(length, n)
-
-        def times_next(block: list[int]):  # block * y^k, y = block[-1] * g
-            y = _enc_mul(block[-1], g, modulus, p)
-            return _block_multiplier(p, f, block, _images(
-                p, f, modulus, _poly_from_enc(y, p)))
-
         block = [1]
-        while len(block) < length:
-            times, state = times_next(block)
-            block += times(state)[0][:length - len(block)]
+        if length > 1:
+            block = []
+            for part in self.power_blocks(isqrt(length)):
+                block += part
+                if len(block) >= length:
+                    break
+            del block[length:]
         yield block
         done = length
         if done < n:
-            times, state = times_next(block)
+            h = _enc_mul(block[-1], g, modulus, p)
+            products = _block_products(p, f, block, _images(
+                p, f, modulus, _poly_from_enc(h, p)))
         while done < n:
-            block, state = times(state)
+            block = next(products)
             del block[n - done:]
             done += len(block)
             yield block
@@ -319,24 +315,21 @@ def _images(n: int, f: int, modulus, y: list[int]) -> list[list[int]]:
     return images
 
 
-def _block_multiplier(p: int, f: int, block: list[int],
-                      images: list[list[int]]):
-    """Products of a fixed block by the powers of h, in big-integer passes.
+def _block_products(p: int, f: int, block: list[int],
+                    images: list[list[int]]) -> Iterator[list[int]]:
+    """Yield block * h, block * h^2, ..., in big-integer passes.
 
-    images are the coefficient lists of h * x^i (i < f).  Returns
-    (times, state): times(state) is ([y * x for x in block], state'),
-    where state holds y and state' holds y * h; the first state holds h.
-
-    Each cell of one big integer holds an element of the block, or one
-    of the h * x^i, as f slots.  For every digit position i the cells'
-    i-th digits are packed once into a column; y * x is then the sum of
-    the columns, each times the packed image y * x^i, so a product costs
-    f multiplications of big integers by small ones.  For odd p the slot
-    sums are reduced mod p all at once (Barrett: s // p is
-    s * magic >> shift for every slot sum s) and the digits are merged
-    pairwise into encodings; for p = 2 a slot is one bit, the sum is XOR
-    and the cell is the encoding.  The cells of the h * x^i, reduced,
-    are the images of y * h.
+    images are the coefficient lists of h * x^i (i < f).  Each cell of
+    one big integer holds an element of the block, or one of the
+    h * x^i, as f slots.  For every digit position i the cells' i-th
+    digits are packed once into a column; block * y, y = h^k, is then
+    the sum of the columns, each times the packed image y * x^i, so a
+    product costs f multiplications of big integers by small ones.  For
+    odd p the slot sums are reduced mod p all at once (Barrett: s // p
+    is s * magic >> shift for every slot sum s) and the digits are
+    merged pairwise into encodings; for p = 2 a slot is one bit, the sum
+    is XOR and the cell is the encoding.  The cells of the h * x^i,
+    times y and reduced, are the images of y * h, the next multiplier.
     """
     cells = block + [_enc_from_poly(image, p) for image in images]
     n = len(cells)
@@ -380,7 +373,9 @@ def _block_multiplier(p: int, f: int, block: list[int],
     ones = (1 << cell) - 1
     first_image = cell * (n - f)
 
-    def times(state: list[int]) -> tuple[list[int], list[int]]:
+    state = [sum(c << (width * k) for k, c in enumerate(image))
+             for image in images]
+    while True:
         acc = 0
         for column, image in zip(columns, state):
             acc = acc ^ column * image if p == 2 else acc + column * image
@@ -392,11 +387,7 @@ def _block_multiplier(p: int, f: int, block: list[int],
         words = array(code, acc.to_bytes(n * cell // 8, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        return words[:(n - f) * stride:stride].tolist(), state
-
-    state = [sum(c << (width * k) for k, c in enumerate(image))
-             for image in images]
-    return times, state
+        yield words[:(n - f) * stride:stride].tolist()
 
 
 def build_field(p: int, f: int, *,

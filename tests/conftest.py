@@ -28,9 +28,9 @@ def walk_breakers():
     given power.  Each leaves the walk's closing check as the only
     guard."""
     def break_kernel(patch):
-        patch.setattr(finite_field, "_block_multiplier",
-                      lambda p, f, block, images: (
-                          lambda state: ([2] * len(block), state), None))
+        patch.setattr(finite_field, "_block_products",
+                      lambda p, f, block, images: iter(
+                          lambda: [2] * len(block), None))
 
     def break_images(patch):
         patch.setattr(finite_field, "_images", lambda p, f, modulus, y: [

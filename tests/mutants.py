@@ -166,6 +166,25 @@ MUTANTS = [
     ("_slope_budget_check disabled", "src/cyheights/fermat.py",
      "if (r + 2) * (m - 1) > budget:", "if False:",
      ["test_fermat.py"]),
+    ("first list left uncut", "src/cyheights/finite_field.py",
+     "del block[length:]", "pass",
+     ["test_finite_field.py", "test_characters.py"]),
+    ("kernel multiplier never advanced", "src/cyheights/finite_field.py",
+     "state = [acc >> (first_image + cell * i) & ones for i in range(f)]",
+     "pass",
+     ["test_finite_field.py"]),
+    ("walk closing check dropped", "src/cyheights/finite_field.py",
+     "if _enc_mul(block[-1], g, modulus, p) != 1:", "if False:",
+     ["test_fermat.py"]),
+    ("expansion recurrence off by one", "src/cyheights/fermat.py",
+     "(k - i) * d[i]", "(k - i + 1) * d[i]",
+     ["test_fermat.py"]),
+    ("point count without the factor d", "src/cyheights/fermat.py",
+     "conv[i] + d * sum(", "conv[i] + sum(",
+     ["test_fermat.py"]),
+    ("orbit-multiplicity check dropped", "src/cyheights/fermat.py",
+     "if any(multiplicity[beta] != mult for beta in orbit):", "if False:",
+     ["test_fermat.py"]),
 ]
 
 

@@ -68,6 +68,12 @@ def test_alpha_count_closed_form(m, r):
     assert alpha_count(m, r) == len(exponent_vectors(m, r))
 
 
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_alpha_count_rejects_a_degree_below_two(m):
+    with pytest.raises(InputError):
+        alpha_count(m, 1)
+
+
 def test_exponent_vectors_budget():
     with pytest.raises(BudgetError):
         exponent_vectors(7, 5, budget=100)
@@ -204,6 +210,12 @@ def test_fully_rigged_examples():
         fully_rigged_fermat(3, 3, 2)
     with pytest.raises(InputError):
         fully_rigged_fermat(3, 6, 2)  # gcd(p, m) != 1
+
+
+@pytest.mark.parametrize("p,m,r", [(9, 4, 2), (15, 8, 6), (1, 4, 2)])
+def test_fully_rigged_rejects_a_p_that_is_not_prime(p, m, r):
+    with pytest.raises(InputError, match="prime"):
+        fully_rigged_fermat(p, m, r)
 
 
 def test_fully_rigged_matches_power_loop():
@@ -712,8 +724,8 @@ def test_point_count_oracle_uses_no_characters(monkeypatch):
 def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch,
                                                          walk_breakers):
     # a walk that never returns to 1: every O(q) pass exhausts it, so
-    # each reaches its closing check.  GF(31) doubles [1] into its first
-    # list of 5 powers and multiplies that list after it.
+    # each reaches its closing check.  GF(31) takes its first list of 5
+    # powers from a walk in lists of 2 and multiplies that list after it.
     field = build_field(31, 1)
     first_lists = {"kernel": [[1, 2, 2, 2, 2], [2, 2, 2, 2, 2]],
                    "images": [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]}

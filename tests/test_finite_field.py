@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import (_enc_from_poly, _factorize,
+from cyheights.finite_field import (_enc_from_poly, _enc_mul, _factorize,
                                     _has_full_order, _poly_from_enc,
                                     _poly_mul, _poly_rem, _smallest_irreducible,
                                     build_field, frobenius_subgroup, is_prime)
@@ -87,6 +87,21 @@ def test_power_blocks_are_the_walk_in_order(p, f, length):
     assert 0 < len(blocks[-1]) <= length
     with pytest.raises(InputError):
         next(field.power_blocks(0))
+
+
+# p = 2 with f >= 3, an odd p with f >= 2 and a prime field: every list
+# length, up to one past the group order
+@pytest.mark.parametrize("p,f", [(2, 5), (3, 3), (31, 1)])
+def test_every_list_length_walks_the_group(p, f):
+    field = build_field(p, f)
+    q, g = field.q, field.generator
+    walk = [1]
+    while len(walk) < q - 1:
+        walk.append(_enc_mul(walk[-1], g, field.modulus, p))
+    for length in range(1, q + 1):
+        blocks = list(field.power_blocks(length))
+        assert len(blocks[0]) == min(length, q - 1)
+        assert [x for block in blocks for x in block] == walk
 
 
 @pytest.mark.parametrize("p,f", [(p, f) for p, f in REFERENCE_FIELDS
