@@ -12,18 +12,18 @@ level are symmetric in all r + 2 components, so the zeta function and
 the Stickelberger rows are read off one walk over exponent multisets
 (exponent_multisets).  The exponent and the level are sums of one term
 per component, so the slope invariants come from a dynamic program over
-two running sums (_exponent_histogram), at a cost polynomial in m and
-r.  The slopes depend on p only through <p> in (Z/m)^*, which
-FermatParams builds once, after the budget admits (m, r).  Results are
-plain values.  When m = r + 2 the hypersurface is Calabi-Yau and the
-height is the invariant the theorems here are about; everything is
-computed from first principles so the closed-form predictions stay
-testable.
+two running sums, a big integer per step with one digit per state in g
+lanes (_exponent_histogram), at a cost polynomial in m and r.  The
+slopes depend on p only through <p> in (Z/m)^*, which FermatParams
+builds once, after the budget admits (m, r).  Results are plain values.
+When m = r + 2 the hypersurface is Calabi-Yau and the height is the
+invariant the theorems here are about; everything is computed from
+first principles so the closed-form predictions stay testable.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,11 +197,12 @@ _SLOPE_BUDGET = "exponent-vector budget exceeded: {} DP transitions"
 
 def _transition_bound(m: int, r: int, subgroup: tuple[int, ...],
                       budget: int) -> int | None:
-    """The transitions _exponent_histogram(m, r, subgroup) makes at most,
-    or None once that exceeds the budget.
+    """The transitions _exponent_histogram(m, r, subgroup) makes at most as
+    a DP over states, or None once that exceeds the budget: the slope
+    budget's unit, though the passes make each step's in bulk.
 
-    w(a) = (sum of subgroup) * a mod m, so a state's sum w fixes its sum a
-    up to g = gcd(sum of subgroup, m) values mod m.  The w(a), a = 1..m-1,
+    w(a) = c a mod m for c the sum of subgroup, so a state's sum w fixes
+    its sum a up to g = gcd(c, m) values mod m.  The w(a), a = 1..m-1,
     step by d, the gcd of the differences w(a) - w(1) (1 when all are 0),
     so after k steps sum w takes at most k spread / d + 1 values, spread
     being max w - min w, and at most min(g (k spread / d + 1), (m-1)^k)
@@ -225,28 +226,34 @@ def _transition_bound(m: int, r: int, subgroup: tuple[int, ...],
 def _exponent_histogram(m: int, r: int, subgroup: tuple[int, ...]
                         ) -> Counter:
     """The Stickelberger exponent over subgroup (_multiset_exponent) of
-    every exponent vector, as a histogram.
-
-    A dynamic program over the states (sum of a_i mod m, sum of w(a_i)),
-    each holding its number of partial vectors, since the exponent reads
-    only these two sums.  The first r + 1 steps add an entry 1..m-1; the
-    closing entry is -(sum so far) mod m, which must be nonzero.
-    """
-    w = _weights(m, subgroup)
-    f = len(subgroup)
-    steps = [(a, w[a]) for a in range(1, m)]
-    states = {(0, 0): 1}
-    for _ in range(r + 1):
-        grown: defaultdict = defaultdict(int)
-        for (s, total), count in states.items():
-            for a, wa in steps:
-                grown[(s + a) % m, total + wa] += count
-        states = grown
-    exponents: Counter = Counter()
-    for (s, total), count in states.items():
-        if s:
-            exponents[(total + w[m - s]) // m - f] += count
-    return exponents
+    every exponent vector, as a histogram.  r + 2 steps add an entry
+    1..m-1 to the states (s, W) = (sum a_i mod m, sum w(a_i)); the
+    vectors end at s = 0.  A state counts in digit j L + u of one integer
+    for W = k lo + u d (lo the least w(a), d the step of w) and lane
+    j = (s - c' W / g) / n mod g, n = m / g, c' c / g = 1 mod n (c, g as in
+    _transition_bound).  Entry a moves every state J(a) lanes and u by
+    (w(a) - lo) / d: a step sums shifted copies and folds lanes >= g back."""
+    w, f, g = _weights(m, subgroup), len(subgroup), gcd(sum(subgroup), m)
+    lo, step = min(w[1:]), gcd(*(wa - w[1] for wa in w[1:])) or 1
+    n, inverse = m // g, pow(sum(subgroup) // g, -1, m // g)
+    span = (r + 2) * (max(w[1:]) - lo) // step + 1  # L, digits per lane
+    width = ((m - 1)**(r + 2)).bit_length()  # no digit exceeds (m-1)^(r+2)
+    shifts = [width * ((a - inverse * w[a] // g) % m // n * span
+                       + (w[a] - lo) // step) for a in range(1, m)]
+    top = width * span * g
+    state, lanes = 1, (1 << top) - 1
+    for _ in range(r + 2):
+        acc = 0
+        for shift in shifts:
+            acc += state << shift
+        state = (acc & lanes) + (acc >> top)
+    exponents, digit = Counter(), (1 << width) - 1
+    for u in range(span):
+        total = (r + 2) * lo + u * step
+        if total % m == 0:
+            at = width * ((-inverse * total // g) % m // n * span + u)
+            exponents[total // m - f] = state >> at & digit
+    return +exponents  # without the zero counts
 
 
 def _histograms(m: int, r: int, subgroups: tuple[tuple[int, ...], ...],
@@ -373,32 +380,31 @@ def artin_comparison(p: int, m: int, r: int, *,
             "fully_rigged": report["fully_rigged"]}
 
 
-def _check_slopes(slopes: Slopes, hodge: list[int],
+def _check_slopes(exponents: Counter, f: int, hodge: list[int],
                   cy_height: int | str | None) -> None:
-    """Hard checks on a slope profile, each O(distinct slopes + r): the
-    slopes are symmetric under s -> r - s (functional equation); the
-    Newton polygon lies on or above the Hodge polygon with the same end
-    points (Mazur); and a finite Calabi-Yau height (cy_height, None when
-    m != r + 2) is at most h^(r-1,1) + 1."""
+    """Hard checks, in integers, on the slopes e / f of an exponent
+    histogram, each O(distinct slopes + r): symmetry under s -> r - s
+    (functional equation); the Newton polygon on or above the Hodge
+    polygon with the same end points (Mazur); and a finite Calabi-Yau
+    height (cy_height, None when m != r + 2) at most h^(r-1,1) + 1."""
     r = len(hodge) - 1
-    mult = dict(slopes)
-    if any(mult.get(r - slope) != n for slope, n in slopes):
+    if any(exponents.get(f * r - e) != n for e, n in exponents.items()):
         raise InternalCheckError("Newton slopes are not symmetric under "
                                  "s -> r - s")
     # Between two Newton vertices the Newton polygon is linear and the
     # Hodge polygon convex, so checking the Newton vertices suffices.
-    x, y = 0, Fraction(0)
+    x, y = 0, 0  # y is f times the Newton polygon
     level, hodge_x, hodge_y = 0, 0, 0  # Hodge vertex at or before x
-    for slope, n in slopes:
-        x, y = x + n, y + slope * n
+    for e, n in sorted(exponents.items()):
+        x, y = x + n, y + e * n
         while level <= r and hodge_x + hodge[level] <= x:
             hodge_x += hodge[level]
             hodge_y += level * hodge[level]
             level += 1
-        if y < hodge_y + level * (x - hodge_x):
+        if y < f * (hodge_y + level * (x - hodge_x)):
             raise InternalCheckError(f"Newton polygon below the Hodge "
                                      f"polygon at x = {x}")
-    if (x, y) != (sum(hodge), sum(k * h for k, h in enumerate(hodge))):
+    if (x, y) != (sum(hodge), f * sum(k * h for k, h in enumerate(hodge))):
         raise InternalCheckError("Newton and Hodge polygons end apart")
     if cy_height not in (None, INFINITE) and cy_height > hodge[1] + 1:
         raise InternalCheckError(f"height {cy_height} exceeds "
@@ -417,7 +423,7 @@ def variety_report(p: int, m: int, r: int, *,
     exponents, hodge = _slope_profile(m, r, params.subgroup, budget)
     slopes = _slopes(exponents, params.f, r)
     count, height = _height(slopes)
-    _check_slopes(slopes, hodge, height if m == r + 2 else None)
+    _check_slopes(exponents, params.f, hodge, height if m == r + 2 else None)
     predicted = predicted_height(p, m, r)
     rigged = None
     if r % 2 == 0 and m >= 4:

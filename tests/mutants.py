@@ -150,18 +150,33 @@ MUTANTS = [
      "start = max(n * n, -(-lo // n) * n)", "start = -(-lo // n) * n",
      ["test_cli.py"]),
     ("slope symmetry check dropped", "src/cyheights/fermat.py",
-     "if any(mult.get(r - slope) != n for slope, n in slopes):", "if False:",
+     "if any(exponents.get(f * r - e) != n for e, n in exponents.items()):",
+     "if False:",
      ["test_fermat.py"]),
     ("Newton-above-Hodge check dropped", "src/cyheights/fermat.py",
-     "if y < hodge_y + level * (x - hodge_x):", "if False:",
+     "if y < f * (hodge_y + level * (x - hodge_x)):", "if False:",
      ["test_fermat.py"]),
     ("polygon end-point check dropped", "src/cyheights/fermat.py",
-     "if (x, y) != (sum(hodge), sum(k * h for k, h in enumerate(hodge))):",
+     "if (x, y) != (sum(hodge), f * sum(k * h for k, h in enumerate(hodge))):",
      "if False:",
      ["test_fermat.py"]),
     ("height bound h^(r-1,1) + 1 check dropped", "src/cyheights/fermat.py",
      "if cy_height not in (None, INFINITE) and cy_height > hodge[1] + 1:",
      "if False:",
+     ["test_fermat.py"]),
+    ("slope digit one byte too narrow", "src/cyheights/fermat.py",
+     "bit_length()  # no digit exceeds",
+     "bit_length() - 8  # no digit exceeds",
+     ["test_fermat.py"]),
+    ("slope lane step J(a) forced to 0", "src/cyheights/fermat.py",
+     "(a - inverse * w[a] // g) % m // n * span", "0 * span",
+     ["test_fermat.py"]),
+    ("slope lane fold dropped", "src/cyheights/fermat.py",
+     "state = (acc & lanes) + (acc >> top)", "state = acc",
+     ["test_fermat.py"]),
+    ("slopes read from lane 0, not the lane of s = 0",
+     "src/cyheights/fermat.py",
+     "(-inverse * total // g) % m // n * span + u", "u",
      ["test_fermat.py"]),
     ("_slope_budget_check disabled", "src/cyheights/fermat.py",
      "if (r + 2) * (m - 1) > budget:", "if False:",

@@ -10,6 +10,7 @@ imports), so no oracle can borrow a step from the layers it checks.
 from __future__ import annotations
 
 import cmath
+from collections import Counter, defaultdict
 from math import gcd
 
 from cyheights.cyclotomic import CycInt
@@ -84,6 +85,30 @@ def stickelberger_exponent(alpha: tuple[int, ...], p: int, m: int) -> int:
             s += (t * a) % m
         total += s // m
     return total
+
+
+def exponent_histogram_by_states(m: int, r: int, subgroup: tuple[int, ...]
+                                 ) -> Counter:
+    """The histogram of sum over t in subgroup of [sum_{j>=1} <t * a_j / m>]
+    over all exponent vectors, by a dynamic program that holds each state
+    (sum of a_i mod m, sum of w(a_i)) as a dict entry with its number of
+    partial vectors, w(a) = sum over t in subgroup of (t * a mod m).  The
+    first r + 1 steps add an entry 1..m-1 one transition at a time; the
+    closing entry is -(sum so far) mod m, which must be nonzero."""
+    w = [sum((t * a) % m for t in subgroup) for a in range(m)]
+    f = len(subgroup)
+    states = {(0, 0): 1}
+    for _ in range(r + 1):
+        grown: defaultdict = defaultdict(int)
+        for (s, total), count in states.items():
+            for a in range(1, m):
+                grown[(s + a) % m, total + w[a]] += count
+        states = grown
+    exponents: Counter = Counter()
+    for (s, total), count in states.items():
+        if s:
+            exponents[(total + w[m - s]) // m - f] += count
+    return exponents
 
 
 def teichmuller_by_iteration(field: FiniteField, m: int, k: int

@@ -23,7 +23,7 @@ from cyheights.finite_field import (FiniteField, build_field,
                                     frobenius_subgroup, units_mod)
 from cyheights.kummer import abelian_height
 from cyheights.padic import PadicContext, default_precision, padic_valuation
-from oracles import stickelberger_exponent
+from oracles import exponent_histogram_by_states, stickelberger_exponent
 
 
 def test_params_validation():
@@ -606,24 +606,41 @@ def test_slope_budget_counts_transitions():
     assert variety_report(3, 8, 6, budget=2350)["height"] == INFINITE
 
 
+def _subgroups(m):
+    """Every cyclic subgroup of (Z/m)^*, sorted, and the empty one."""
+    return sorted({tuple(sorted(frobenius_subgroup(u, m)))
+                   for u in units_mod(m)} | {()})
+
+
+def _small_walks():
+    """(m, r, subgroup) for every subgroup of _subgroups(m) at m <= 16,
+    r <= 8 and (m - 1)^(r + 1) <= 3 * 10^6."""
+    return [(m, r, subgroup) for m in range(2, 17) for r in range(1, 9)
+            if (m - 1)**(r + 1) <= 3 * 10**6 for subgroup in _subgroups(m)]
+
+
 def test_transition_bound_covers_every_small_walk():
-    # every cyclic subgroup of (Z/m)^*, and the empty one, at m <= 16,
-    # r <= 8 and (m - 1)^(r + 1) <= 3 * 10^6: the bound covers the
-    # transitions made, and charges at most 1.35 times them
-    cases = 0
-    for m in range(2, 17):
-        subgroups = {tuple(sorted(frobenius_subgroup(u, m)))
-                     for u in units_mod(m)} | {()}
-        for r in range(1, 9):
-            if (m - 1)**(r + 1) > 3 * 10**6:
-                continue
-            for subgroup in subgroups:
-                sizes = _states_reached(m, r, subgroup)
-                made = sum(sizes[:-1]) * (m - 1) + sizes[-1]
-                bound = fermat._transition_bound(m, r, subgroup, 10**12)
-                assert made <= bound <= 1.35 * made, (m, r, subgroup)
-                cases += 1
-    assert cases == 396
+    # the bound covers the transitions made, and charges at most 1.35
+    # times them
+    cases = _small_walks()
+    for m, r, subgroup in cases:
+        sizes = _states_reached(m, r, subgroup)
+        made = sum(sizes[:-1]) * (m - 1) + sizes[-1]
+        bound = fermat._transition_bound(m, r, subgroup, 10**12)
+        assert made <= bound <= 1.35 * made, (m, r, subgroup)
+    assert len(cases) == 396
+
+
+def test_packed_passes_match_the_dict_dp():
+    # the small walks, m = 2 and the subgroups (1,) and () among them,
+    # and at m = r + 2 <= 24 the 99 cyclic subgroups and the empty one
+    cases = _small_walks() + [(m, m - 2, subgroup) for m in range(3, 25)
+                              for subgroup in _subgroups(m)]
+    for m, r, subgroup in cases:
+        packed = fermat._exponent_histogram(m, r, subgroup)
+        assert packed == exponent_histogram_by_states(m, r, subgroup), (
+            m, r, subgroup)
+    assert len(cases) == 396 + 99 + 22
 
 
 def test_criterion_two_sweep_fits_the_default_budget():
