@@ -25,22 +25,30 @@ from .errors import BudgetError, InputError, InternalCheckError
 DEFAULT_TABLE_BUDGET = 1 << 24
 
 
-# Miller-Rabin to these bases proves primality below PRIMALITY_BOUND, the
-# least composite that passes it (Sorenson and Webster, Math. Comp. 2017).
+# Miller-Rabin to the first k prime bases proves primality below psi_k, the
+# least strong pseudoprime to them all; PRIMALITY_BOUND = psi_13.  The table
+# holds (psi_k, k) where psi_k grows (Pomerance, Selfridge and Wagstaff 1980;
+# Jaeschke 1993; Jiang and Deng 2014; Sorenson and Webster 2017; Math. Comp.).
 PRIMALITY_BOUND = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASE_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                  (2152302898747, 5), (3474749660383, 6),
+                  (341550071728321, 7), (3825123056546413051, 9),
+                  (318665857834031151167461, 12), (PRIMALITY_BOUND, 13))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the prime bases 2..41, a proof for
-    n < PRIMALITY_BOUND; from the bound up it raises BudgetError."""
+    """Deterministic Miller-Rabin to the shortest prefix of the prime
+    bases 2..41 proven for n, a proof for n < PRIMALITY_BOUND; from the
+    bound up it raises BudgetError."""
     if n >= PRIMALITY_BOUND:
         raise BudgetError(f"primality budget exceeded: n >= {PRIMALITY_BOUND}"
                           ", where Miller-Rabin to bases 2..41 is no proof")
     if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
         return n in _PRIME_BASES
+    k = next(k for bound, k in _BASE_PREFIXES if n < bound)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
-    for a in _PRIME_BASES:  # a is a witness unless x = 1 or some x^(2^j) = -1
+    for a in _PRIME_BASES[:k]:  # a witness unless x = 1 or some x^(2^j) = -1
         x = pow(a, (n - 1) >> s, n)
         if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
             return False

@@ -8,8 +8,9 @@ acted on by a cube root of unity, the p-rank comes from an exact point
 count of E rather than from any congruence shortcut.  Up to p = 229 the
 count is an O(p) Legendre-symbol sweep.  Above 229, where Mestre's
 theorem applies, it is read off point orders on E and its quadratic
-twist, found by baby-step giant-step in O(p^(1/4)) group operations; a
-sweep that shares none of its steps is its oracle in the tests.
+twist, found by baby-step giant-step in O(p^(1/4)) group operations whose
+giant walk is built from the babies; a sweep that shares none of its
+steps is its oracle in the tests.
 
 The intermediate Jacobian of the rigid quotient is C modulo the lattice
 generated by 1, omega, omega^2, omega^3 for a quadratic omega; the
@@ -121,33 +122,41 @@ def _ec_mul(n: int, P, A: int, p: int):
 
 def _order_multiples(P, A: int, p: int, r: int) -> set[int]:
     """The n in the Hasse interval [p+1-r, p+1+r] with n*P = O, by
-    baby-step giant-step over n = p + 1 + u*w + v with |v| <= s, w = 2s+1.
+    baby-step giant-step: babies v*P for 1 <= v <= s, giant steps n*P for
+    n = p+1-r+s + u*w, w = 2s+1, whose windows [n-s, n+s] tile the interval.
 
     A baby step v*P that is O, -v'*P for an earlier v' or its own
     negative gives the order of P exactly: v, v + v' or 2v.  Every order
     up to 2s shows so; past 2s the baby points have distinct
-    x-coordinates and nonzero y, and each giant step matches at most one
-    n."""
+    x-coordinates and nonzero y, and each window holds at most one n.
+    The step w*P is 2(s*P) + P; the walk starts at a multiple of it plus
+    or minus a baby."""
     lo, hi = p + 1 - r, p + 1 + r
     s = isqrt(r) + 1
-    babies, Q = {}, None
+    babies, points, Q = {}, [None], None  # points[v] = v*P
     for v in range(1, s + 1):
         Q = _ec_add(Q, P, A, p)
         if Q is None or Q[0] in babies or Q[1] == 0:
-            order = v if Q is None else v + babies.get(Q[0], (v,))[0]
+            order = v if Q is None else v + babies.get(Q[0], v)
             return set(range(-(-lo // order) * order, hi + 1, order))
-        babies[Q[0]] = v, Q[1]
-    w, u_max = 2 * s + 1, r // (2 * s + 1) + 1
-    step = _ec_mul(w, P, A, p)
-    R = _ec_mul(p + 1 - u_max * w, P, A, p)  # R = n*P; n > 0 for p > 229
+        babies[Q[0]] = v
+        points.append(Q)
+    w = 2 * s + 1
+    step = _ec_add(_ec_add(Q, Q, A, p), P, A, p)
+    a, b = divmod(lo + 2 * s, w)
+    b -= s  # lo + s = a*w + b with |b| <= s
+    offset = points[abs(b)]
+    if b < 0:
+        offset = offset[0], -offset[1] % p
+    R = _ec_add(_ec_mul(a - 1, step, A, p), offset, A, p)  # (lo + s - w)*P
     found = set()
-    for n in range(p + 1 - u_max * w, p + 2 + u_max * w, w):
+    for n in range(lo + s, hi + s + 1, w):
+        R = _ec_add(R, step, A, p)
         if R is None:
             found.add(n)
         elif R[0] in babies:  # R = +-v*P, so (n -+ v)*P = O
-            v, y = babies[R[0]]
-            found.add(n - v if R[1] == y else n + v)
-        R = _ec_add(R, step, A, p)
+            v = babies[R[0]]
+            found.add(n - v if R[1] == points[v][1] else n + v)
     return {n for n in found if lo <= n <= hi}
 
 
@@ -163,7 +172,7 @@ def _count_by_orders(p: int, a: int, b: int) -> int:
     interval remains, which Mestre's theorem guarantees before x runs
     out."""
     r = isqrt(4 * p)
-    fits = range(p + 1 - r, p + 2 + r)
+    fits = None  # every N in the Hasse interval, until the first point
     for x in range(p):
         c = ((x * x + a) * x + b) % p
         if c == 0:
@@ -172,7 +181,7 @@ def _count_by_orders(p: int, a: int, b: int) -> int:
         multiples = _order_multiples(P, A, p, r)
         if legendre(c, p) < 0:  # P lies on the twist, of order 2p+2-N
             multiples = {2 * p + 2 - n for n in multiples}
-        fits = {n for n in multiples if n in fits}
+        fits = multiples if fits is None else fits & multiples
         if len(fits) == 1:
             return fits.pop()
         if not fits:

@@ -39,12 +39,26 @@ MUTANTS = [
      "if legendre(c, p) < 0:", "if legendre(c, p) > 0:",
      ["test_kummer.py"]),
     ("Hasse interval one short", "src/cyheights/kummer.py",
-     "fits = range(p + 1 - r, p + 2 + r)",
-     "fits = range(p + 1 - r, p + 1 + r)",
+     "lo, hi = p + 1 - r, p + 1 + r", "lo, hi = p + 1 - r, p + r",
      ["test_kummer.py"]),
     ("Miller-Rabin without base 41", "src/cyheights/finite_field.py",
      "29, 31, 37, 41)", "29, 31, 37)",
      ["test_finite_field.py"]),
+    ("Miller-Rabin base prefix one short", "src/cyheights/finite_field.py",
+     "(1373653, 2)", "(1373653, 1)",
+     ["test_finite_field.py"]),
+    ("giant step w*P without the + P", "src/cyheights/kummer.py",
+     "step = _ec_add(_ec_add(Q, Q, A, p), P, A, p)",
+     "step = _ec_add(Q, Q, A, p)",
+     ["test_kummer.py"]),
+    ("giant walk start offset with the sign of y flipped",
+     "src/cyheights/kummer.py",
+     "offset = offset[0], -offset[1] % p", "offset = offset[0], offset[1]",
+     ["test_kummer.py"]),
+    ("giant walk one step short", "src/cyheights/kummer.py",
+     "for n in range(lo + s, hi + s + 1, w):",
+     "for n in range(lo + s, hi + s + 1 - w, w):",
+     ["test_kummer.py"]),
     ("floor Barrett magic", "src/cyheights/finite_field.py",
      "magic = -(-(1 << shift) // p)", "magic = (1 << shift) // p",
      ["test_finite_field.py"]),
@@ -134,6 +148,9 @@ MUTANTS = [
     ("y - 1 rule reads e one place early", "src/cyheights/character_sums.py",
      "before[p - 2::p] = e[2 * p - 1::p]",
      "before[p - 2::p] = e[2 * p - 2::p]",
+     ["test_characters.py"]),
+    ("y - 1 rule read as y - 2", "src/cyheights/character_sums.py",
+     "before = e[1:-1]", "before = e[:-2]",
      ["test_characters.py"]),
     ("Kronecker digit width one byte short", "src/cyheights/cyclotomic.py",
      "w = bound.bit_length() // 8 + 1", "w = bound.bit_length() // 8",

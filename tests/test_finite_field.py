@@ -3,11 +3,13 @@ from math import isqrt
 
 import pytest
 
+from cyheights import finite_field
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import (_enc_from_poly, _enc_mul, _factorize,
-                                    _has_full_order, _poly_from_enc,
-                                    _poly_mul, _poly_rem, _smallest_irreducible,
-                                    build_field, frobenius_subgroup, is_prime)
+from cyheights.finite_field import (PRIMALITY_BOUND, _enc_from_poly,
+                                    _enc_mul, _factorize, _has_full_order,
+                                    _poly_from_enc, _poly_mul, _poly_rem,
+                                    _smallest_irreducible, build_field,
+                                    frobenius_subgroup, is_prime)
 
 
 def _reference_field(p, f):
@@ -387,6 +389,50 @@ def test_is_prime_rejects_strong_pseudoprimes(deadline, n):
 @pytest.mark.parametrize("n", [10**12 + 39, 10**18 + 3, 10**18 + 9])
 def test_is_prime_accepts_large_primes(deadline, n):
     assert is_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """n passes one round of Miller-Rabin to base a: with n - 1 = d*2^t,
+    d odd, a^d = 1 or a^(d*2^i) = -1 for some i < t."""
+    d, t = n - 1, 0
+    while d % 2 == 0:
+        d, t = d // 2, t + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(t):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_each_base_prefix_bound_is_a_strong_pseudoprime():
+    # (psi, k) proves k bases below psi; psi itself passes every base up
+    # to the next entry's k and fails the base after, so the next prefix
+    # is needed from psi up
+    table = finite_field._BASE_PREFIXES
+    assert [k for _, k in table] == sorted({k for _, k in table})
+    assert table[-1] == (PRIMALITY_BOUND, len(BASES))
+    assert finite_field._PRIME_BASES == BASES
+    for (bound, _), (_, k_next) in zip(table, table[1:]):
+        passed = [_strong_probable_prime(bound, a) for a in BASES]
+        assert passed[:k_next] == [True] * (k_next - 1) + [False], bound
+        assert not is_prime(bound)
+
+
+@pytest.mark.parametrize("bound", [bound for bound, _ in
+                                   finite_field._BASE_PREFIXES])
+def test_is_prime_matches_all_bases_near_each_bound(bound):
+    # below PRIMALITY_BOUND the 13-base test is a proof, so is_prime must
+    # agree with it on both sides of every point where its prefix grows
+    for n in range(bound - 2000, min(bound + 2001, PRIMALITY_BOUND)):
+        full = all(n % a for a in BASES) and all(
+            _strong_probable_prime(n, a) for a in BASES)
+        assert is_prime(n) == (full or n in BASES), n
 
 
 def test_is_prime_raises_from_its_proven_bound(deadline):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -102,22 +103,44 @@ def test_point_orders_match_the_sweep_at_large_p(p, a, b):
 
 @pytest.mark.parametrize("a,b", [(11, 154), (0, 1), (2, 3)])
 def test_order_multiples_match_a_scan(a, b):
-    # every point (c*x, c^2) the walk can meet at p = 233, where the baby
-    # steps are 1..6: on the twist of y^2 = x^3 + 11x + 154 the point at
-    # x = 1 has order 12, so its sixth baby step is 2-torsion
-    p, r = 233, 30
-    for x in range(p):
-        c = ((x * x + a) * x + b) % p
-        if c == 0:
-            continue
-        A, P = a * c * c % p, (c * x % p, c * c % p)
-        Q, scan = kummer._ec_mul(p + 1 - r, P, A, p), set()
-        for n in range(p + 1 - r, p + 2 + r):
-            if Q is None:
-                scan.add(n)
-            Q = kummer._ec_add(Q, P, A, p)
-        assert kummer._order_multiples(P, A, p, r) == scan, x
-    assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
+    # every point (c*x, c^2) the walk can meet at p, with r = isqrt(4p):
+    # at p = 233 the baby steps are 1..6, and on the twist of
+    # y^2 = x^3 + 11x + 154 the point at x = 1 has order 12, so its sixth
+    # baby step is 2-torsion.  The giant walk starts at (a*w + offset)*P:
+    # a baby added at 233, subtracted at 239, the last baby added at 251
+    # and none at 359.
+    for p, offset in (233, 2), (239, -5), (251, 6), (359, 0):
+        r = isqrt(4 * p)
+        s = isqrt(r) + 1
+        assert (p + 1 - r + 2 * s) % (2 * s + 1) - s == offset
+        for x in range(p):
+            c = ((x * x + a) * x + b) % p
+            if c == 0:
+                continue
+            A, P = a * c * c % p, (c * x % p, c * c % p)
+            Q, scan = kummer._ec_mul(p + 1 - r, P, A, p), set()
+            for n in range(p + 1 - r, p + 2 + r):
+                if Q is None:
+                    scan.add(n)
+                Q = kummer._ec_add(Q, P, A, p)
+            assert kummer._order_multiples(P, A, p, r) == scan, (p, x)
+        assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
+
+
+@pytest.mark.parametrize("p,most", [(10007, 46), (100003, 71),
+                                    (999983, 115)])
+def test_point_counts_take_few_group_operations(monkeypatch, p, most):
+    # the giant step and the walk's start come from the baby steps, not
+    # from scalar multiples of the point
+    calls, real = [], kummer._ec_add
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kummer, "_ec_add", counting)
+    ec_count_points(p, 0, 1)
+    assert len(calls) <= most
 
 
 def test_point_orders_take_over_above_229(monkeypatch):
