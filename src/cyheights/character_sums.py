@@ -142,13 +142,13 @@ def jacobi_sum(alpha: tuple[int, ...], chi: Character) -> CycInt:
     return value_at_minus_one
 
 
-def _frobenius_cosets(p: int, m: int) -> list[list[int]]:
-    """(Z/m)^* split into cosets t*<p>, p a unit mod m, each listed in
-    power order from its least unit t."""
+def _frobenius_cosets(subgroup: tuple[int, ...], m: int) -> list[list[int]]:
+    """(Z/m)^* split into cosets t*<p>, <p> given as subgroup (from
+    frobenius_subgroup), each listed in power order from its least unit t."""
     cosets, covered = [], set()
     for t in units_mod(m):
         if t not in covered:
-            coset = [t * u % m for u in frobenius_subgroup(p, m)]
+            coset = [t * u % m for u in subgroup]
             covered.update(coset)
             cosets.append(coset)
     return cosets
@@ -168,7 +168,7 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
     asked for.
     """
     m, p = chi.m, chi.p
-    cosets = _frobenius_cosets(p, m)
+    cosets = _frobenius_cosets(frobenius_subgroup(p, m), m)
     table: dict[tuple[int, ...], CycInt] = {}
     for alpha in multisets:
         if alpha in table:

@@ -28,7 +28,7 @@ from itertools import compress
 from math import gcd, isqrt
 
 from . import fermat, kummer
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, check_budget
 from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
 
 EXIT_OK = 0
@@ -196,13 +196,12 @@ def _emit_stickelberger_json(payload: dict) -> None:
 
 
 def _check_sieve(lo: int, hi: int) -> None:
-    """Raise BudgetError unless sieving [lo, hi) fits DEFAULT_TABLE_BUDGET:
-    its two byte tables take hi - lo + isqrt(hi - 1) + 1 bytes."""
+    """BudgetError (errors.check_budget) unless the hi - lo + isqrt(hi - 1)
+    + 1 bytes of the two tables sieving [lo, hi) fit DEFAULT_TABLE_BUDGET."""
     lo = max(lo, 2)
     size = max(hi - lo, 0) + isqrt(max(hi - 1, 0)) + 1
-    if size > DEFAULT_TABLE_BUDGET:
-        raise BudgetError(f"table-size budget exceeded: sieving [{lo}, {hi}) "
-                          f"takes {size} bytes > {DEFAULT_TABLE_BUDGET}")
+    check_budget(size, DEFAULT_TABLE_BUDGET, "table-size budget exceeded: "
+                 f"sieving [{lo}, {hi}) takes {{}} bytes")
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:

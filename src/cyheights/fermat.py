@@ -32,7 +32,7 @@ from math import factorial, gcd
 
 from .character_sums import Character, _frobenius_cosets, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
-from .errors import BudgetError, InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, check_budget
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
                            frobenius_subgroup, is_prime)
 from .padic import PadicContext, default_precision, padic_valuation
@@ -91,23 +91,13 @@ def _check_shape(m: int, r: int) -> None:
         raise InputError(f"dimension r must be >= 1, got {r}")
 
 
-def _check_budget(count: int | None, budget: int, what: str) -> None:
-    """BudgetError if count exceeds the budget; what is the message, with
-    {} for the count.  None is a count that is never formed: a power of two
-    below it already exceeds the budget."""
-    if count is None:
-        raise BudgetError(what.format(f"more than {budget}"))
-    if count > budget:
-        raise BudgetError(what.format(count) + f" > {budget}")
-
-
 def _alpha_budget_check(m: int, r: int, budget: int) -> int:
     """Validates (m, r) and returns |A| if the budget admits it."""
     _check_shape(m, r)
     # m |A| >= (m-1)^(r+2) - m, and (m-1)^(r+2) >= 2^((r+2)(bits(m-1)-1))
     big = (r + 2) * ((m - 1).bit_length() - 1) > (2 * m * budget).bit_length()
     count = None if big else alpha_count(m, r)
-    _check_budget(count, budget, "exponent-vector budget exceeded: |A| = {}")
+    check_budget(count, budget, "exponent-vector budget exceeded: |A| = {}")
     return count
 
 
@@ -119,7 +109,7 @@ def _slope_budget_check(m: int, r: int, budget: int) -> None:
     FermatParams.create."""
     _check_shape(m, r)
     if (r + 2) * (m - 1) > budget:
-        _check_budget(None, budget, _SLOPE_BUDGET)
+        check_budget(None, budget, _SLOPE_BUDGET)
 
 
 def exponent_vectors(m: int, r: int, *,
@@ -265,7 +255,7 @@ def _histograms(m: int, r: int, subgroups: tuple[tuple[int, ...], ...],
     total = 0
     for subgroup in subgroups:
         bound = _transition_bound(m, r, subgroup, budget - total)
-        _check_budget(bound, budget, _SLOPE_BUDGET)
+        check_budget(bound, budget, _SLOPE_BUDGET)
         total += bound
     histograms = [_exponent_histogram(m, r, subgroup)
                   for subgroup in subgroups]
@@ -467,7 +457,7 @@ def _checked_jacobi_sums(params: FermatParams, table_budget: int):
     weights = exponent_multisets(m, params.r)
     sums = jacobi_sum_table(Character(field, m), weights)
     q_to_r = CycInt.integer(m, params.q**params.r)
-    cosets = _frobenius_cosets(p, m)
+    cosets = _frobenius_cosets(params.subgroup, m)
     orbits: list[list[CycInt]] = []
     covered: set[CycInt] = set()
     for j in sums.values():
@@ -626,13 +616,13 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
         raise InputError(f"s must be >= 1, got {s}")
     what = "point-count budget exceeded: {} field subtractions"
     if (r + 1) * m > budget:
-        _check_budget(None, budget, what)
+        check_budget(None, budget, what)
     params = FermatParams.create(p, m, r)
     if s * (params.q.bit_length() - 1) >= budget.bit_length():  # Q > budget
-        _check_budget(None, budget, what)
+        check_budget(None, budget, what)
     big_q = params.q**s
     d = gcd(m, big_q - 1)
-    _check_budget((r + 1) * (d + 1) * ((big_q - 1) // d), budget, what)
+    check_budget((r + 1) * (d + 1) * ((big_q - 1) // d), budget, what)
     field = build_field(p, params.f * s, table_budget=table_budget)
     sub = field.sub
     powers, representatives = [], [0]

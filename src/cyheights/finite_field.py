@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from math import gcd, isqrt
 
 from .cyclotomic import _schoolbook_product
-from .errors import BudgetError, InputError, InternalCheckError
+from .errors import BudgetError, InputError, InternalCheckError, check_budget
 
 # Largest q of a field, whose walk may fill a q-entry table, in elements.
 DEFAULT_TABLE_BUDGET = 1 << 24
@@ -407,17 +407,15 @@ def build_field(p: int, f: int, *,
     generator is the smallest encoding of multiplicative order q - 1,
     each from one search for every f and q: the modulus of a prime field
     is x, and the generator of GF(2) is 1.  No work here is O(q); the
-    budget bounds what powers() walks fill.
+    budget (errors.check_budget) bounds what powers() walks fill.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     if f < 1:
         raise InputError(f"extension degree f must be >= 1, got {f}")
     q = p**f
-    if q > table_budget:
-        raise BudgetError(
-            f"table-size budget exceeded: q = {p}^{f} = {q} > {table_budget}"
-        )
+    check_budget(q, table_budget,
+                 f"table-size budget exceeded: q = {p}^{f} = {{}}")
 
     modulus = _smallest_irreducible(p, f)  # x for f = 1: residues mod p
     prime_factors = _factorize(q - 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import BudgetError, InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, check_budget
 from .fermat import INFINITE
 from .finite_field import is_prime
 
@@ -47,10 +47,9 @@ def legendre(a: int, p: int) -> int:
 
 
 def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
-    """Raise BudgetError if a point count over GF(p) exceeds the budget."""
-    if p > budget:
-        raise BudgetError(
-            f"point-count budget exceeded: p = {p} > {budget}")
+    """BudgetError (errors.check_budget) if a point count over GF(p)
+    exceeds the budget."""
+    check_budget(p, budget, "point-count budget exceeded: p = {}")
 
 
 def ec_count_points(p: int, a: int, b: int, *,

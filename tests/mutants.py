@@ -41,6 +41,9 @@ MUTANTS = [
     ("Hasse interval one short", "src/cyheights/kummer.py",
      "lo, hi = p + 1 - r, p + 1 + r", "lo, hi = p + 1 - r, p + r",
      ["test_kummer.py"]),
+    ("Hasse bound loosened to 5p", "src/cyheights/kummer.py",
+     "trace * trace > 4 * p", "trace * trace > 5 * p",
+     ["test_kummer.py"]),
     ("Miller-Rabin without base 41", "src/cyheights/finite_field.py",
      "29, 31, 37, 41)", "29, 31, 37)",
      ["test_finite_field.py"]),
@@ -69,9 +72,19 @@ MUTANTS = [
     ("p-adic precision f*r + 1", "src/cyheights/padic.py",
      "return f * r + 2", "return f * r + 1",
      ["test_padic.py", "test_fermat.py"]),
-    ("budget >=", "src/cyheights/fermat.py",
+    ("budget >=", "src/cyheights/errors.py",
      "if count > budget:", "if count >= budget:",
      ["test_fermat.py"]),
+    ("build_field table guard disabled", "src/cyheights/finite_field.py",
+     "check_budget(q, table_budget,", "(q, table_budget,",
+     ["test_finite_field.py"]),
+    ("Kummer prime guard disabled", "src/cyheights/kummer.py",
+     "check_budget(p, budget,", "(p, budget,",
+     ["test_kummer.py"]),
+    ("sieve table guard disabled", "src/cyheights/cli.py",
+     "check_budget(size, DEFAULT_TABLE_BUDGET,",
+     "(size, DEFAULT_TABLE_BUDGET,",
+     ["test_cli.py"]),
     ("m - 2 in _fully_rigged", "src/cyheights/fermat.py",
      "return m - 1 in subgroup", "return m - 2 in subgroup",
      ["test_fermat.py"]),

@@ -487,14 +487,16 @@ def test_frobenius_subgroup_built_once_per_record(monkeypatch):
         calls.append((p, m))
         return frobenius_subgroup(p, m)
 
-    monkeypatch.setattr(finite_field, "frobenius_subgroup", counted)
-    monkeypatch.setattr(fermat, "frobenius_subgroup", counted)
+    for module in (finite_field, fermat, character_sums):
+        monkeypatch.setattr(module, "frobenius_subgroup", counted)
     report = variety_report(3, 4, 2)  # r even, m >= 4: reads fully_rigged
     assert report["fully_rigged"] is True and report["f"] == 2
     assert calls == [(3, 4)]
-    calls.clear()
-    assert stickelberger_check(3, 4, 2)["all_equal"]
-    assert calls == [(3, 4)]
+    # FermatParams.create builds it once, and jacobi_sum_table once from chi
+    for record in (zeta_fermat, stickelberger_check):
+        calls.clear()
+        record(3, 4, 2)
+        assert calls == [(3, 4)] * 2
 
 
 def test_budgets_are_checked_before_derived_work(monkeypatch):

@@ -164,6 +164,15 @@ def test_point_count_budget():
         ec_count_points(101, 0, 1, budget=50)
 
 
+@pytest.mark.parametrize("p", [233, 10007, 999983])
+def test_hasse_check_rejects_a_count_one_past_the_bound(monkeypatch, p):
+    # |a_p| = 1 + isqrt(4p) > 2 sqrt(p), yet (1 + isqrt(4p))^2 <= 5p
+    monkeypatch.setattr(kummer, "_count_by_orders",
+                        lambda p, a, b: p + 2 + isqrt(4 * p))
+    with pytest.raises(InternalCheckError, match="Hasse"):
+        ec_count_points(p, 0, 1)
+
+
 def test_p_rank_examples():
     assert kummer_report(5)["p_rank"] == 0
     assert kummer_report(7)["p_rank"] == 1
