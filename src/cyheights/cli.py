@@ -408,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--point-budget", type=int,
                      default=fermat.DEFAULT_POINT_BUDGET,
                      help="max field subtractions per point count, "
-                          "(r+1)(d+1)(Q-1)/d with Q = q^s and "
-                          "d = gcd(m, Q-1)")
+                          "(r+1)(m+1)(Q-1)/m with Q = q^s")
     _add_alpha_budget(sub, "exponent vectors |A|, the degree of P(T)")
     _add_table_budget(sub)
     _add_common(sub)

@@ -159,8 +159,14 @@ def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
 
 
 def _weights(m: int, subgroup: tuple[int, ...]) -> list[int]:
-    """w(a) = sum over t in subgroup of (t * a mod m), for a = 0..m-1."""
-    return [sum((t * a) % m for t in subgroup) for a in range(m)]
+    """w(a) = sum over t in subgroup of (t * a mod m), for a = 0..m-1: one
+    sum per orbit {t a}, on which w is constant, O(m + f * orbits) in all."""
+    w: dict[int, int] = {}
+    for a in range(1, m):
+        if a not in w:  # else summed with its orbit
+            orbit = [t * a % m for t in subgroup]
+            w.update(dict.fromkeys(orbit, sum(orbit)))
+    return [w.get(a, 0) for a in range(m)]
 
 
 def _multiset_exponent(m: int, subgroup: tuple[int, ...]
@@ -248,30 +254,21 @@ def _exponent_histogram(m: int, r: int, subgroup: tuple[int, ...]
 
 def _histograms(m: int, r: int, subgroups: tuple[tuple[int, ...], ...],
                 budget: int) -> list[Counter]:
-    """One _exponent_histogram pass per subgroup.  The budget bounds
-    their transitions together, before any runs, and each must count
-    alpha_count(m, r) vectors.  Callers run _slope_budget_check first.
-    """
+    """Each subgroup's _exponent_histogram, from one pass per distinct
+    subgroup (<p> = {1} is _LEVELS).  The budget bounds the transitions of
+    every histogram asked for, before any pass runs, and each must count
+    alpha_count(m, r) vectors.  Callers run _slope_budget_check first."""
     total = 0
     for subgroup in subgroups:
         bound = _transition_bound(m, r, subgroup, budget - total)
         check_budget(bound, budget, _SLOPE_BUDGET)
         total += bound
-    histograms = [_exponent_histogram(m, r, subgroup)
-                  for subgroup in subgroups]
+    passes = {subgroup: _exponent_histogram(m, r, subgroup)
+              for subgroup in dict.fromkeys(subgroups)}
     expected = alpha_count(m, r)
-    if any(sum(histogram.values()) != expected for histogram in histograms):
+    if any(sum(h.values()) != expected for h in passes.values()):
         raise InternalCheckError("slope histograms disagree with closed form")
-    return histograms
-
-
-def _slope_profile(m: int, r: int, subgroup: tuple[int, ...], budget: int
-                   ) -> tuple[Counter, list[int]]:
-    """Histograms of the Stickelberger exponent (summed over subgroup) and
-    the Hodge level of all exponent vectors: two _histograms passes, the
-    second over _LEVELS, under one budget."""
-    exponents, levels = _histograms(m, r, (subgroup, _LEVELS), budget)
-    return exponents, [levels[k] for k in range(r + 1)]
+    return [passes[subgroup] for subgroup in subgroups]
 
 
 def _height(slopes: Slopes) -> tuple[int, int | str]:
@@ -404,13 +401,14 @@ def _check_slopes(exponents: Counter, f: int, hodge: list[int],
 def variety_report(p: int, m: int, r: int, *,
                    budget: int = DEFAULT_ALPHA_BUDGET) -> dict:
     """One JSON-ready record of the slope-level invariants and the height
-    prediction, all read off one slope profile and one <p>, after the
-    hard checks of _check_slopes.  Timings are absent so identical inputs
-    serialize identically.
+    prediction, all read off the exponent and level histograms
+    (_histograms) of one <p>, after the hard checks of _check_slopes.
+    Timings are absent so identical inputs serialize identically.
     """
     _slope_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, hodge = _slope_profile(m, r, params.subgroup, budget)
+    exponents, levels = _histograms(m, r, (params.subgroup, _LEVELS), budget)
+    hodge = [levels[k] for k in range(r + 1)]
     slopes = _slopes(exponents, params.f, r)
     count, height = _height(slopes)
     _check_slopes(exponents, params.f, hodge, height if m == r + 2 else None)
@@ -534,8 +532,9 @@ def _expand_power_product(factors: list[tuple[list[int], int]],
                           degree: int) -> tuple[int, ...]:
     """prod N_i^e_i for integer polynomials with N_i(0) = 1.
 
-    P'/P = E/D with D = prod N_i and E = sum e_i N_i' D / N_i, so
-    D P' = P E; its T^(k-1) coefficient gives
+    P'/P = E/D with D = prod N_i and E = sum e_i N_i' D / N_i, both
+    built by one left fold (D, E) <- (D N_i, E N_i + e_i N_i' D), three
+    products per factor; so D P' = P E, and its T^(k-1) coefficient gives
     k P_k = sum_{i=1..deg D} (E_{i-1} - (k - i) D_i) P_{k-i},
     O(deg D) integer operations per coefficient.  The division by k must
     be exact and deg P must equal the expected degree.
@@ -544,18 +543,13 @@ def _expand_power_product(factors: list[tuple[list[int], int]],
     if total != degree:
         raise InternalCheckError(
             f"orbit factors have degree {total}, expected {degree}")
-    d = [1]
-    for norm, _ in factors:
+    d, e = [1], []
+    for norm, mult in factors:
+        derivative = [mult * k * c for k, c in enumerate(norm)][1:]
+        e = [x + y for x, y in zip(_schoolbook_product(e, norm),
+                                   _schoolbook_product(derivative, d))]
         d = _schoolbook_product(d, norm)
     width = len(d) - 1
-    e = [0] * width
-    for i, (norm, mult) in enumerate(factors):
-        term = [k * c for k, c in enumerate(norm)][1:]
-        for j, (other, _) in enumerate(factors):
-            if j != i:
-                term = _schoolbook_product(term, other)
-        for k, c in enumerate(term):
-            e[k] += mult * c
     coeffs = [1]
     for k in range(1, total + 1):
         acc = 0
@@ -602,41 +596,46 @@ def brute_force_point_count(p: int, m: int, r: int, s: int, *,
     """Projective solutions of sum x_i^m = 0 over GF(Q), Q = q^s, counted
     from field arithmetic alone: no characters, no Jacobi sums.
 
-    h(y) = #{x : x^m = y} is 1 at 0 and d = gcd(m, Q - 1) on the nonzero
-    m-th powers, and the affine solution count is the value at 0 of h
+    h(y) = #{x : x^m = y} is 1 at 0 and m on the nonzero m-th powers (m
+    divides q - 1), and the affine solution count is the value at 0 of h
     convolved with itself r + 1 times.  Every partial convolution is
     invariant under scaling by nonzero m-th powers, so it is held as its
     value at 0 plus one value per coset of those powers.  A convolution
-    step evaluates these d + 1 values, each over the (Q - 1)/d nonzero
-    m-th powers; the budget bounds the (r + 1)(d + 1)(Q - 1)/d field
-    subtractions this takes.  As m divides Q - 1, that exceeds (r + 1) m,
-    checked before <p> is built, and Q - 1, bounded before Q is formed.
+    step evaluates these m + 1 values, each over the (Q - 1)/m nonzero
+    m-th powers; the budget bounds the (r + 1)(m + 1)(Q - 1)/m field
+    subtractions this takes.  That exceeds (r + 1) m, checked first, and
+    Q - 1: where FermatParams.create accepts the input, p^k mod m is
+    walked up to the order f of p only while p^(k s) may fit the budget,
+    so neither a large <p> nor Q is built.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
     what = "point-count budget exceeded: {} field subtractions"
     if (r + 1) * m > budget:
         check_budget(None, budget, what)
+    if is_prime(p) and m >= 3 and r >= 1 and gcd(p, m) == 1:
+        q = p
+        while q % m != 1 and s * (q.bit_length() - 1) < budget.bit_length():
+            q *= p
+        if s * (q.bit_length() - 1) >= budget.bit_length():  # Q > budget
+            check_budget(None, budget, what)
     params = FermatParams.create(p, m, r)
-    if s * (params.q.bit_length() - 1) >= budget.bit_length():  # Q > budget
-        check_budget(None, budget, what)
     big_q = params.q**s
-    d = gcd(m, big_q - 1)
-    check_budget((r + 1) * (d + 1) * ((big_q - 1) // d), budget, what)
+    check_budget((r + 1) * (m + 1) * ((big_q - 1) // m), budget, what)
     field = build_field(p, params.f * s, table_budget=table_budget)
     sub = field.sub
     powers, representatives = [], [0]
     slot = [0] * big_q  # 0 for zero, 1 + c for the coset of g^c
     for k, x in enumerate(field.powers()):
-        slot[x] = 1 + k % d
-        if k % d == 0:
+        slot[x] = 1 + k % m
+        if k % m == 0:
             powers.append(x)
-        if k < d:
+        if k < m:
             representatives.append(x)
 
-    conv = [1, d] + [0] * (d - 1)  # h itself
+    conv = [1, m] + [0] * (m - 1)  # h itself
     for _ in range(r + 1):
-        conv = [conv[i] + d * sum(conv[slot[sub(y, z)]] for z in powers)
+        conv = [conv[i] + m * sum(conv[slot[sub(y, z)]] for z in powers)
                 for i, y in enumerate(representatives)]
     projective, remainder = divmod(conv[0] - 1, big_q - 1)
     if remainder:

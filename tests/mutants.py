@@ -141,7 +141,7 @@ MUTANTS = [
      "for s in coset:", "for s in cosets[cosets.index(coset) - 1]:",
      ["test_characters.py", "test_fermat.py"]),
     ("shifted coset index in the point count", "src/cyheights/fermat.py",
-     "slot[x] = 1 + k % d", "slot[x] = 1 + (k + 1) % d",
+     "slot[x] = 1 + k % m", "slot[x] = 1 + (k + 1) % m",
      ["test_fermat.py"]),
     ("oracle imports from a layer it checks", "tests/oracles.py",
      "from cyheights.errors import", "from cyheights.fermat import",
@@ -224,11 +224,23 @@ MUTANTS = [
     ("expansion recurrence off by one", "src/cyheights/fermat.py",
      "(k - i) * d[i]", "(k - i + 1) * d[i]",
      ["test_fermat.py"]),
-    ("point count without the factor d", "src/cyheights/fermat.py",
-     "conv[i] + d * sum(", "conv[i] + sum(",
+    ("point count without the factor m", "src/cyheights/fermat.py",
+     "conv[i] + m * sum(", "conv[i] + sum(",
      ["test_fermat.py"]),
     ("orbit-multiplicity check dropped", "src/cyheights/fermat.py",
      "if any(multiplicity[beta] != mult for beta in orbit):", "if False:",
+     ["test_fermat.py"]),
+    ("weights summed again at every orbit member", "src/cyheights/fermat.py",
+     "if a not in w:", "if True:",
+     ["test_fermat.py"]),
+    ("one slope pass per subgroup asked for, repeats included",
+     "src/cyheights/fermat.py",
+     "for subgroup in dict.fromkeys(subgroups)}", "for subgroup in subgroups}",
+     ["test_fermat.py"]),
+    ("E's fold multiplies N_i' by N_i in place of D",
+     "src/cyheights/fermat.py",
+     "_schoolbook_product(derivative, d)",
+     "_schoolbook_product(derivative, norm)",
      ["test_fermat.py"]),
 ]
 

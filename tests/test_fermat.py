@@ -8,7 +8,7 @@ import pytest
 
 from cyheights import character_sums, fermat, finite_field
 from cyheights.character_sums import Character, jacobi_sum
-from cyheights.cyclotomic import CycInt, modulus_squared
+from cyheights.cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.fermat import (INFINITE, FermatParams,
                               alpha_count, artin_comparison,
@@ -415,7 +415,9 @@ def test_slope_profile_matches_the_multiset_walk(m):
     for r in range(1, 7):
         multisets = exponent_multisets(m, r)
         for subgroup in subgroups:
-            assert (fermat._slope_profile(m, r, subgroup, 10**6)
+            exponents, levels = fermat._histograms(
+                m, r, (subgroup, fermat._LEVELS), 10**6)
+            assert ((exponents, [levels[k] for k in range(r + 1)])
                     == _walk_profile(multisets, m, r, subgroup))
 
 
@@ -426,7 +428,9 @@ def test_slope_profile_matches_the_walk_up_to_dimension_10(p, m, r):
     params = FermatParams.create(p, m, r)
     exponents, hodge = _walk_profile(exponent_multisets(m, r), m, r,
                                      params.subgroup)
-    assert fermat._slope_profile(m, r, params.subgroup, 10**6) == (
+    histograms, levels = fermat._histograms(
+        m, r, (params.subgroup, fermat._LEVELS), 10**6)
+    assert (histograms, [levels[k] for k in range(r + 1)]) == (
         exponents, hodge)
     report = variety_report(p, m, r)  # and passes the slope checks
     assert report["hodge"] == hodge
@@ -447,10 +451,49 @@ def test_a_histogram_that_loses_a_vector_is_an_internal_error(monkeypatch):
         variety_report(11, 5, 3)
 
 
+def test_weights_match_their_definition():
+    # every m <= 400, with <p> of the primes below, {1} and the empty
+    # subgroup: summed once per orbit, w(a) is still the sum over t of
+    # (t * a mod m) at every a
+    for m in range(2, 401):
+        subgroups = {(), (1,)} | {frobenius_subgroup(p, m)
+                                  for p in (2, 3, 5) if gcd(p, m) == 1}
+        for subgroup in subgroups:
+            assert fermat._weights(m, subgroup) == [
+                sum([t * a % m for t in subgroup]) for a in range(m)], (
+                    m, subgroup)
+
+
+@pytest.mark.parametrize("p,m,r,passes", [(17, 8, 6, 1), (11, 5, 3, 1),
+                                          (29, 7, 1, 1), (13, 6, 4, 1),
+                                          (3, 8, 6, 2), (2, 5, 3, 2),
+                                          (5, 6, 4, 2)])
+def test_variety_report_runs_one_pass_per_distinct_subgroup(
+        monkeypatch, p, m, r, passes):
+    # at p = 1 mod m, <p> = {1} and the exponent pass is the level pass
+    real, calls = fermat._exponent_histogram, []
+    monkeypatch.setattr(fermat, "_exponent_histogram",
+                        lambda *args: calls.append(args) or real(*args))
+    report = variety_report(p, m, r)
+    assert len(calls) == passes
+    assert report["hodge"] == list(hodge_numbers_fermat(m, r))
+
+
+def test_slope_passes_refuse_a_large_subgroup_at_once(deadline):
+    # 2 has order m - 1 mod 30011 and mod 100003, and the transition bound
+    # refuses after the first step; the weights it reads cost O(m), not
+    # O(m f)
+    with pytest.raises(BudgetError, match="more than 1000000 DP"):
+        variety_report(2, 30011, 1)
+    with pytest.raises(BudgetError, match="more than 1000000 DP"):
+        newton_slopes(2, 100003, 1)
+
+
 def _doctored(monkeypatch, exponents, hodge):
-    monkeypatch.setattr(fermat, "_slope_profile",
-                        lambda m, r, subgroup, budget: (Counter(exponents),
-                                                        hodge))
+    monkeypatch.setattr(fermat, "_histograms",
+                        lambda m, r, subgroups, budget: [
+                            Counter(exponents),
+                            Counter(dict(enumerate(hodge)))])
 
 
 # (11, 5, 3) is ordinary: slopes 0, 1, 2 and 3 with the Hodge numbers
@@ -763,6 +806,28 @@ def test_a_walk_that_does_not_close_is_an_internal_error(monkeypatch,
                 brute_force_point_count(31, 3, 1, 1)
 
 
+def test_point_count_refuses_a_large_subgroup_before_building_it(
+        monkeypatch, deadline):
+    # (r + 1) m = 10^8 fits the budget, but 2 has order 24999995 mod
+    # 49999991: the walk of powers of 2 stops past 2^26, and no <2> is built
+    def refuse(*_):
+        raise AssertionError("<p> built")
+
+    monkeypatch.setattr(fermat, "frobenius_subgroup", refuse)
+    with pytest.raises(BudgetError,
+                       match="more than 100000000 field subtractions"):
+        brute_force_point_count(2, 49999991, 1, 1)
+
+
+@pytest.mark.parametrize("p,m,r,s,message", [
+    (3, 6, 1, 1, "gcd"), (4, 49999991, 1, 1, "prime"),
+    (3, 2, 1, 100, "degree"), (3, 49999991, 0, 1, "dimension")])
+def test_point_count_input_errors_come_before_the_walk(p, m, r, s, message):
+    # each input would walk its powers of p past the budget
+    with pytest.raises(InputError, match=message):
+        brute_force_point_count(p, m, r, s)
+
+
 def test_point_budget_counts_field_subtractions():
     # (r + 1)(d + 1)(Q - 1)/d with Q = 49, d = gcd(3, 48) = 3
     with pytest.raises(BudgetError):
@@ -887,6 +952,23 @@ def test_power_product_expansion():
                                         4) == (1, -1, 6, -13, 7)
     with pytest.raises(InternalCheckError):
         fermat._expand_power_product([([1, -1], 2)], 3)
+
+
+def test_power_product_expansion_takes_three_products_per_factor(
+        monkeypatch):
+    # four factors, exponents 2 to 5: P equals the repeated products, and
+    # D and E take 3 products per factor, 12 in all, not k^2 = 16
+    factors = [([1, -1], 2), ([1, 1, 7], 3), ([1, 0, -2, 5], 2), ([1, 4], 5)]
+    expected = [1]
+    for norm, mult in factors:
+        for _ in range(mult):
+            expected = _schoolbook_product(expected, norm)
+    calls = []
+    monkeypatch.setattr(fermat, "_schoolbook_product",
+                        lambda a, b: calls.append(1) or _schoolbook_product(
+                            a, b))
+    assert fermat._expand_power_product(factors, 19) == tuple(expected)
+    assert len(calls) == 3 * len(factors)
 
 
 @pytest.mark.parametrize("p,m,r", [(7, 3, 1), (5, 4, 2), (2, 5, 2)])
