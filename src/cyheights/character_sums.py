@@ -29,7 +29,10 @@ Jacobi sums are fixed by Frobenius: x -> x^p permutes the solutions of
 1 + v_1 + ... + v_{r+1} = 0 and sends chi to chi^p, so
 j(p*alpha) = j(alpha), that is sigma_p(j) = j (Ireland-Rosen, ch. 14).
 jacobi_sum_table relies on it to fill a table with one Galois image per
-coset of <p> in (Z/m)^*, and checks it on every sum it evaluates.
+coset of <p> in (Z/m)^*, and checks it on every sum it evaluates.  It
+makes each image once: an evaluated sum that is an image of an earlier
+one takes its images by coset arithmetic, and the table hands them to
+the orbit walk in fermat._checked_jacobi_sums.
 """
 
 from __future__ import annotations
@@ -154,6 +157,15 @@ def _frobenius_cosets(subgroup: tuple[int, ...], m: int) -> list[list[int]]:
     return cosets
 
 
+class JacobiTable(dict):
+    """Jacobi sums keyed by sorted exponent vector, as jacobi_sum_table
+    fills it.  images maps each evaluated vector alpha to the Galois
+    images sigma_t(j(alpha)), one per coset t<p> in coset order
+    (_frobenius_cosets), so the first is j(alpha) itself."""
+
+    __slots__ = ("images",)
+
+
 def jacobi_sum_table(chi: Character, multisets) -> dict:
     """Jacobi sums of exponent multisets, each given as its sorted vector.
 
@@ -161,15 +173,24 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
     symmetric in all r + 2 components and one value serves a multiset.
     One multiset per (Z/m)^*-orbit is evaluated; the rest of its orbit is
     filled via j(t*alpha) = sigma_t(j(alpha)).  Since j(p*alpha) =
-    j(alpha), sigma_t(j) is computed once per coset representative t of
+    j(alpha), sigma_t(j) is needed once per coset representative t of
     (Z/m)^*/<p> and stored under the sorted key of every t*u*alpha, u in
-    <p>.  Hard check: sigma_p(j) = j for every evaluated j, else
-    InternalCheckError.  The table holds every multiset in the orbits
-    asked for.
+    <p>.  Each Galois image is made once: an evaluated j that is already
+    sigma_t(j0) of an earlier orbit takes its images by coset arithmetic,
+    sigma_s(j) = sigma_{st}(j0), and only a j outside every earlier
+    orbit calls CycInt.galois, once per coset but the identity.  Hard
+    check: sigma_p(j) = j for every evaluated j, else
+    InternalCheckError.  The table, a JacobiTable that keeps each
+    evaluated vector's images for the orbit walk of the fermat layer,
+    holds every multiset in the orbits asked for.
     """
     m, p = chi.m, chi.p
     cosets = _frobenius_cosets(frobenius_subgroup(p, m), m)
-    table: dict[tuple[int, ...], CycInt] = {}
+    coset_of = {s: k for k, coset in enumerate(cosets) for s in coset}
+    table = JacobiTable()
+    table.images = {}
+    # every image made so far: value -> (images of its orbit, coset index)
+    known: dict[CycInt, tuple[list[CycInt], int]] = {}
     for alpha in multisets:
         if alpha in table:
             continue
@@ -177,11 +198,19 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
         if j.galois(p % m) != j:
             raise InternalCheckError(
                 f"sigma_p does not fix j({alpha}) = {j!r}")
-        for coset in cosets:
+        if j in known:  # j = sigma_t(j0), so sigma_s(j) = sigma_{st}(j0)
+            orbit, k = known[j]
+            t = cosets[k][0]
+            images = [orbit[coset_of[coset[0] * t % m]] for coset in cosets]
+        else:
+            images = [j] + [j.galois(coset[0]) for coset in cosets[1:]]
+            for k, image in enumerate(images):
+                known.setdefault(image, (images, k))
+        table.images[alpha] = images
+        for k, coset in enumerate(cosets):
             # the table holds whole <p>-orbits, so one key answers for t*<p>
             if tuple(sorted(coset[0] * a % m for a in alpha)) in table:
                 continue
-            image = j.galois(coset[0])
             for s in coset:
-                table[tuple(sorted(s * a % m for a in alpha))] = image
+                table[tuple(sorted(s * a % m for a in alpha))] = images[k]
     return table

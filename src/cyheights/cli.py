@@ -174,9 +174,10 @@ def _cmd_stickelberger(args) -> int:
 def _emit_stickelberger_json(payload: dict) -> None:
     """The bytes of _emit_json(payload) without a dict per row for the
     encoder.  An alpha of r + 2 >= 3 ints, tuple or list, prints as its
-    JSON list inside str(alpha)[1:-1]; the rest of a row is encoded once
-    per distinct verdict, keyed with the type of equal since True == 1."""
-    tails = {}
+    JSON list through one %-format per length, '%d, %d, %d' for three;
+    the rest of a row is encoded once per distinct verdict, keyed with
+    the type of equal since True == 1."""
+    tails, forms = {}, {}
     rows = []
     for row in payload["rows"]:
         equal = row["equal"]
@@ -186,7 +187,12 @@ def _emit_stickelberger_json(payload: dict) -> None:
         if tail is None:
             rest = {k: v for k, v in row.items() if k != "alpha"}
             tail = tails[key] = json.dumps(rest, sort_keys=True)[1:]
-        rows.append(f'{{"alpha": [{str(row["alpha"])[1:-1]}], {tail}')
+        alpha = tuple(row["alpha"])
+        form = forms.get(len(alpha))
+        if form is None:
+            form = forms[len(alpha)] = (
+                '{"alpha": [' + ", ".join(["%d"] * len(alpha)) + "], ")
+        rows.append(form % alpha + tail)
     head, _, end = json.dumps({**payload, "rows": []}, sort_keys=True,
                               check_circular=False).partition('"rows": []')
     sys.stdout.write(f'{head}"rows": [{", ".join(rows)}]{end}\n')

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd
+from operator import add
 
 from .character_sums import Character, _frobenius_cosets, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
@@ -116,15 +117,40 @@ def exponent_vectors(m: int, r: int, *,
                      budget: int = DEFAULT_ALPHA_BUDGET) -> list[AlphaVector]:
     """All (a_0, ..., a_{r+1}) with 0 < a_i < m and sum = 0 mod m, in
     lexicographic order."""
+    return _vector_walk(m, r, budget)[0]
+
+
+def _multiset_weights(m: int, r: int) -> list[int]:
+    """w[a] = 2^(b*a), b the bit length of r + 2, so that sum(w[a] for a
+    in alpha) counts each entry of alpha in a b-bit digit of its own: one
+    integer key per multiset, the same for every ordering."""
+    b = (r + 2).bit_length()
+    return [1 << b * a for a in range(m)]
+
+
+def _vector_walk(m: int, r: int,
+                 budget: int) -> tuple[list[AlphaVector], list[int]]:
+    """exponent_vectors with the multiset key of each vector
+    (_multiset_weights), from one walk over the prefixes (a_0, ...,
+    a_{r-1}).  With c = -sum(prefix) mod m, a_r runs over 1..m-1 except c,
+    and a_{r+1} = c - a_r mod m falls from c - 1 to 1, then from m - 1
+    to c + 1, so a prefix and its key extend to all their vectors and
+    keys in C (zip and map), with no Python step per vector."""
     expected = _alpha_budget_check(m, r, budget)
-    out: list[AlphaVector] = []
-    for head in product(range(1, m), repeat=r + 1):
-        last = (-sum(head)) % m
-        if last:
-            out.append(head + (last,))
-    if len(out) != expected:
+    w = _multiset_weights(m, r)
+    vectors: list[AlphaVector] = []
+    keys: list[int] = []
+    for prefix in product(range(1, m), repeat=r):
+        c = -sum(prefix) % m
+        heads = [*range(1, c), *range(c + 1, m)]
+        lasts = [*range(c - 1, 0, -1), *range(m - 1, c, -1)]
+        vectors += map(prefix.__add__, zip(heads, lasts))
+        keys += map(sum(map(w.__getitem__, prefix)).__add__,
+                    map(add, map(w.__getitem__, heads),
+                        map(w.__getitem__, lasts)))
+    if len(vectors) != expected:
         raise InternalCheckError("enumeration disagrees with closed form")
-    return out
+    return vectors, keys
 
 
 def exponent_multisets(m: int, r: int) -> dict[AlphaVector, int]:
@@ -442,13 +468,16 @@ def _checked_jacobi_sums(params: FermatParams, table_budget: int):
     |sigma_t(j)|^2 = sigma_t(|j|^2) = sigma_t(q^r) = q^r: one check holds
     for a whole orbit.  The distinct sums are walked in table order, and
     each one no orbit covers yet is a representative: it must satisfy
-    |j|^2 = q^r and, when f > 1, sigma_p(j) = j, so its images sigma_t(j),
-    one per coset t<p> (_frobenius_cosets), are its whole orbit, which is
-    then covered.  Nothing trusts the table's structure: a sum that is no
-    image of an earlier representative is checked as one itself.  Orbits
-    list their distinct members, in coset order, and come in table order.
-    Callers bound |A|, the degree of P(T) and the number of Stickelberger
-    rows, before FermatParams.create.
+    |j|^2 = q^r, and its images sigma_t(j), one per coset t<p>
+    (_frobenius_cosets), are its whole orbit, which is then covered.  A
+    representative equal to the value the table fill evaluated at its
+    multiset takes the images the fill made (JacobiTable.images), which
+    checked sigma_p(j) = j; any other is checked here, sigma_p(j) = j
+    when f > 1, and imaged here.  So nothing trusts the table's values: a
+    sum the fill never produced is checked as a representative itself.
+    Orbits list their distinct members, in coset order, and come in table
+    order.  Callers bound |A|, the degree of P(T) and the number of
+    Stickelberger rows, before FermatParams.create.
     """
     p, m = params.p, params.m
     field = build_field(p, params.f, table_budget=table_budget)
@@ -458,15 +487,18 @@ def _checked_jacobi_sums(params: FermatParams, table_budget: int):
     cosets = _frobenius_cosets(params.subgroup, m)
     orbits: list[list[CycInt]] = []
     covered: set[CycInt] = set()
-    for j in sums.values():
+    for alpha, j in sums.items():
         if j in covered:
             continue
         if modulus_squared(j) != q_to_r:
             raise InternalCheckError(
                 f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
-        if params.f > 1 and j.galois(p % m) != j:
-            raise InternalCheckError(f"sigma_p does not fix j = {j!r}")
-        orbit = list(dict.fromkeys(j.galois(coset[0]) for coset in cosets))
+        images = sums.images.get(alpha)
+        if images is None or images[0] != j:
+            if params.f > 1 and j.galois(p % m) != j:
+                raise InternalCheckError(f"sigma_p does not fix j = {j!r}")
+            images = [j.galois(coset[0]) for coset in cosets]
+        orbit = list(dict.fromkeys(images))
         covered.update(orbit)
         orbits.append(orbit)
     return field, weights, sums, orbits
@@ -678,7 +710,9 @@ def stickelberger_check(p: int, m: int, r: int, *,
     with the verdict all_equal (error and precision_failures stay None
     and 0: every valuation is exact or the call raises).  A row's alpha
     is the tuple exponent_vectors yields, not a copy; the CLI writes it
-    as the JSON list json.dumps would write.
+    as the JSON list json.dumps would write.  The walk behind
+    exponent_vectors (_vector_walk) also yields each vector's multiset
+    key, so a row finds its multiset without sorting the vector.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per distinct
@@ -697,6 +731,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
     field, weights, sums, _ = _checked_jacobi_sums(params, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     exponent = _multiset_exponent(m, params.subgroup)
+    w = _multiset_weights(m, r)
     by_key, equal_count, valuations = {}, 0, {}
     for key, j in sums.items():
         if j not in valuations:
@@ -707,11 +742,12 @@ def stickelberger_check(p: int, m: int, r: int, *,
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
         exp = exponent(key)
-        by_key[key] = {"exponent": exp, "valuation": val,
-                       "equal": exp == val, "error": None}
+        by_key[sum(w[a] for a in key)] = {
+            "exponent": exp, "valuation": val, "equal": exp == val,
+            "error": None}
         equal_count += weights[key] * (exp == val)
-    rows = [{"alpha": alpha, **by_key[tuple(sorted(alpha))]}
-            for alpha in exponent_vectors(m, r, budget=alpha_budget)]
+    rows = [{"alpha": alpha, **by_key[key]}
+            for alpha, key in zip(*_vector_walk(m, r, alpha_budget))]
     return {
         "p": params.p, "m": params.m, "r": params.r, "f": params.f,
         "q": params.q, "total": len(rows), "equal_count": equal_count,

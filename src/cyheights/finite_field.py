@@ -302,10 +302,12 @@ def _enc_pow(enc: int, e: int, modulus, p: int) -> int:
 
 def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
                     modulus: list[int], p: int) -> bool:
-    """True iff enc has multiplicative order exactly q - 1."""
+    """True iff enc has multiplicative order exactly q - 1.  The powers
+    (q-1)/ell come first, as most candidates fail one of them; x^(q-1) = 1
+    is then left only for a candidate that passes them all."""
     n = q - 1
-    return _enc_pow(enc, n, modulus, p) == 1 and all(
-        _enc_pow(enc, n // ell, modulus, p) != 1 for ell in prime_factors)
+    return all(_enc_pow(enc, n // ell, modulus, p) != 1
+               for ell in prime_factors) and _enc_pow(enc, n, modulus, p) == 1
 
 
 def _images(n: int, f: int, modulus, y: list[int]) -> list[list[int]]:

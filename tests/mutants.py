@@ -134,12 +134,27 @@ MUTANTS = [
      "for _ in range(degree(m) - 1):", "for _ in range(degree(m) - 2):",
      ["test_padic.py"]),
     ("orbits filled without sigma_t", "src/cyheights/character_sums.py",
-     "image = j.galois(coset[0])", "image = j",
+     "[j.galois(coset[0]) for coset in cosets[1:]]",
+     "[j for coset in cosets[1:]]",
      ["test_characters.py", "test_fermat.py"]),
     ("shifted coset index in the Jacobi table",
      "src/cyheights/character_sums.py",
-     "for s in coset:", "for s in cosets[cosets.index(coset) - 1]:",
+     "for s in coset:", "for s in cosets[k - 1]:",
      ["test_characters.py", "test_fermat.py"]),
+    ("coset arithmetic without the t factor",
+     "src/cyheights/character_sums.py",
+     "orbit[coset_of[coset[0] * t % m]]", "orbit[coset_of[coset[0]]]",
+     ["test_characters.py", "test_fermat.py"]),
+    ("orbit walk reads images for a sum the fill did not produce",
+     "src/cyheights/fermat.py",
+     "if images is None or images[0] != j:", "if images is None:",
+     ["test_fermat.py"]),
+    ("multiset key digit one bit short", "src/cyheights/fermat.py",
+     "b = (r + 2).bit_length()", "b = (r + 2).bit_length() - 1",
+     ["test_fermat.py"]),
+    ("_has_full_order without x^(q-1) = 1", "src/cyheights/finite_field.py",
+     " and _enc_pow(enc, n, modulus, p) == 1", "",
+     ["test_finite_field.py"]),
     ("shifted coset index in the point count", "src/cyheights/fermat.py",
      "slot[x] = 1 + k % m", "slot[x] = 1 + (k + 1) % m",
      ["test_fermat.py"]),

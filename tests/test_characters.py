@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -316,6 +317,18 @@ def test_coset_fill_matches_jacobi_sum_everywhere(p, m, r):
     # Frobenius fixes every Jacobi sum, read without the table
     for alpha, j in direct.items():
         assert direct[tuple(sorted(p * a % m for a in alpha))] == j
+    # the images handed to the orbit walk, coset arithmetic included:
+    # sigma_t(j(alpha)) = j(t*alpha) for each least unit t of a coset
+    # t<p>, one list per evaluated multiset
+    subgroup = frobenius_subgroup(p, m)
+    least = [t for t in range(1, m) if gcd(t, m) == 1
+             and t == min(t * u % m for u in subgroup)]
+    assert len(table.images) == len({frozenset(
+        tuple(sorted(t * a % m for a in alpha)) for t in range(1, m)
+        if gcd(t, m) == 1) for alpha in multisets})
+    for alpha, images in table.images.items():
+        assert images == [direct[tuple(sorted(t * a % m for a in alpha))]
+                          for t in least]
 
 
 @pytest.mark.parametrize("p,f,m", [(3, 2, 4), (2, 3, 7)])

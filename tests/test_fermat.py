@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -77,6 +77,22 @@ def test_alpha_count_rejects_a_degree_below_two(m):
 def test_exponent_vectors_budget():
     with pytest.raises(BudgetError):
         exponent_vectors(7, 5, budget=100)
+
+
+# (9, 3) and (6, 4) hold multisets whose keys would collide with one bit
+# less per digit: (2, 4, 4, 4, 4) and (1, 1, 1, 1, 5), (2, 3, 3, 3, 3, 4)
+# and (1, 1, 1, 1, 4, 4)
+@pytest.mark.parametrize("m,r", [(3, 1), (7, 1), (4, 2), (9, 3), (6, 4)])
+def test_vector_walk_keys_name_multisets_one_to_one(m, r):
+    vectors, keys = fermat._vector_walk(m, r, fermat.DEFAULT_ALPHA_BUDGET)
+    # the walk's order and members, against a literal filter
+    assert vectors == [alpha for alpha in product(range(1, m), repeat=r + 2)
+                       if sum(alpha) % m == 0]
+    named = {}
+    for alpha, key in zip(vectors, keys):
+        named.setdefault(key, set()).add(tuple(sorted(alpha)))
+    assert all(len(multisets) == 1 for multisets in named.values())
+    assert len(named) == len(exponent_multisets(m, r))
 
 
 @pytest.mark.parametrize("m,r", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 3),
@@ -328,8 +344,11 @@ def test_one_galois_image_per_orbit_and_one_valuation_per_sum(
                       lambda j, t: images.append(t) or real_galois(j, t))
         table = character_sums.jacobi_sum_table(Character(field, m),
                                                 multisets)
-    # one image per <p>-orbit, one sigma_p check per evaluated sum
-    assert len(images) == p_orbits + unit_orbits
+    # one sigma_p check per evaluated sum, and one image per coset but
+    # the identity for each Galois orbit of values, made once
+    cosets = len(units_mod(m)) // f
+    value_orbits = len(_value_orbits(table, m))
+    assert len(images) == unit_orbits + value_orbits * (cosets - 1)
     assert len(set(table.values())) == distinct
 
     ctx = PadicContext(field, m, default_precision(f, r))
@@ -343,6 +362,22 @@ def test_one_galois_image_per_orbit_and_one_valuation_per_sum(
     assert len(valued) == len(set(valued)) == distinct
     for row in report["rows"]:
         assert row["valuation"] == per_multiset[tuple(sorted(row["alpha"]))]
+
+
+def test_the_fields_warm_round_makes_494_galois_images(monkeypatch):
+    # per shape: the fill's images and sigma_p checks, and one conjugate
+    # per Galois orbit in modulus_squared; the orbit walk makes none
+    shapes = {(2, 73, 1): 77, (2, 63, 1): 125, (7, 57, 1): 212,
+              (5, 31, 1): 66, (3, 11, 2): 14}
+    calls = Counter()
+    real_galois = CycInt.galois
+    monkeypatch.setattr(CycInt, "galois",
+                        lambda j, t: calls.update([shape]) or real_galois(
+                            j, t))
+    for shape in shapes:
+        stickelberger_check(*shape)
+    assert calls == shapes
+    assert sum(calls.values()) == 494
 
 
 def test_variety_report_shape():
@@ -880,6 +915,15 @@ def _table_of(p, m, r):
     return character_sums.jacobi_sum_table(chi, exponent_multisets(m, r))
 
 
+def _refilled(real, table):
+    """table, a dict of sums, as a fresh JacobiTable that carries the
+    images the fill made for real: the orbit walk reads them wherever
+    table keeps the value the fill evaluated."""
+    out = character_sums.JacobiTable(table)
+    out.images = real.images
+    return out
+
+
 _CHECKS = pytest.mark.parametrize("check", [zeta_fermat, stickelberger_check],
                                   ids=lambda check: check.__name__)
 
@@ -897,7 +941,8 @@ def test_every_member_of_an_orbit_is_checked(monkeypatch, check):
         table = {alpha: j * 2 if j == beta else j
                  for alpha, j in real.items()}
         monkeypatch.setattr(fermat, "jacobi_sum_table",
-                            lambda chi, alphas, table=table: dict(table))
+                            lambda chi, alphas, table=table: _refilled(
+                                real, table))
         with pytest.raises(InternalCheckError, match="q\\^r"):
             check(2, 31, 1)
 
@@ -914,9 +959,39 @@ def test_a_sum_frobenius_moves_is_caught_outside_the_table(monkeypatch,
     assert moved not in real.values()
     table = {**real, alpha: moved}
     monkeypatch.setattr(fermat, "jacobi_sum_table",
-                        lambda chi, alphas: dict(table))
+                        lambda chi, alphas: _refilled(real, table))
     with pytest.raises(InternalCheckError, match="sigma_p"):
         check(2, 31, 1)
+
+
+def test_the_orbit_walk_images_only_sums_the_fill_never_produced(
+        monkeypatch):
+    # (2, 31, 1): f = 5, six cosets of <2>.  -j keeps |j|^2 = q^r and
+    # sigma_2(-j) = -j, so a table that stores it passes every check; the
+    # walk images it itself and nothing the fill made
+    real = _table_of(2, 31, 1)
+    orbits = len(_value_orbits(real, 31))
+    alpha = list(real)[-1]
+    foreign = -real[alpha]
+    assert foreign not in real.values()
+    calls = []
+    real_galois = CycInt.galois
+    monkeypatch.setattr(CycInt, "galois",
+                        lambda j, t: calls.append((j, t)) or real_galois(
+                            j, t))
+    for table, own in ((real, []), ({**real, alpha: foreign}, [foreign])):
+        monkeypatch.setattr(fermat, "jacobi_sum_table",
+                            lambda chi, alphas, table=table: _refilled(
+                                real, table))
+        calls.clear()
+        stickelberger_check(2, 31, 1)
+        # one conjugate per orbit in modulus_squared, then sigma_2 and
+        # the six images of -j
+        conjugates = [j for j, t in calls if t == 30]
+        assert len(conjugates) == orbits + len(own)
+        assert [j for j, t in calls if t != 30] == own * 7
+        assert [t for j, t in calls if t != 30] == [2, 1, 3, 5, 7, 11,
+                                                    15] * len(own)
 
 
 # the fields_warm shapes: 352 distinct Jacobi sums in 49 Galois orbits

@@ -61,11 +61,12 @@ def _frobenius(field, a):
 
 
 # p = 2 across the 8-bit chunk edges, odd p at f = 1, 2 and 3 and 3^7 (a
-# table of 3^5 = 243 entries and one of 3^2), and a prime near 10^5
+# table of 3^5 = 243 entries and one of 3^2), a prime near 10^5, and the
+# fields of the fields_warm benchmark round not listed before
 REFERENCE_FIELDS = [
     (2, 1), (2, 7), (2, 8), (2, 9), (2, 16),
     (3, 1), (13, 1), (3, 2), (7, 2), (131, 2), (3, 3), (5, 3), (3, 7),
-    (100003, 1)]
+    (100003, 1), (7, 3), (2, 6), (3, 5)]
 
 
 @pytest.mark.parametrize("p,f", REFERENCE_FIELDS)
@@ -118,6 +119,14 @@ def test_generator_search_may_skip_the_constants(p, f):
         c for c in range(1, q)
         if _has_full_order(c, q, factors, list(field.modulus), p))
     assert field.generator >= p
+
+
+def test_full_order_needs_the_power_q_minus_1_to_be_1():
+    # modulo the reducible x^2 over GF(2), x passes the only power test,
+    # x^((q-1)/3) = x != 1, but x^3 = 0: the last check refuses it.  x is
+    # a generator modulo the irreducible x^2 + x + 1
+    assert _has_full_order(2, 4, {3: 1}, [0, 0, 1], 2) is False
+    assert _has_full_order(2, 4, {3: 1}, [1, 1, 1], 2) is True
 
 
 def test_order_mod_examples():
