@@ -6,11 +6,18 @@ read off the p-rank of A: n gives height 1, n-1 gives 2, anything lower
 gives infinity.  For the standard example, A = E^3 with E: y^2 = x^3 + 1
 acted on by a cube root of unity, the p-rank comes from an exact point
 count of E rather than from any congruence shortcut.  Up to p = 229 the
-count is an O(p) Legendre-symbol sweep.  Above 229, where Mestre's
-theorem applies, it is read off point orders on E and its quadratic
-twist, found by baby-step giant-step in O(p^(1/4)) group operations whose
-giant walk is built from the babies; a sweep that shares none of its
-steps is its oracle in the tests.
+count is an O(p) Legendre-symbol sweep.  Above 229, the j = 0 curves
+y^2 = x^3 + b, the standard one among them, are counted by complex
+multiplication by Z[omega] from one Cornacchia solve, and every such
+count must pass a point-order check on E and its quadratic twist that
+shares no step with it.  Other curves are counted from point orders on E
+and its twist, found by baby-step giant-step in O(p^(1/4)) group
+operations whose giant walk is built from the babies; that search is the
+oracle of the CM count in the tests, and a sweep that shares none of its
+steps is the oracle of the search.  On the standard curve at p = 2 mod 3
+the CM count p + 1 is the supersingular pattern mod 3 itself, so there
+the report's agreement with the closed-form height is no independent
+check; the point-order check is what keeps that count honest.
 
 The intermediate Jacobian of the rigid quotient is C modulo the lattice
 generated by 1, omega, omega^2, omega^3 for a quadratic omega; the
@@ -61,9 +68,16 @@ def ec_count_points(p: int, a: int, b: int, *,
     BudgetError if p exceeds the budget.  For p <= MESTRE_BOUND = 229
     the count is a Legendre-symbol sweep over x, read from one table of
     quadratic residues mod p, the squares of 1..(p-1)/2:
-    roots[v] = #{y : y^2 = v} = 1 + (v/p).  Above 229 it is read off
-    point orders by baby-step giant-step in O(p^(1/4)) group operations
-    (_count_by_orders); the tests check it against a sweep.
+    roots[v] = #{y : y^2 = v} = 1 + (v/p).  Above 229 a curve with
+    a = 0 mod p is counted by complex multiplication (_count_by_cm), and
+    the count must pass the Hasse check and then _check_point_orders,
+    which shares no step with CM; the tests check CM against the
+    baby-step giant-step count.  On y^2 = x^3 + 1 at p = 2 mod 3 the CM
+    count is the mod-3 pattern that kummer_report predicts, so only the
+    point-order check stands behind it.  Every other curve above 229 is
+    counted from point orders by baby-step giant-step in O(p^(1/4))
+    group operations (_count_by_orders); the tests check it against a
+    sweep.
     """
     if p < 5 or not is_prime(p):
         raise InputError(f"p must be a prime >= 5, got {p}")
@@ -72,7 +86,10 @@ def ec_count_points(p: int, a: int, b: int, *,
         raise InputError(
             f"singular curve: 4a^3 + 27b^2 = 0 mod {p} for a={a}, b={b}")
     check_prime_budget(p, budget)
-    if p > MESTRE_BOUND:
+    by_cm = p > MESTRE_BOUND and a == 0
+    if by_cm:
+        total = _count_by_cm(p, b)
+    elif p > MESTRE_BOUND:
         total = _count_by_orders(p, a, b)
     else:
         roots = bytearray(p)
@@ -84,7 +101,112 @@ def ec_count_points(p: int, a: int, b: int, *,
     if trace * trace > 4 * p:
         raise InternalCheckError(
             f"Hasse bound violated: |a_p| = {abs(trace)} > 2*sqrt({p})")
+    if by_cm:
+        _check_point_orders(p, b, total)
     return total
+
+
+# --- point counts on j = 0 curves by complex multiplication ---
+
+
+def _count_by_cm(p: int, b: int) -> int:
+    """#E(F_p) for E: y^2 = x^3 + b, b != 0 mod p, by complex
+    multiplication by Z[omega] (Ireland-Rosen, ch. 18, section 3).
+
+    At p = 2 mod 3 the count is p + 1, since x -> x^3 permutes F_p.  At
+    p = 1 mod 3, p = pi * conj(pi) with pi = u + v*omega primary
+    (pi = 2 mod 3), and #E = p + 1 + Tr(conj(chi) * pi), where
+    chi = (4b/pi)_6 is the sextic residue symbol and Tr(u + v*omega) =
+    2u - v.  pi = (x + y) + 2y*omega comes from p = x^2 + 3y^2 by
+    Cornacchia's algorithm (Cohen, Algorithm 1.5.2) on the square root
+    2w + 1 of -3, w a cube root of unity mod p.  F_p = Z[omega]/pi sends
+    omega to the w with u + v*w = 0, and chi to the sixth root of unity
+    (4b)^((p-1)/6); conj(chi) = +-omega^k is found by turning pi by omega
+    while dividing its image by w."""
+    if p % 3 == 2:
+        return p + 1
+    g, w = 2, 1
+    while w == 1:  # a non-cube g gives a cube root of unity w != 1
+        w = pow(g, (p - 1) // 3, p)
+        g += 1
+    r, x = p, (2 * w + 1) % p
+    while x * x > p:  # Euclid down to the first remainder below sqrt(p)
+        r, x = x, r % x
+    y = isqrt((p - x * x) // 3)
+    if x * x + 3 * y * y != p:
+        raise InternalCheckError(f"Cornacchia found no x^2 + 3y^2 = {p}")
+    u, v = x + y, 2 * y  # norm u^2 - uv + v^2 = p
+    while u % 3 != 2 or v % 3:  # make pi primary by a unit
+        u, v = (-v, u - v) if v % 3 else (-u, -v)  # times omega, or -1
+    if (u + v * w) % p:
+        w = p - 1 - w  # the other cube root of unity, w^2
+    z = pow(4 * b, (p - 1) // 6 * 5, p)  # conj(chi) = chi^5 mod pi
+    while z != 1 and z != p - 1:
+        z = z * (p - 1 - w) % p  # z / w
+        u, v = -v, u - v  # pi * omega
+    trace = 2 * u - v
+    return p + 1 + (trace if z == 1 else -trace)
+
+
+def _check_point_orders(p: int, b: int, n: int) -> None:
+    """InternalCheckError unless n*P = O for a point P of
+    E: y^2 = x^3 + b and (2p + 2 - n)*P' = O for a point P' of its
+    quadratic twist; n must lie in the Hasse interval.
+
+    The points are those of _count_by_orders: (c*x, c^2) for
+    x = 1, 2, ... with c = x^3 + b, on y^2 = x^3 + b*c^3, which is E when
+    c is a square mod p and its twist when not.  The 2- and 3-torsion
+    (c = 0, x = 0 and x^3 = -4b, that is c = -3b) is skipped, since
+    n*P = O holds there whenever 6 divides n.  This shares no step with
+    CM."""
+    points = {}  # legendre(c, p) -> the first point: 1 on E, -1 on the twist
+    for x in range(1, p):
+        c = (x * x * x + b) % p
+        if c and (c + 3 * b) % p:
+            points.setdefault(legendre(c, p), (c * x % p, c * c % p))
+            if len(points) == 2:
+                break
+    if not _kills(n, points[1], p):
+        raise InternalCheckError(
+            f"#E(F_{p}) = {n} for b={b} fails a point order on E")
+    if not _kills(2 * p + 2 - n, points[-1], p):
+        raise InternalCheckError(
+            f"#E(F_{p}) = {n} for b={b} fails a point order on the twist")
+
+
+def _jacobian_double(X: int, Y: int, Z: int, p: int):
+    """2*(X, Y, Z) on y^2 = x^3 + B, in Jacobian coordinates
+    (X/Z^2, Y/Z^3); O and the 2-torsion go to Z = 0.  B is not needed."""
+    YY = Y * Y % p
+    S, M = 4 * X * YY % p, 3 * X * X % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _kills(n: int, P, p: int) -> bool:
+    """n*P = O for n >= 1 and an affine point P of y^2 = x^3 + B, by
+    double-and-add in Jacobian coordinates, so no step takes an inverse;
+    O is Z = 0."""
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        X, Y, Z = _jacobian_double(X, Y, Z, p)
+        if bit == "0":
+            continue
+        ZZ = Z * Z % p  # (X, Y, Z) + P
+        H, R = (x * ZZ - X) % p, (y * ZZ * Z - Y) % p
+        if Z == 0:  # O + P
+            X, Y, Z = x, y, 1
+        elif H:
+            HH = H * H % p
+            HHH, V = H * HH % p, X * HH % p
+            X = (R * R - HHH - 2 * V) % p
+            Y, Z = (R * (V - X) - Y * HHH) % p, Z * H % p
+        elif R:  # the point was -P
+            Z = 0
+        else:  # the point was P
+            X, Y, Z = _jacobian_double(X, Y, Z, p)
+    return Z == 0
 
 
 # --- point counts from point orders (Shanks-Mestre) ---
@@ -222,7 +344,10 @@ def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
     The p-rank of E is 0 exactly when a_p = 0 (valid since p >= 5), and
     E^3 has p-rank 3 * rank.  For the standard curve, (a, b) = (0, 1)
     mod p, the closed-form pattern mod 3 is an independent check on the
-    counted height; for other curves no prediction applies."""
+    counted height, except at p = 2 mod 3 above 229: there the CM count
+    is p + 1, the pattern itself, and the point-order check of
+    ec_count_points is what keeps the count honest.  For other curves no
+    prediction applies."""
     points = ec_count_points(p, a, b)
     trace = p + 1 - points
     rank = 0 if trace == 0 else 1

@@ -62,6 +62,22 @@ MUTANTS = [
      "for n in range(lo + s, hi + s + 1, w):",
      "for n in range(lo + s, hi + s + 1 - w, w):",
      ["test_kummer.py"]),
+    ("sextic symbol not conjugated", "src/cyheights/kummer.py",
+     "pow(4 * b, (p - 1) // 6 * 5, p)", "pow(4 * b, (p - 1) // 6, p)",
+     ["test_kummer.py"]),
+    ("pi not made primary", "src/cyheights/kummer.py",
+     "while u % 3 != 2 or v % 3:", "while False:",
+     ["test_kummer.py"]),
+    ("p = 2 mod 3 count is p", "src/cyheights/kummer.py",
+     "if p % 3 == 2:\n        return p + 1\n",
+     "if p % 3 == 2:\n        return p\n",
+     ["test_kummer.py"]),
+    ("CM check on E dropped", "src/cyheights/kummer.py",
+     "if not _kills(n, points[1], p):", "if False:",
+     ["test_kummer.py"]),
+    ("CM check on the twist dropped", "src/cyheights/kummer.py",
+     "if not _kills(2 * p + 2 - n, points[-1], p):", "if False:",
+     ["test_kummer.py"]),
     ("floor Barrett magic", "src/cyheights/finite_field.py",
      "magic = -(-(1 << shift) // p)", "magic = (1 << shift) // p",
      ["test_finite_field.py"]),

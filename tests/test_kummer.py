@@ -131,7 +131,8 @@ def test_order_multiples_match_a_scan(a, b):
                                     (999983, 115)])
 def test_point_counts_take_few_group_operations(monkeypatch, p, most):
     # the giant step and the walk's start come from the baby steps, not
-    # from scalar multiples of the point
+    # from scalar multiples of the point; y^2 = x^3 + 1 is counted by CM
+    # in ec_count_points, so the search is called directly
     calls, real = [], kummer._ec_add
 
     def counting(*args):
@@ -139,24 +140,32 @@ def test_point_counts_take_few_group_operations(monkeypatch, p, most):
         return real(*args)
 
     monkeypatch.setattr(kummer, "_ec_add", counting)
-    ec_count_points(p, 0, 1)
+    kummer._count_by_orders(p, 0, 1)
     assert len(calls) <= most
 
 
 def test_point_orders_take_over_above_229(monkeypatch):
-    # Mestre's theorem needs p > 229; 229 and 233 are consecutive primes
+    # Mestre's theorem needs p > 229; 229 and 233 are consecutive primes.
+    # Above it the j = 0 curves (a = 0) are counted by CM, every other
+    # curve by point orders, and nothing is swept.
     seen = []
-    real = kummer._count_by_orders
 
-    def recording(p, a, b):
-        seen.append(p)
-        return real(p, a, b)
+    def record(name):
+        real = getattr(kummer, name)
 
-    monkeypatch.setattr(kummer, "_count_by_orders", recording)
+        def recording(p, *args):
+            seen.append((name, p))
+            return real(p, *args)
+
+        monkeypatch.setattr(kummer, name, recording)
+
+    record("_count_by_orders")
+    record("_count_by_cm")
     for p in (229, 233):
         for a, b in _nonsingular(p):
             assert ec_count_points(p, a, b) == _sweep(p, a, b, _symbols(p))
-    assert seen == [233] * len(_nonsingular(233))
+    assert seen == [("_count_by_orders" if a else "_count_by_cm", 233)
+                    for a, _ in _nonsingular(233)]
 
 
 def test_point_count_budget():
@@ -166,11 +175,79 @@ def test_point_count_budget():
 
 @pytest.mark.parametrize("p", [233, 10007, 999983])
 def test_hasse_check_rejects_a_count_one_past_the_bound(monkeypatch, p):
-    # |a_p| = 1 + isqrt(4p) > 2 sqrt(p), yet (1 + isqrt(4p))^2 <= 5p
-    monkeypatch.setattr(kummer, "_count_by_orders",
-                        lambda p, a, b: p + 2 + isqrt(4 * p))
-    with pytest.raises(InternalCheckError, match="Hasse"):
-        ec_count_points(p, 0, 1)
+    # |a_p| = 1 + isqrt(4p) > 2 sqrt(p), yet (1 + isqrt(4p))^2 <= 5p; the
+    # Hasse check runs before the point-order check of the CM path
+    for path, a in ("_count_by_orders", 1), ("_count_by_cm", 0):
+        monkeypatch.setattr(kummer, path, lambda p, *_: p + 2 + isqrt(4 * p))
+        with pytest.raises(InternalCheckError, match="Hasse"):
+            ec_count_points(p, a, 1)
+
+
+# j = 0 curves for the CM tests; y^2 = x^3 - 432 is the Fermat cubic
+CM_CURVES = (1, 2, 3, 5, 7, -432)
+
+
+def test_cm_counts_match_the_point_orders():
+    # the CM count, through its point-order check, against baby-step
+    # giant-step, which shares none of its steps, at both residues mod 3
+    for p in _primes(230, 20000) + [999979, 999983]:
+        for b in CM_CURVES:
+            assert ec_count_points(p, 0, b) == \
+                kummer._count_by_orders(p, 0, b % p), (p, b)
+
+
+def _non_residue(p):
+    """The least g that is neither a square nor a cube mod p."""
+    return next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1
+                and pow(g, (p - 1) // 3, p) != 1)
+
+
+def test_point_order_check_refuses_every_other_sextic_twist(monkeypatch):
+    # y^2 = x^3 + b g^k, k = 1..5, are the other sextic twists of
+    # y^2 = x^3 + b: their counts are what CM returns with chi in place of
+    # conj(chi) (the twist by 1/(16 b^2)) or with pi times a unit other
+    # than 1, that is, not made primary.  Each is refused, most on E; a few
+    # pass on E and are refused only on the twist (607 and 1033 at b = 3,
+    # 1213 at b = -432, 1831 at b = 2).
+    sides = set()
+    # CM returns the wrong count that the loop below sets
+    monkeypatch.setattr(kummer, "_count_by_cm", lambda p, b: wrong)
+    for p in (607, 1033, 1213, 1831):
+        g = _non_residue(p)
+        for b in CM_CURVES:
+            right = kummer._count_by_orders(p, 0, b % p)
+            for k in range(1, 6):
+                wrong = kummer._count_by_orders(p, 0, b * g**k % p)
+                if wrong == right:
+                    continue
+                with pytest.raises(InternalCheckError,
+                                   match="point order") as error:
+                    ec_count_points(p, 0, b)
+                sides.add(str(error.value).rsplit(" on ", 1)[1])
+    assert sides == {"E", "the twist"}
+
+
+def test_default_count_at_the_budget_edge_takes_no_baby_steps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("baby-step giant-step ran")
+
+    monkeypatch.setattr(kummer, "_order_multiples", refuse)
+    assert ec_count_points(999983, 0, 1) == 999984
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_jacobian_multiples_match_the_affine_ones(p):
+    # every point of every y^2 = x^3 + b over F_p, for every n up to
+    # 2p + 3: the Jacobian ladder meets O, P and -P midway on points of
+    # small order
+    for b in range(1, p):
+        points = [(x, y) for x in range(p) for y in range(p)
+                  if (y * y - x**3 - b) % p == 0]
+        for P in points:
+            Q = P
+            for n in range(1, 2 * p + 4):
+                assert kummer._kills(n, P, p) == (Q is None), (b, P, n)
+                Q = kummer._ec_add(Q, P, 0, p)
 
 
 def test_p_rank_examples():
@@ -180,9 +257,12 @@ def test_p_rank_examples():
 
 
 def test_supersingular_pattern_mod_3():
+    # from the sweep or baby-step giant-step: on y^2 = x^3 + 1 the CM
+    # count at p = 2 mod 3 is this pattern itself, so it checks nothing
     for p in _primes(5, 20000):
-        rank = kummer_report(p)["p_rank"]
-        assert (rank == 0) == (p % 3 == 2)
+        points = (ec_count_points(p, 0, 1) if p <= kummer.MESTRE_BOUND
+                  else kummer._count_by_orders(p, 0, 1))
+        assert (points == p + 1) == (p % 3 == 2)
 
 
 def test_abelian_height_three_cases():
