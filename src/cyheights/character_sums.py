@@ -31,8 +31,10 @@ j(p*alpha) = j(alpha), that is sigma_p(j) = j (Ireland-Rosen, ch. 14).
 jacobi_sum_table relies on it to fill a table with one Galois image per
 coset of <p> in (Z/m)^*, and checks it on every sum it evaluates.  It
 makes each image once: an evaluated sum that is an image of an earlier
-one takes its images by coset arithmetic, and the table hands them to
-the orbit walk in fermat._checked_jacobi_sums.
+one takes its images by coset arithmetic.  The table records each
+Galois orbit of its values once, and the fermat layer reads the orbits
+from it, checking them (fermat._checked_jacobi_sums) rather than
+finding them again.
 """
 
 from __future__ import annotations
@@ -159,14 +161,15 @@ def _frobenius_cosets(subgroup: tuple[int, ...], m: int) -> list[list[int]]:
 
 class JacobiTable(dict):
     """Jacobi sums keyed by sorted exponent vector, as jacobi_sum_table
-    fills it.  images maps each evaluated vector alpha to the Galois
-    images sigma_t(j(alpha)), one per coset t<p> in coset order
-    (_frobenius_cosets), so the first is j(alpha) itself."""
+    fills it.  orbits lists each Galois orbit of the values once, in the
+    order the fill met it: its distinct members sigma_t(j), one per coset
+    t<p> in coset order (_frobenius_cosets), so the evaluated sum j comes
+    first.  The orbits partition the table's distinct values."""
 
-    __slots__ = ("images",)
+    __slots__ = ("orbits",)
 
 
-def jacobi_sum_table(chi: Character, multisets) -> dict:
+def jacobi_sum_table(chi: Character, multisets) -> JacobiTable:
     """Jacobi sums of exponent multisets, each given as its sorted vector.
 
     j(alpha) is a product of Gauss sums, one per component, so it is
@@ -178,17 +181,16 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
     <p>.  Each Galois image is made once: an evaluated j that is already
     sigma_t(j0) of an earlier orbit takes its images by coset arithmetic,
     sigma_s(j) = sigma_{st}(j0), and only a j outside every earlier
-    orbit calls CycInt.galois, once per coset but the identity.  Hard
-    check: sigma_p(j) = j for every evaluated j, else
-    InternalCheckError.  The table, a JacobiTable that keeps each
-    evaluated vector's images for the orbit walk of the fermat layer,
-    holds every multiset in the orbits asked for.
+    orbit calls CycInt.galois, once per coset but the identity; that j
+    starts a new orbit, which the table's orbits record.  Hard check:
+    sigma_p(j) = j for every evaluated j, else InternalCheckError.  The
+    table, a JacobiTable, holds every multiset in the orbits asked for.
     """
     m, p = chi.m, chi.p
     cosets = _frobenius_cosets(frobenius_subgroup(p, m), m)
     coset_of = {s: k for k, coset in enumerate(cosets) for s in coset}
     table = JacobiTable()
-    table.images = {}
+    table.orbits = []
     # every image made so far: value -> (images of its orbit, coset index)
     known: dict[CycInt, tuple[list[CycInt], int]] = {}
     for alpha in multisets:
@@ -206,7 +208,7 @@ def jacobi_sum_table(chi: Character, multisets) -> dict:
             images = [j] + [j.galois(coset[0]) for coset in cosets[1:]]
             for k, image in enumerate(images):
                 known.setdefault(image, (images, k))
-        table.images[alpha] = images
+            table.orbits.append(list(dict.fromkeys(images)))
         for k, coset in enumerate(cosets):
             # the table holds whole <p>-orbits, so one key answers for t*<p>
             if tuple(sorted(coset[0] * a % m for a in alpha)) in table:

@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial, gcd
 from operator import add
 
-from .character_sums import Character, _frobenius_cosets, jacobi_sum_table
+from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from .errors import InputError, InternalCheckError, check_budget
 from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
@@ -460,48 +460,32 @@ def variety_report(p: int, m: int, r: int, *,
 
 
 def _checked_jacobi_sums(params: FermatParams, table_budget: int):
-    """The field, the exponent multisets with their orbit sizes, the
-    Jacobi sum of every multiset, and the (Z/m)^*-orbits of the distinct
-    sums, with |j|^2 = q^r checked once per Galois orbit.
+    """The field, the exponent multisets with their orbit sizes, and the
+    Jacobi sum of every multiset as the JacobiTable that records its
+    Galois orbits, each checked once.
 
     Complex conjugation is sigma_{-1} and Gal(Q(zeta_m)/Q) is abelian, so
-    |sigma_t(j)|^2 = sigma_t(|j|^2) = sigma_t(q^r) = q^r: one check holds
-    for a whole orbit.  The distinct sums are walked in table order, and
-    each one no orbit covers yet is a representative: it must satisfy
-    |j|^2 = q^r, and its images sigma_t(j), one per coset t<p>
-    (_frobenius_cosets), are its whole orbit, which is then covered.  A
-    representative equal to the value the table fill evaluated at its
-    multiset takes the images the fill made (JacobiTable.images), which
-    checked sigma_p(j) = j; any other is checked here, sigma_p(j) = j
-    when f > 1, and imaged here.  So nothing trusts the table's values: a
-    sum the fill never produced is checked as a representative itself.
-    Orbits list their distinct members, in coset order, and come in table
-    order.  Callers bound |A|, the degree of P(T) and the number of
-    Stickelberger rows, before FermatParams.create.
+    |sigma_t(j)|^2 = sigma_t(|j|^2) = sigma_t(q^r) = q^r: one check of
+    |j|^2 = q^r, on the first member of an orbit, holds for all of it.
+    The fill made the orbits, checking sigma_p(j) = j on every sum it
+    evaluated; a table value that lies in no recorded orbit is one the
+    fill never made, and is refused.  Callers bound |A|, the degree of
+    P(T) and the number of Stickelberger rows, before FermatParams.create.
     """
-    p, m = params.p, params.m
-    field = build_field(p, params.f, table_budget=table_budget)
-    weights = exponent_multisets(m, params.r)
-    sums = jacobi_sum_table(Character(field, m), weights)
-    q_to_r = CycInt.integer(m, params.q**params.r)
-    cosets = _frobenius_cosets(params.subgroup, m)
-    orbits: list[list[CycInt]] = []
-    covered: set[CycInt] = set()
-    for alpha, j in sums.items():
-        if j in covered:
-            continue
-        if modulus_squared(j) != q_to_r:
+    field = build_field(params.p, params.f, table_budget=table_budget)
+    weights = exponent_multisets(params.m, params.r)
+    sums = jacobi_sum_table(Character(field, params.m), weights)
+    q_to_r = CycInt.integer(params.m, params.q**params.r)
+    for orbit in sums.orbits:
+        if modulus_squared(orbit[0]) != q_to_r:
             raise InternalCheckError(
-                f"|j|^2 != q^r for j = {j!r}; eigenvalue check failed")
-        images = sums.images.get(alpha)
-        if images is None or images[0] != j:
-            if params.f > 1 and j.galois(p % m) != j:
-                raise InternalCheckError(f"sigma_p does not fix j = {j!r}")
-            images = [j.galois(coset[0]) for coset in cosets]
-        orbit = list(dict.fromkeys(images))
-        covered.update(orbit)
-        orbits.append(orbit)
-    return field, weights, sums, orbits
+                f"|j|^2 != q^r for j = {orbit[0]!r}; eigenvalue check failed")
+    members = {beta for orbit in sums.orbits for beta in orbit}
+    for alpha, j in sums.items():
+        if j not in members:
+            raise InternalCheckError(
+                f"j({alpha}) = {j!r} lies in no Galois orbit of the table")
+    return field, weights, sums
 
 
 def zeta_fermat(p: int, m: int, r: int, *,
@@ -514,24 +498,25 @@ def zeta_fermat(p: int, m: int, r: int, *,
     P(T) = prod (1 - j(alpha) T) is assembled from the distinct eigenvalues.
 
     j(t alpha) = sigma_t(j(alpha)), so the eigenvalue multiset is stable
-    under (Z/m)^*.  Each Galois orbit of distinct eigenvalues, as
-    _checked_jacobi_sums finds it, contributes its norm polynomial
+    under (Z/m)^*.  Each Galois orbit of distinct eigenvalues, as the
+    table records it, contributes its norm polynomial
     N_i(T) = prod_{beta in orbit} (1 - beta T) to the power e_i, its
     multiplicity, and P = prod N_i^e_i is expanded over Z.  Hard checks:
     |j|^2 = q^r once per Galois orbit (conjugation commutes with every
-    sigma_t), one multiplicity along each orbit, norm polynomials in
-    Z[T], exact division in the expansion and deg P = |A|.  The alpha
-    budget bounds |A| before <p> is built.
+    sigma_t) and every sum in a recorded orbit (_checked_jacobi_sums),
+    one multiplicity along each orbit, norm polynomials in Z[T], exact
+    division in the expansion and deg P = |A|.  The alpha budget bounds
+    |A| before <p> is built.
     """
     _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    _, weights, sums, orbits = _checked_jacobi_sums(params, table_budget)
+    _, weights, sums = _checked_jacobi_sums(params, table_budget)
     multiplicity: Counter = Counter()
     for alpha, weight in weights.items():
         multiplicity[sums[alpha]] += weight
 
     factors: list[tuple[list[int], int]] = []
-    for orbit in orbits:
+    for orbit in sums.orbits:
         mult = multiplicity[orbit[0]]
         if any(multiplicity[beta] != mult for beta in orbit):
             raise InternalCheckError(
@@ -715,10 +700,11 @@ def stickelberger_check(p: int, m: int, r: int, *,
     key, so a row finds its multiset without sorting the vector.
 
     Both sides are symmetric in alpha: the left side comes from the
-    Jacobi sum through the lifted root of unity, once per distinct
-    value of the table, the right side from integer arithmetic alone,
-    once per multiset (_multiset_exponent).  The two share
-    nothing but the field construction.  Every Jacobi sum must satisfy
+    Jacobi sum through the lifted root of unity, once per member of the
+    table's Galois orbits, which is once per distinct value, the right
+    side from integer arithmetic alone, once per multiset
+    (_multiset_exponent).  The two share nothing but the field
+    construction.  Every Jacobi sum must lie in a recorded orbit and satisfy
     |j|^2 = q^r first, checked once per Galois orbit since conjugation
     commutes with every sigma_t (_checked_jacobi_sums), so a table fault
     that breaks it is an internal error rather than a mismatch.  That
@@ -728,14 +714,14 @@ def stickelberger_check(p: int, m: int, r: int, *,
     """
     _alpha_budget_check(m, r, alpha_budget)
     params = FermatParams.create(p, m, r)
-    field, weights, sums, _ = _checked_jacobi_sums(params, table_budget)
+    field, weights, sums = _checked_jacobi_sums(params, table_budget)
     ctx = PadicContext(field, m, default_precision(params.f, r))
     exponent = _multiset_exponent(m, params.subgroup)
     w = _multiset_weights(m, r)
-    by_key, equal_count, valuations = {}, 0, {}
+    valuations = {beta: padic_valuation(beta, ctx)
+                  for orbit in sums.orbits for beta in orbit}
+    by_key, equal_count = {}, 0
     for key, j in sums.items():
-        if j not in valuations:
-            valuations[j] = padic_valuation(j, ctx)
         val = valuations[j]
         if val is None:
             raise InternalCheckError(

@@ -53,21 +53,22 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def check_prime_budget(p: int, budget: int = DEFAULT_PRIME_BUDGET) -> None:
+def check_prime_budget(p: int) -> None:
     """BudgetError (errors.check_budget) if a point count over GF(p)
-    exceeds the budget."""
-    check_budget(p, budget, "point-count budget exceeded: p = {}")
+    exceeds DEFAULT_PRIME_BUDGET."""
+    check_budget(p, DEFAULT_PRIME_BUDGET,
+                 "point-count budget exceeded: p = {}")
 
 
-def ec_count_points(p: int, a: int, b: int, *,
-                    budget: int = DEFAULT_PRIME_BUDGET) -> int:
+def ec_count_points(p: int, a: int, b: int) -> int:
     """#E(F_p) including the point at infinity for the curve
     E: y^2 = x^3 + a*x + b.
 
     InputError unless p is a prime >= 5 and E is nonsingular mod p;
-    BudgetError if p exceeds the budget.  For p <= MESTRE_BOUND = 229
-    the count is a Legendre-symbol sweep over x, read from one table of
-    quadratic residues mod p, the squares of 1..(p-1)/2:
+    BudgetError if p exceeds DEFAULT_PRIME_BUDGET.  For
+    p <= MESTRE_BOUND = 229 the count is a Legendre-symbol sweep over x,
+    read from one table of quadratic residues mod p, the squares of
+    1..(p-1)/2:
     roots[v] = #{y : y^2 = v} = 1 + (v/p).  Above 229 a curve with
     a = 0 mod p is counted by complex multiplication (_count_by_cm), and
     the count must pass the Hasse check and then _check_point_orders,
@@ -85,7 +86,7 @@ def ec_count_points(p: int, a: int, b: int, *,
     if (4 * a**3 + 27 * b**2) % p == 0:
         raise InputError(
             f"singular curve: 4a^3 + 27b^2 = 0 mod {p} for a={a}, b={b}")
-    check_prime_budget(p, budget)
+    check_prime_budget(p)
     by_cm = p > MESTRE_BOUND and a == 0
     if by_cm:
         total = _count_by_cm(p, b)

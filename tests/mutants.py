@@ -95,7 +95,7 @@ MUTANTS = [
      "check_budget(q, table_budget,", "(q, table_budget,",
      ["test_finite_field.py"]),
     ("Kummer prime guard disabled", "src/cyheights/kummer.py",
-     "check_budget(p, budget,", "(p, budget,",
+     "check_budget(p, DEFAULT_PRIME_BUDGET,", "(p, DEFAULT_PRIME_BUDGET,",
      ["test_kummer.py"]),
     ("sieve table guard disabled", "src/cyheights/cli.py",
      "check_budget(size, DEFAULT_TABLE_BUDGET,",
@@ -109,16 +109,20 @@ MUTANTS = [
      "sum(w[a] for a in alpha[1:]) // m - f",
      ["test_fermat.py"]),
     ("|j|^2 check dropped", "src/cyheights/fermat.py",
-     "if modulus_squared(j) != q_to_r:", "if False:",
+     "if modulus_squared(orbit[0]) != q_to_r:", "if False:",
      ["test_fermat.py"]),
+    ("orbit membership check dropped", "src/cyheights/fermat.py",
+     "if j not in members:", "if False:",
+     ["test_fermat.py"]),
+    ("orbit recorded as the evaluated sum alone",
+     "src/cyheights/character_sums.py",
+     "table.orbits.append(list(dict.fromkeys(images)))",
+     "table.orbits.append([j])",
+     ["test_characters.py", "test_fermat.py"]),
     ("sigma_p check dropped from jacobi_sum_table",
      "src/cyheights/character_sums.py",
      "if j.galois(p % m) != j:", "if False:",
      ["test_characters.py"]),
-    ("sigma_p check dropped from _checked_jacobi_sums",
-     "src/cyheights/fermat.py",
-     "if params.f > 1 and j.galois(p % m) != j:", "if False:",
-     ["test_fermat.py"]),
     ("HNF entry b left unreduced", "src/cyheights/kummer.py",
      "return (a, b % c), (0, c)", "return (a, b), (0, c)",
      ["test_kummer.py"]),
@@ -161,10 +165,6 @@ MUTANTS = [
      "src/cyheights/character_sums.py",
      "orbit[coset_of[coset[0] * t % m]]", "orbit[coset_of[coset[0]]]",
      ["test_characters.py", "test_fermat.py"]),
-    ("orbit walk reads images for a sum the fill did not produce",
-     "src/cyheights/fermat.py",
-     "if images is None or images[0] != j:", "if images is None:",
-     ["test_fermat.py"]),
     ("multiset key digit one bit short", "src/cyheights/fermat.py",
      "b = (r + 2).bit_length()", "b = (r + 2).bit_length() - 1",
      ["test_fermat.py"]),
@@ -273,6 +273,24 @@ MUTANTS = [
      "_schoolbook_product(derivative, d)",
      "_schoolbook_product(derivative, norm)",
      ["test_fermat.py"]),
+    ("norm in Z[T] check dropped", "src/cyheights/fermat.py",
+     "if not c.is_rational_integer():", "if False:",
+     ["test_fermat.py"]),
+    ("CM check keeps the 3-torsion", "src/cyheights/kummer.py",
+     "if c and (c + 3 * b) % p:", "if c:",
+     ["test_kummer.py"]),
+    ("neg with the wrong sign", "src/cyheights/finite_field.py",
+     "return self._combine(0, a, -1)", "return self._combine(0, a, 1)",
+     ["test_characters.py", "test_finite_field.py"]),
+    ("generator scan from p^2", "src/cyheights/finite_field.py",
+     "range(p if f > 1 else 1, q)", "range(p * p if f > 1 else 1, q)",
+     ["test_finite_field.py"]),
+    ("twist mapping removed", "src/cyheights/kummer.py",
+     "multiples = {2 * p + 2 - n for n in multiples}", "pass",
+     ["test_kummer.py"]),
+    ("2-torsion baby exit dropped", "src/cyheights/kummer.py",
+     "Q[0] in babies or Q[1] == 0:", "Q[0] in babies:",
+     ["test_kummer.py"]),
 ]
 
 

@@ -317,18 +317,21 @@ def test_coset_fill_matches_jacobi_sum_everywhere(p, m, r):
     # Frobenius fixes every Jacobi sum, read without the table
     for alpha, j in direct.items():
         assert direct[tuple(sorted(p * a % m for a in alpha))] == j
-    # the images handed to the orbit walk, coset arithmetic included:
-    # sigma_t(j(alpha)) = j(t*alpha) for each least unit t of a coset
-    # t<p>, one list per evaluated multiset
+    # the recorded orbits, coset arithmetic included: they partition the
+    # distinct values, each is closed under every sigma_t, and each lists
+    # sigma_t(j) = j(t*alpha) for the least unit t of each coset t<p>
+    # without repeats, so the sum j(alpha) itself first
+    units = [t for t in range(1, m) if gcd(t, m) == 1]
     subgroup = frobenius_subgroup(p, m)
-    least = [t for t in range(1, m) if gcd(t, m) == 1
-             and t == min(t * u % m for u in subgroup)]
-    assert len(table.images) == len({frozenset(
-        tuple(sorted(t * a % m for a in alpha)) for t in range(1, m)
-        if gcd(t, m) == 1) for alpha in multisets})
-    for alpha, images in table.images.items():
-        assert images == [direct[tuple(sorted(t * a % m for a in alpha))]
-                          for t in least]
+    least = [t for t in units if t == min(t * u % m for u in subgroup)]
+    members = [j for orbit in table.orbits for j in orbit]
+    assert len(members) == len(set(members))
+    assert set(members) == set(direct.values())
+    for orbit in table.orbits:
+        assert {j.galois(t) for j in orbit for t in units} == set(orbit)
+        alpha = next(a for a, j in direct.items() if j == orbit[0])
+        assert orbit == list(dict.fromkeys(
+            direct[tuple(sorted(t * a % m for a in alpha))] for t in least))
 
 
 @pytest.mark.parametrize("p,f,m", [(3, 2, 4), (2, 3, 7)])

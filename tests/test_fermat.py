@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -888,14 +889,13 @@ def test_zeta_rejects_uneven_orbit_multiplicity(monkeypatch):
 @pytest.mark.parametrize("check", [zeta_fermat, stickelberger_check],
                          ids=lambda check: check.__name__)
 def test_zeta_rejects_off_modulus_eigenvalue(monkeypatch, check):
-    real = fermat.jacobi_sum_table
-
-    def corrupted(chi, alphas):
-        table = real(chi, alphas)
-        table[(1, 1, 1)] = CycInt.from_coeffs(3, (8, 3))
-        return table
-
-    monkeypatch.setattr(fermat, "jacobi_sum_table", corrupted)
+    # the fill evaluates j(1, 1, 1) only; at p = 7 = 1 mod 3 sigma_p is the
+    # identity, so the fill keeps the off-modulus value and records its orbit
+    real = character_sums.jacobi_sum
+    off = CycInt.from_coeffs(3, (8, 3))
+    monkeypatch.setattr(character_sums, "jacobi_sum",
+                        lambda alpha, chi: off if alpha == (1, 1, 1)
+                        else real(alpha, chi))
     with pytest.raises(InternalCheckError, match="q\\^r"):
         check(7, 3, 1)
 
@@ -915,12 +915,11 @@ def _table_of(p, m, r):
     return character_sums.jacobi_sum_table(chi, exponent_multisets(m, r))
 
 
-def _refilled(real, table):
-    """table, a dict of sums, as a fresh JacobiTable that carries the
-    images the fill made for real: the orbit walk reads them wherever
-    table keeps the value the fill evaluated."""
-    out = character_sums.JacobiTable(table)
-    out.images = real.images
+def _double(values, orbits):
+    """A JacobiTable that holds values and records orbits, to stand in for
+    jacobi_sum_table."""
+    out = character_sums.JacobiTable(values)
+    out.orbits = orbits
     return out
 
 
@@ -931,19 +930,19 @@ _CHECKS = pytest.mark.parametrize("check", [zeta_fermat, stickelberger_check],
 @_CHECKS
 def test_every_member_of_an_orbit_is_checked(monkeypatch, check):
     # (2, 31, 1): f = 5, six images per orbit.  Whichever member of an
-    # orbit is corrupted, and so whichever member the check meets first,
-    # the off-modulus value is no image of a checked sum
+    # orbit is corrupted in the table, the corrupted value lies in no
+    # orbit the fill recorded
     real = _table_of(2, 31, 1)
-    orbits = _value_orbits(real, 31)
-    orbit = max(orbits[1:], key=len)
+    orbit = max(real.orbits[1:], key=len)
     assert len(orbit) == 6
     for beta in orbit:
         table = {alpha: j * 2 if j == beta else j
                  for alpha, j in real.items()}
         monkeypatch.setattr(fermat, "jacobi_sum_table",
-                            lambda chi, alphas, table=table: _refilled(
-                                real, table))
-        with pytest.raises(InternalCheckError, match="q\\^r"):
+                            lambda chi, alphas, table=table: _double(
+                                table, real.orbits))
+        with pytest.raises(InternalCheckError,
+                           match=re.escape(f"= {beta * 2!r} lies in no ")):
             check(2, 31, 1)
 
 
@@ -953,45 +952,57 @@ def test_a_sum_frobenius_moves_is_caught_outside_the_table(monkeypatch,
     # zeta * j keeps |j|^2 = q^r, but sigma_2 moves it since 2 != 1 mod 31;
     # one multiset of a later orbit gets it, the rest of its coset keeps j
     real = _table_of(2, 31, 1)
-    later = _value_orbits(real, 31)[-1]
-    alpha = next(a for a, j in real.items() if j in later)
+    alpha = next(a for a, j in real.items() if j in real.orbits[-1])
     moved = real[alpha] * CycInt.root_of_unity(31)
-    assert moved not in real.values()
+    assert moved.galois(2) != moved and moved not in real.values()
     table = {**real, alpha: moved}
     monkeypatch.setattr(fermat, "jacobi_sum_table",
-                        lambda chi, alphas: _refilled(real, table))
-    with pytest.raises(InternalCheckError, match="sigma_p"):
+                        lambda chi, alphas: _double(table, real.orbits))
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"j({alpha}) = {moved!r} lies in")):
         check(2, 31, 1)
 
 
-def test_the_orbit_walk_images_only_sums_the_fill_never_produced(
-        monkeypatch):
-    # (2, 31, 1): f = 5, six cosets of <2>.  -j keeps |j|^2 = q^r and
-    # sigma_2(-j) = -j, so a table that stores it passes every check; the
-    # walk images it itself and nothing the fill made
+def test_a_foreign_sum_is_refused(monkeypatch):
+    # (2, 31, 1): -j keeps |j|^2 = q^r and sigma_2(-j) = -j, so only the
+    # membership check tells that the fill never made it.  The layer
+    # makes no Galois image but the conjugate in modulus_squared, one per
+    # recorded orbit
     real = _table_of(2, 31, 1)
-    orbits = len(_value_orbits(real, 31))
     alpha = list(real)[-1]
     foreign = -real[alpha]
     assert foreign not in real.values()
     calls = []
     real_galois = CycInt.galois
     monkeypatch.setattr(CycInt, "galois",
-                        lambda j, t: calls.append((j, t)) or real_galois(
-                            j, t))
-    for table, own in ((real, []), ({**real, alpha: foreign}, [foreign])):
+                        lambda j, t: calls.append(t) or real_galois(j, t))
+    for check in (zeta_fermat, stickelberger_check):
         monkeypatch.setattr(fermat, "jacobi_sum_table",
-                            lambda chi, alphas, table=table: _refilled(
-                                real, table))
+                            lambda chi, alphas: _double(real, real.orbits))
         calls.clear()
-        stickelberger_check(2, 31, 1)
-        # one conjugate per orbit in modulus_squared, then sigma_2 and
-        # the six images of -j
-        conjugates = [j for j, t in calls if t == 30]
-        assert len(conjugates) == orbits + len(own)
-        assert [j for j, t in calls if t != 30] == own * 7
-        assert [t for j, t in calls if t != 30] == [2, 1, 3, 5, 7, 11,
-                                                    15] * len(own)
+        check(2, 31, 1)
+        assert calls == [30] * len(real.orbits)
+        monkeypatch.setattr(fermat, "jacobi_sum_table",
+                            lambda chi, alphas: _double(
+                                {**real, alpha: foreign}, real.orbits))
+        with pytest.raises(InternalCheckError,
+                           match=re.escape(f"j({alpha}) = {foreign!r}")):
+            check(2, 31, 1)
+
+
+def test_zeta_rejects_an_orbit_recorded_in_two_parts(monkeypatch):
+    # (2, 31, 1): an orbit recorded in two parts, its first member and
+    # the rest, passes the modulus, membership and multiplicity checks,
+    # but the norm of the first part, 1 - j T, is not in Z[T]
+    real = _table_of(2, 31, 1)
+    k = next(k for k, orbit in enumerate(real.orbits) if len(orbit) > 1)
+    orbits = [*real.orbits[:k], real.orbits[k][:1], real.orbits[k][1:],
+              *real.orbits[k + 1:]]
+    monkeypatch.setattr(fermat, "jacobi_sum_table",
+                        lambda chi, alphas: _double(real, orbits))
+    with pytest.raises(InternalCheckError, match="T\\^1 in a Galois-orbit "
+                                                 "norm is not a rational"):
+        zeta_fermat(2, 31, 1)
 
 
 # the fields_warm shapes: 352 distinct Jacobi sums in 49 Galois orbits

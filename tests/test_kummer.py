@@ -169,8 +169,10 @@ def test_point_orders_take_over_above_229(monkeypatch):
 
 
 def test_point_count_budget():
-    with pytest.raises(BudgetError):
-        ec_count_points(101, 0, 1, budget=50)
+    # 1000003 is the first prime above DEFAULT_PRIME_BUDGET
+    assert kummer.DEFAULT_PRIME_BUDGET == 10**6
+    with pytest.raises(BudgetError, match="p = 1000003 > 1000000"):
+        ec_count_points(1000003, 0, 1)
 
 
 @pytest.mark.parametrize("p", [233, 10007, 999983])
@@ -225,6 +227,23 @@ def test_point_order_check_refuses_every_other_sextic_twist(monkeypatch):
                     ec_count_points(p, 0, b)
                 sides.add(str(error.value).rsplit(" on ", 1)[1])
     assert sides == {"E", "the twist"}
+
+
+@pytest.mark.parametrize("p", [233, 241, 10007, 10009])
+def test_point_order_check_skips_the_3_torsion(monkeypatch, p):
+    # b = -1/4 mod p: at x = 1, c = 1 + b = -3b, and its point has 3P = O,
+    # which n*P = O cannot tell from any other multiple of 3, so the
+    # check must pass it over, as it does the 2-torsion at x = 0
+    b = -pow(4, -1, p) % p
+    c = (1 + b) % p
+    assert c == -3 * b % p and kummer._kills(3, (c, c * c % p), p)
+    real = kummer._kills
+    handed = []
+    monkeypatch.setattr(kummer, "_kills",
+                        lambda n, P, p: handed.append(P) or real(n, P, p))
+    ec_count_points(p, 0, b)
+    assert len(handed) == 2
+    assert not [P for P in handed if P[0] == 0 or real(3, P, p)]
 
 
 def test_default_count_at_the_budget_edge_takes_no_baby_steps(monkeypatch):
