@@ -9,7 +9,7 @@ Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
 Every record and verdict comes from the library (variety_report,
-zeta_report, stickelberger_check, kummer_report); a command adds its
+zeta_report, stickelberger_verdicts, kummer_report); a command adds its
 name, formats the record and parses only the options it reads, besides
 --format and the inert --cache-dir.
 """
@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt
+from operator import add
 
 from . import fermat, kummer
 from .errors import BudgetError, InputError, check_budget
@@ -150,52 +151,59 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_stickelberger(args) -> int:
-    record = fermat.stickelberger_check(args.p, args.m, args.r,
-                                        alpha_budget=args.alpha_budget,
-                                        table_budget=args.table_budget)
+    record = fermat.stickelberger_verdicts(args.p, args.m, args.r,
+                                           alpha_budget=args.alpha_budget,
+                                           table_budget=args.table_budget)
+    vectors, keys, verdicts = (record["vectors"], record["keys"],
+                               record["verdicts"])
     if args.format == "json":
-        _emit_stickelberger_json({"command": "stickelberger", **record})
+        sys.stdout.write(_stickelberger_json(record))
     elif args.format == "csv":
         fields = ["alpha", "exponent", "valuation", "equal", "error"]
-        rows = [{**row, "alpha": " ".join(map(str, row["alpha"]))}
-                for row in record["rows"]]
+        rows = [{**verdicts[key], "alpha": " ".join(map(str, alpha))}
+                for alpha, key in zip(vectors, keys)]
         _emit_csv("stickelberger/v1", fields, rows)
     else:
         print(f"(p={record['p']}, m={record['m']}, r={record['r']}): "
               f"{record['equal_count']}/{record['total']} Jacobi-sum "
               f"valuations equal their Stickelberger exponents")
-        for row in record["rows"]:
-            if not row["equal"]:
-                print(f"  MISMATCH alpha={row['alpha']}: exponent "
-                      f"{row['exponent']}, valuation {row['valuation']}")
+        mismatched = {key for key, verdict in verdicts.items()
+                      if not verdict["equal"]}
+        for alpha, key in compress(zip(vectors, keys),
+                                   map(mismatched.__contains__, keys)):
+            verdict = verdicts[key]
+            print(f"  MISMATCH alpha={alpha}: exponent "
+                  f"{verdict['exponent']}, valuation {verdict['valuation']}")
     return EXIT_OK if record["all_equal"] else EXIT_MISMATCH
 
 
-def _emit_stickelberger_json(payload: dict) -> None:
-    """The bytes of _emit_json(payload) without a dict per row for the
-    encoder.  An alpha of r + 2 >= 3 ints, tuple or list, prints as its
-    JSON list through one %-format per length, '%d, %d, %d' for three;
-    the rest of a row is encoded once per distinct verdict, keyed with
-    the type of equal since True == 1."""
-    tails, forms = {}, {}
-    rows = []
-    for row in payload["rows"]:
-        equal = row["equal"]
-        key = (type(equal), equal, row["error"], row["exponent"],
-               row["valuation"])
-        tail = tails.get(key)
-        if tail is None:
-            rest = {k: v for k, v in row.items() if k != "alpha"}
-            tail = tails[key] = json.dumps(rest, sort_keys=True)[1:]
-        alpha = tuple(row["alpha"])
-        form = forms.get(len(alpha))
-        if form is None:
-            form = forms[len(alpha)] = (
-                '{"alpha": [' + ", ".join(["%d"] * len(alpha)) + "], ")
-        rows.append(form % alpha + tail)
-    head, _, end = json.dumps({**payload, "rows": []}, sort_keys=True,
-                              check_circular=False).partition('"rows": []')
-    sys.stdout.write(f'{head}"rows": [{", ".join(rows)}]{end}\n')
+def _stickelberger_json(record: dict) -> str:
+    """The line _emit_json writes for stickelberger_check's record,
+    {"command": "stickelberger", **header, "rows": rows}, from the
+    stickelberger_verdicts record, with no dict and no Python step per
+    row.  Each distinct verdict is encoded once, keyed with the type of
+    equal since True == 1, and each multiset key reads its fragment; an
+    alpha of r + 2 ints prints as its JSON list through one %-format.
+    The rows are joined in C."""
+    fragments, fragment_of_key = {}, {}
+    for key, verdict in record["verdicts"].items():
+        equal = verdict["equal"]
+        tag = (type(equal), equal, verdict["error"], verdict["exponent"],
+               verdict["valuation"])
+        fragment = fragments.get(tag)
+        if fragment is None:
+            fragment = fragments[tag] = json.dumps(verdict,
+                                                   sort_keys=True)[1:]
+        fragment_of_key[key] = fragment
+    form = '{"alpha": [' + ", ".join(["%d"] * (record["r"] + 2)) + "], "
+    body = ", ".join(map(add, map(form.__mod__, record["vectors"]),
+                         map(fragment_of_key.__getitem__, record["keys"])))
+    header = {k: v for k, v in record.items()
+              if k not in ("vectors", "keys", "verdicts")}
+    head, _, end = json.dumps(
+        {"command": "stickelberger", **header, "rows": []}, sort_keys=True,
+        check_circular=False).partition('"rows": []')
+    return f'{head}"rows": [{body}]{end}\n'
 
 
 # --- survey ---
@@ -246,7 +254,8 @@ def _artin_row(task: tuple[int, int, int, int]) -> dict:
 
 
 def _kummer_row(task: tuple[int]) -> dict:
-    report = kummer.kummer_report(task[0])
+    # every p comes from a primality walk or the sieve, each a proof
+    report = kummer._report_at_prime(task[0], 0, 1)
     return {"p": report["p"], "height": report["quotient_height"],
             "predicted_height": report["predicted_height"],
             "agree": report["agree"]}

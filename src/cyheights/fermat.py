@@ -209,7 +209,7 @@ def _multiset_exponent(m: int, subgroup: tuple[int, ...]
     """
     w = _weights(m, subgroup)
     f = len(subgroup)
-    return lambda alpha: sum(w[a] for a in alpha) // m - f
+    return lambda alpha: sum(map(w.__getitem__, alpha)) // m - f
 
 
 # The Hodge level sum_i a_i / m - 1 is the exponent over the subgroup {1}.
@@ -687,17 +687,18 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
 # --- the Stickelberger cross-check ---
 
 
-def stickelberger_check(p: int, m: int, r: int, *,
-                        alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                        table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
-    """One JSON-ready record of ord_P(j(alpha)) against the Stickelberger
-    exponent, a row per exponent vector in the order of exponent_vectors,
-    with the verdict all_equal (error and precision_failures stay None
-    and 0: every valuation is exact or the call raises).  A row's alpha
-    is the tuple exponent_vectors yields, not a copy; the CLI writes it
-    as the JSON list json.dumps would write.  The walk behind
-    exponent_vectors (_vector_walk) also yields each vector's multiset
-    key, so a row finds its multiset without sorting the vector.
+def stickelberger_verdicts(p: int, m: int, r: int, *,
+                           alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+                           table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
+    """ord_P(j(alpha)) against the Stickelberger exponent, one verdict
+    per exponent multiset: the header of stickelberger_check's record
+    (p, m, r, f, q, total, equal_count, all_equal, precision_failures),
+    the exponent vectors in the order of exponent_vectors as "vectors",
+    each vector's multiset key (_multiset_weights) as "keys", and
+    "verdicts" mapping every key to {exponent, valuation, equal, error}.
+    The verdict of vectors[i] is verdicts[keys[i]], so a caller that
+    formats rows needs no dict per vector.  error and precision_failures
+    stay None and 0: every valuation is exact or the call raises.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per member of the
@@ -720,7 +721,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
     w = _multiset_weights(m, r)
     valuations = {beta: padic_valuation(beta, ctx)
                   for orbit in sums.orbits for beta in orbit}
-    by_key, equal_count = {}, 0
+    verdicts, equal_count = {}, 0
     for key, j in sums.items():
         val = valuations[j]
         if val is None:
@@ -728,15 +729,33 @@ def stickelberger_check(p: int, m: int, r: int, *,
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
         exp = exponent(key)
-        by_key[sum(w[a] for a in key)] = {
+        verdicts[sum(map(w.__getitem__, key))] = {
             "exponent": exp, "valuation": val, "equal": exp == val,
             "error": None}
         equal_count += weights[key] * (exp == val)
-    rows = [{"alpha": alpha, **by_key[key]}
-            for alpha, key in zip(*_vector_walk(m, r, alpha_budget))]
+    vectors, keys = _vector_walk(m, r, alpha_budget)
     return {
         "p": params.p, "m": params.m, "r": params.r, "f": params.f,
-        "q": params.q, "total": len(rows), "equal_count": equal_count,
-        "all_equal": equal_count == len(rows), "precision_failures": 0,
-        "rows": rows,
+        "q": params.q, "total": len(vectors), "equal_count": equal_count,
+        "all_equal": equal_count == len(vectors), "precision_failures": 0,
+        "vectors": vectors, "keys": keys, "verdicts": verdicts,
     }
+
+
+def stickelberger_check(p: int, m: int, r: int, *,
+                        alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+                        table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
+    """One JSON-ready record of ord_P(j(alpha)) against the Stickelberger
+    exponent: the header of stickelberger_verdicts with the verdict
+    all_equal, and its rows {"alpha": vector, **verdict}, one per
+    exponent vector in the order of exponent_vectors.  A row's alpha is
+    the tuple the walk made, not a copy.  The CLI writes the same
+    document from the verdicts, with no dict per row.
+    """
+    record = stickelberger_verdicts(p, m, r, alpha_budget=alpha_budget,
+                                    table_budget=table_budget)
+    vectors, keys, verdicts = (record.pop(name)
+                               for name in ("vectors", "keys", "verdicts"))
+    record["rows"] = [{"alpha": alpha, **verdicts[key]}
+                      for alpha, key in zip(vectors, keys)]
+    return record

@@ -80,8 +80,17 @@ def ec_count_points(p: int, a: int, b: int) -> int:
     group operations (_count_by_orders); the tests check it against a
     sweep.
     """
+    _check_prime(p)
+    return _count_points(p, a, b)
+
+
+def _check_prime(p: int) -> None:
     if p < 5 or not is_prime(p):
         raise InputError(f"p must be a prime >= 5, got {p}")
+
+
+def _count_points(p: int, a: int, b: int) -> int:
+    """ec_count_points at a p already proven prime >= 5."""
     a, b = a % p, b % p
     if (4 * a**3 + 27 * b**2) % p == 0:
         raise InputError(
@@ -349,7 +358,15 @@ def kummer_report(p: int, a: int = 0, b: int = 1) -> dict:
     is p + 1, the pattern itself, and the point-order check of
     ec_count_points is what keeps the count honest.  For other curves no
     prediction applies."""
-    points = ec_count_points(p, a, b)
+    _check_prime(p)
+    return _report_at_prime(p, a, b)
+
+
+def _report_at_prime(p: int, a: int, b: int) -> dict:
+    """kummer_report at a p already proven prime >= 5.  survey kummer
+    sieves its window, a proof for every p in it, so its rows call this
+    and skip a second proof."""
+    points = _count_points(p, a, b)
     trace = p + 1 - points
     rank = 0 if trace == 0 else 1
     quotient = abelian_height(3, 3 * rank)

@@ -105,8 +105,8 @@ MUTANTS = [
      "return m - 1 in subgroup", "return m - 2 in subgroup",
      ["test_fermat.py"]),
     ("row exponent over alpha[1:]", "src/cyheights/fermat.py",
-     "sum(w[a] for a in alpha) // m - f",
-     "sum(w[a] for a in alpha[1:]) // m - f",
+     "sum(map(w.__getitem__, alpha)) // m - f",
+     "sum(map(w.__getitem__, alpha[1:])) // m - f",
      ["test_fermat.py"]),
     ("|j|^2 check dropped", "src/cyheights/fermat.py",
      "if modulus_squared(orbit[0]) != q_to_r:", "if False:",
@@ -140,11 +140,19 @@ MUTANTS = [
     ("prime-field sum with the sign flipped", "src/cyheights/finite_field.py",
      "return (a + sign * b) % p", "return (a - sign * b) % p",
      ["test_finite_field.py", "test_fermat.py"]),
-    ("stickelberger tail key without equal", "src/cyheights/cli.py",
-     'key = (type(equal), equal, row["error"]', 'key = (row["error"]',
+    ("stickelberger fragment tag without equal", "src/cyheights/cli.py",
+     'tag = (type(equal), equal, verdict["error"]', 'tag = (verdict["error"]',
      ["test_cli.py"]),
-    ("first stickelberger tail reused for every row", "src/cyheights/cli.py",
-     "tail = tails.get(key)", "tail = next(iter(tails.values()), None)",
+    ("first stickelberger fragment reused for every verdict",
+     "src/cyheights/cli.py",
+     "fragment = fragments.get(tag)",
+     "fragment = next(iter(fragments.values()), None)",
+     ["test_cli.py"]),
+    ("stickelberger row written with the next vector's verdict",
+     "src/cyheights/cli.py",
+     'map(fragment_of_key.__getitem__, record["keys"])',
+     'map(fragment_of_key.__getitem__, [*record["keys"][1:], '
+     'record["keys"][0]])',
      ["test_cli.py"]),
     ("CycInt hash stored from id(self)", "src/cyheights/cyclotomic.py",
      "h = self._hash = hash((self.m, self.coeffs))",

@@ -14,7 +14,7 @@ import pytest
 from cyheights import character_sums, cli, fermat, finite_field, kummer
 from cyheights.cli import main
 from cyheights.cyclotomic import CycInt
-from cyheights.errors import BudgetError, InternalCheckError
+from cyheights.errors import BudgetError, InputError, InternalCheckError
 from cyheights.finite_field import DEFAULT_TABLE_BUDGET
 
 
@@ -152,44 +152,80 @@ def test_stickelberger_reports_a_mismatch_in_every_format(capsys,
         for alpha in skew]
 
 
-def _corrupt_verdicts(rows):
+def _corrupt_verdicts(verdicts):
     """Verdicts no valid run prints: a mismatch (valuation above its
     exponent), the same numbers with equal true, and equal the int 1 on
-    a row whose numbers a true row shares."""
-    first, last = rows[0], rows[-1]
+    a multiset whose numbers a true verdict shares."""
+    first, second, *_, last = verdicts.values()
     first.update(valuation=first["exponent"] + 1, equal=False)
-    rows[1].update(exponent=first["exponent"], valuation=first["valuation"],
-                   equal=True)
+    second.update(exponent=first["exponent"], valuation=first["valuation"],
+                  equal=True)
     last["equal"] = 1
-    assert any(row["equal"] is True and row["exponent"] == last["exponent"]
-               and row["valuation"] == last["valuation"] for row in rows)
+    assert any(v["equal"] is True and v["exponent"] == last["exponent"]
+               and v["valuation"] == last["valuation"]
+               for v in verdicts.values())
+
+
+def _record_from_verdicts(record):
+    """stickelberger_check's record, made from a stickelberger_verdicts
+    record by pairing each vector with the verdict of its key."""
+    header = {k: v for k, v in record.items()
+              if k not in ("vectors", "keys", "verdicts")}
+    return {**header, "rows": [
+        {"alpha": alpha, **record["verdicts"][key]}
+        for alpha, key in zip(record["vectors"], record["keys"])]}
 
 
 # the fields_warm round, the p = 2 class of fields_cold, an r = 3 shape
-# with f = 2, and (3, 4, 2) with the rows of _corrupt_verdicts
+# with f = 2
+_JSON_SHAPES = [
+    (2, 73, 1), (2, 63, 1), (7, 57, 1), (5, 31, 1), (3, 11, 2),
+    (2, 7, 3), (2, 15, 2), (2, 31, 1), (2, 9, 3), (2, 17, 1),
+    (2, 11, 2), (2, 23, 1), (2, 13, 1), (131, 3, 3)]
+
+
+# the shapes above, and (3, 4, 2) with the verdicts of _corrupt_verdicts
 @pytest.mark.parametrize("shape, edit", [
-    *[(shape, None) for shape in [
-        (2, 73, 1), (2, 63, 1), (7, 57, 1), (5, 31, 1), (3, 11, 2),
-        (2, 7, 3), (2, 15, 2), (2, 31, 1), (2, 9, 3), (2, 17, 1),
-        (2, 11, 2), (2, 23, 1), (2, 13, 1), (131, 3, 3)]],
+    *[(shape, None) for shape in _JSON_SHAPES],
     ((3, 4, 2), _corrupt_verdicts)])
 def test_stickelberger_json_is_what_json_dumps_writes(capsys, monkeypatch,
                                                       shape, edit):
-    real, records = fermat.stickelberger_check, []
+    real, records = fermat.stickelberger_verdicts, []
 
     def spy(*args, **kwargs):
         records.append(real(*args, **kwargs))
         if edit:
-            edit(records[-1]["rows"])
+            edit(records[-1]["verdicts"])
         return records[-1]
 
-    monkeypatch.setattr(fermat, "stickelberger_check", spy)
+    monkeypatch.setattr(fermat, "stickelberger_verdicts", spy)
     p, m, r = map(str, shape)
     _, out, _ = run(capsys, "stickelberger", "--p", p, "--m", m, "--r", r,
                     "--format", "json")
-    payload = {"command": "stickelberger", **records[0]}
+    payload = {"command": "stickelberger",
+               **_record_from_verdicts(records[0])}
     assert out == json.dumps(payload, sort_keys=True,
                              check_circular=False) + "\n"
+
+
+@pytest.mark.parametrize("shape", _JSON_SHAPES)
+def test_stickelberger_check_is_the_row_view_of_the_verdicts(shape):
+    record = fermat.stickelberger_verdicts(*shape)
+    assert fermat.stickelberger_check(*shape) == _record_from_verdicts(record)
+
+
+def test_stickelberger_command_does_not_call_stickelberger_check(
+        capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stickelberger_check called")
+
+    monkeypatch.setattr(fermat, "stickelberger_check", refuse)
+    for (p, m, r), fmt in sorted(_STICKELBERGER_STDOUT):
+        code, out, _ = run(capsys, "stickelberger", "--p", str(p),
+                           "--m", str(m), "--r", str(r), "--format", fmt)
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == _STICKELBERGER_STDOUT[(p, m, r), fmt])
 
 
 def test_stickelberger_csv_schema(capsys):
@@ -210,6 +246,33 @@ def test_survey_height_matches_congruence(capsys):
     finite = sorted(row["p"] for row in rows if row["height"] != "inf")
     assert finite == [11, 31, 41, 61, 71]
     assert all(row["agree"] for row in rows)
+
+
+def test_survey_kummer_rows_prove_no_prime_again(capsys, monkeypatch):
+    # the window is sieved, a proof for every row; the first row's prime
+    # comes from cli's own is_prime walk
+    proofs = []
+    real = kummer.is_prime
+    monkeypatch.setattr(kummer, "is_prime",
+                        lambda n: proofs.append(n) or real(n))
+    argv = ["survey", "kummer", "--p-min", "900", "--p-max", "1300",
+            "--jobs", "1", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["rows"]
+    assert (code, len(rows), proofs) == (0, 57, [])
+    assert rows == [{k: report[k] for k in ("p", "predicted_height",
+                                             "agree")}
+                    | {"height": report["quotient_height"]}
+                    for report in map(kummer.kummer_report,
+                                      cli._primes_in(900, 1300))]
+    assert len(proofs) == 57
+    # direct calls still prove p, and refuse a composite
+    for call in (kummer.kummer_report, lambda p: kummer.ec_count_points(
+            p, 0, 1)):
+        with pytest.raises(InputError, match="prime"):
+            call(1001)  # 7 * 11 * 13
+    assert run(capsys, "kummer", "--p", "1001")[0] == cli.EXIT_INVALID
+    assert proofs[57:] == [1001] * 3
 
 
 def test_survey_artin_exhibits_counterexample(capsys):
@@ -798,7 +861,7 @@ def _readme_commands():
 
 def test_readme_commands_run(capsys):
     commands = _readme_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         if argv[0] == "survey":
             argv += ["--jobs", "1"]
