@@ -13,8 +13,8 @@ from .fermat import (FermatParams, INFINITE, alpha_count, artin_comparison,
                      exponent_vectors, fully_rigged_fermat, height_fermat,
                      hodge_numbers_fermat, newton_slopes,
                      point_count_from_zeta, predicted_height,
-                     stickelberger_check, stickelberger_verdicts,
-                     variety_report, zeta_fermat, zeta_report)
+                     stickelberger_check, variety_report, zeta_fermat,
+                     zeta_report)
 from .kummer import (QuadLattice, abelian_height, ec_count_points,
                      kummer_report, lattice_from_generators, lattice_index,
                      period_lattice, predicted_example_height,

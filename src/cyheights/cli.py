@@ -9,9 +9,10 @@ Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
 Every record and verdict comes from the library (variety_report,
-zeta_report, stickelberger_verdicts, kummer_report); a command adds its
+zeta_report, stickelberger_check, kummer_report); a command adds its
 name, formats the record and parses only the options it reads, besides
---format and the inert --cache-dir.
+--format and the inert --cache-dir.  stickelberger writes row i as
+vectors[i] with verdicts[keys[i]], one verdict per exponent multiset.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_stickelberger(args) -> int:
-    record = fermat.stickelberger_verdicts(args.p, args.m, args.r,
-                                           alpha_budget=args.alpha_budget,
-                                           table_budget=args.table_budget)
+    record = fermat.stickelberger_check(args.p, args.m, args.r,
+                                        alpha_budget=args.alpha_budget,
+                                        table_budget=args.table_budget)
     vectors, keys, verdicts = (record["vectors"], record["keys"],
                                record["verdicts"])
     if args.format == "json":
@@ -178,13 +179,13 @@ def _cmd_stickelberger(args) -> int:
 
 
 def _stickelberger_json(record: dict) -> str:
-    """The line _emit_json writes for stickelberger_check's record,
-    {"command": "stickelberger", **header, "rows": rows}, from the
-    stickelberger_verdicts record, with no dict and no Python step per
-    row.  Each distinct verdict is encoded once, keyed with the type of
-    equal since True == 1, and each multiset key reads its fragment; an
-    alpha of r + 2 ints prints as its JSON list through one %-format.
-    The rows are joined in C."""
+    """The JSON line for stickelberger_check's record: the document
+    {"command": "stickelberger", **header, "rows": rows} that json.dumps
+    would write, row i being {"alpha": vectors[i], **verdicts[keys[i]]},
+    made with no dict and no Python step per row.  Each distinct verdict
+    is encoded once, keyed with the type of equal since True == 1, and
+    each multiset key reads its fragment; an alpha of r + 2 ints prints
+    as its JSON list through one %-format.  The rows are joined in C."""
     fragments, fragment_of_key = {}, {}
     for key, verdict in record["verdicts"].items():
         equal = verdict["equal"]

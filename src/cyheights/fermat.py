@@ -687,18 +687,20 @@ def zeta_report(p: int, m: int, r: int, checks: Iterable[int] = (), *,
 # --- the Stickelberger cross-check ---
 
 
-def stickelberger_verdicts(p: int, m: int, r: int, *,
-                           alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                           table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
-    """ord_P(j(alpha)) against the Stickelberger exponent, one verdict
-    per exponent multiset: the header of stickelberger_check's record
-    (p, m, r, f, q, total, equal_count, all_equal, precision_failures),
-    the exponent vectors in the order of exponent_vectors as "vectors",
-    each vector's multiset key (_multiset_weights) as "keys", and
-    "verdicts" mapping every key to {exponent, valuation, equal, error}.
-    The verdict of vectors[i] is verdicts[keys[i]], so a caller that
-    formats rows needs no dict per vector.  error and precision_failures
-    stay None and 0: every valuation is exact or the call raises.
+def stickelberger_check(p: int, m: int, r: int, *,
+                        alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+                        table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
+    """The record of ord_P(j(alpha)) against the Stickelberger exponent,
+    one verdict per exponent multiset: the header (p, m, r, f, q, total,
+    equal_count, all_equal, precision_failures), the exponent vectors in
+    the order of exponent_vectors as "vectors", each vector's multiset
+    key (_multiset_weights) as "keys", and "verdicts" mapping every key
+    to {exponent, valuation, equal, error}.  The verdict of vectors[i]
+    is verdicts[keys[i]], so a caller that formats rows needs no dict
+    per vector.  The keys are ints, which a JSON object turns into
+    strings; the CLI's JSON writes the rows.  error and
+    precision_failures stay None and 0: every valuation is exact or the
+    call raises.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per member of the
@@ -740,22 +742,3 @@ def stickelberger_verdicts(p: int, m: int, r: int, *,
         "all_equal": equal_count == len(vectors), "precision_failures": 0,
         "vectors": vectors, "keys": keys, "verdicts": verdicts,
     }
-
-
-def stickelberger_check(p: int, m: int, r: int, *,
-                        alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-                        table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
-    """One JSON-ready record of ord_P(j(alpha)) against the Stickelberger
-    exponent: the header of stickelberger_verdicts with the verdict
-    all_equal, and its rows {"alpha": vector, **verdict}, one per
-    exponent vector in the order of exponent_vectors.  A row's alpha is
-    the tuple the walk made, not a copy.  The CLI writes the same
-    document from the verdicts, with no dict per row.
-    """
-    record = stickelberger_verdicts(p, m, r, alpha_budget=alpha_budget,
-                                    table_budget=table_budget)
-    vectors, keys, verdicts = (record.pop(name)
-                               for name in ("vectors", "keys", "verdicts"))
-    record["rows"] = [{"alpha": alpha, **verdicts[key]}
-                      for alpha, key in zip(vectors, keys)]
-    return record

@@ -154,6 +154,10 @@ MUTANTS = [
      'map(fragment_of_key.__getitem__, [*record["keys"][1:], '
      'record["keys"][0]])',
      ["test_cli.py"]),
+    ("equal_count counts multisets, not vectors", "src/cyheights/fermat.py",
+     "equal_count += weights[key] * (exp == val)",
+     "equal_count += exp == val",
+     ["test_fermat.py", "test_cli.py"]),
     ("CycInt hash stored from id(self)", "src/cyheights/cyclotomic.py",
      "h = self._hash = hash((self.m, self.coeffs))",
      "h = self._hash = id(self)",

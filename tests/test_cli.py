@@ -167,8 +167,9 @@ def _corrupt_verdicts(verdicts):
 
 
 def _record_from_verdicts(record):
-    """stickelberger_check's record, made from a stickelberger_verdicts
-    record by pairing each vector with the verdict of its key."""
+    """The JSON document of a stickelberger_check record, less its
+    command: the header with one row per vector, each vector paired with
+    the verdict of its key."""
     header = {k: v for k, v in record.items()
               if k not in ("vectors", "keys", "verdicts")}
     return {**header, "rows": [
@@ -190,7 +191,7 @@ _JSON_SHAPES = [
     ((3, 4, 2), _corrupt_verdicts)])
 def test_stickelberger_json_is_what_json_dumps_writes(capsys, monkeypatch,
                                                       shape, edit):
-    real, records = fermat.stickelberger_verdicts, []
+    real, records = fermat.stickelberger_check, []
 
     def spy(*args, **kwargs):
         records.append(real(*args, **kwargs))
@@ -198,7 +199,7 @@ def test_stickelberger_json_is_what_json_dumps_writes(capsys, monkeypatch,
             edit(records[-1]["verdicts"])
         return records[-1]
 
-    monkeypatch.setattr(fermat, "stickelberger_verdicts", spy)
+    monkeypatch.setattr(fermat, "stickelberger_check", spy)
     p, m, r = map(str, shape)
     _, out, _ = run(capsys, "stickelberger", "--p", p, "--m", m, "--r", r,
                     "--format", "json")
@@ -208,22 +209,32 @@ def test_stickelberger_json_is_what_json_dumps_writes(capsys, monkeypatch,
                              check_circular=False) + "\n"
 
 
-@pytest.mark.parametrize("shape", _JSON_SHAPES)
-def test_stickelberger_check_is_the_row_view_of_the_verdicts(shape):
-    record = fermat.stickelberger_verdicts(*shape)
-    assert fermat.stickelberger_check(*shape) == _record_from_verdicts(record)
+@pytest.mark.parametrize("shape", [*_JSON_SHAPES, (3, 4, 2)])
+def test_stickelberger_record_has_one_verdict_per_multiset(shape):
+    m, r = shape[1:]
+    record = fermat.stickelberger_check(*shape)
+    vectors, keys, verdicts = (record["vectors"], record["keys"],
+                               record["verdicts"])
+    assert set(keys) == set(verdicts)
+    assert len(verdicts) == len(fermat.exponent_multisets(m, r))
+    assert (record["total"] == len(vectors) == len(keys)
+            == fermat.alpha_count(m, r))
+    assert record["equal_count"] == sum(verdicts[k]["equal"] for k in keys)
+    assert record["all_equal"] == (record["equal_count"] == record["total"])
 
 
-def test_stickelberger_command_does_not_call_stickelberger_check(
+def test_stickelberger_command_calls_stickelberger_check_once(
         capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("stickelberger_check called")
-
-    monkeypatch.setattr(fermat, "stickelberger_check", refuse)
+    real, calls = fermat.stickelberger_check, []
+    monkeypatch.setattr(fermat, "stickelberger_check",
+                        lambda *args, **kwargs: calls.append(args)
+                        or real(*args, **kwargs))
     for (p, m, r), fmt in sorted(_STICKELBERGER_STDOUT):
+        calls.clear()
         code, out, _ = run(capsys, "stickelberger", "--p", str(p),
                            "--m", str(m), "--r", str(r), "--format", fmt)
         assert code == 0
+        assert calls == [(p, m, r)]
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == _STICKELBERGER_STDOUT[(p, m, r), fmt])
 
@@ -306,6 +317,14 @@ def test_survey_empty_range(capsys):
     code, _, err = run(capsys, "survey", "kummer", "--p-max", "5")
     assert code == 2
     assert "empty" in err
+
+
+def test_survey_with_m_0_has_no_prime_to_m(capsys):
+    # gcd(p, 0) = p, so no prime is prime to 0
+    code, out, _ = run(capsys, "survey", "height", "--m", "0", "--r", "1",
+                       "--p-max", "50", "--jobs", "1")
+    assert code == 2
+    assert out == ""
 
 
 def test_survey_csv_headers(capsys):

@@ -297,13 +297,21 @@ def test_brute_force_examples_and_budget():
         brute_force_point_count(7, 3, 1, 1, budget=10)
 
 
+def _vector_verdicts(report):
+    """(alpha, verdict) per exponent vector of a stickelberger_check
+    record: vectors[i] with verdicts[keys[i]]."""
+    return [(alpha, report["verdicts"][key])
+            for alpha, key in zip(report["vectors"], report["keys"])]
+
+
 def test_stickelberger_check_report():
     report = stickelberger_check(3, 4, 2)
+    rows = _vector_verdicts(report)
     assert report["all_equal"]
-    assert len(report["rows"]) == report["total"] == 21
-    assert not [row for row in report["rows"] if not row["equal"]]
+    assert len(rows) == report["total"] == 21
+    assert not [v for _, v in rows if not v["equal"]]
     assert report["equal_count"] == 21
-    assert {row["exponent"] for row in report["rows"]} == {2}
+    assert {v["exponent"] for _, v in rows} == {2}
     assert (report["f"], report["q"], report["precision_failures"]) == (2, 9, 0)
 
 
@@ -313,12 +321,12 @@ def test_stickelberger_check_report():
                                    (5, 4, 2)])
 def test_stickelberger_rows_follow_per_vector_definition(p, m, r):
     report = stickelberger_check(p, m, r)
-    assert ([tuple(row["alpha"]) for row in report["rows"]]
-            == exponent_vectors(m, r))
-    for row in report["rows"]:
-        assert row["exponent"] == stickelberger_exponent(tuple(row["alpha"]),
-                                                         p, m)
-        assert row["equal"] and row["error"] is None
+    rows = _vector_verdicts(report)
+    assert [tuple(alpha) for alpha, _ in rows] == exponent_vectors(m, r)
+    for alpha, verdict in rows:
+        assert verdict["exponent"] == stickelberger_exponent(tuple(alpha),
+                                                             p, m)
+        assert verdict["equal"] and verdict["error"] is None
     assert report["all_equal"]
 
 # the fields_warm shapes: distinct Jacobi sums, <p>-orbits and
@@ -361,8 +369,8 @@ def test_one_galois_image_per_orbit_and_one_valuation_per_sum(
                         or padic_valuation(j, ctx))
     report = stickelberger_check(p, m, r)
     assert len(valued) == len(set(valued)) == distinct
-    for row in report["rows"]:
-        assert row["valuation"] == per_multiset[tuple(sorted(row["alpha"]))]
+    for alpha, verdict in _vector_verdicts(report):
+        assert verdict["valuation"] == per_multiset[tuple(sorted(alpha))]
 
 
 def test_the_fields_warm_round_makes_494_galois_images(monkeypatch):
