@@ -12,7 +12,7 @@ Every record and verdict comes from the library (variety_report,
 zeta_report, stickelberger_check, kummer_report); a command adds its
 name, formats the record and parses only the options it reads, besides
 --format and the inert --cache-dir.  stickelberger writes row i as
-vectors[i] with verdicts[keys[i]], one verdict per exponent multiset.
+vectors[i] with verdicts[keys[i]], one verdict per distinct outcome.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _cmd_stickelberger(args) -> int:
         print(f"(p={record['p']}, m={record['m']}, r={record['r']}): "
               f"{record['equal_count']}/{record['total']} Jacobi-sum "
               f"valuations equal their Stickelberger exponents")
-        mismatched = {key for key, verdict in verdicts.items()
+        mismatched = {i for i, verdict in enumerate(verdicts)
                       if not verdict["equal"]}
         for alpha, key in compress(zip(vectors, keys),
                                    map(mismatched.__contains__, keys)):
@@ -182,23 +182,15 @@ def _stickelberger_json(record: dict) -> str:
     """The JSON line for stickelberger_check's record: the document
     {"command": "stickelberger", **header, "rows": rows} that json.dumps
     would write, row i being {"alpha": vectors[i], **verdicts[keys[i]]},
-    made with no dict and no Python step per row.  Each distinct verdict
-    is encoded once, keyed with the type of equal since True == 1, and
-    each multiset key reads its fragment; an alpha of r + 2 ints prints
-    as its JSON list through one %-format.  The rows are joined in C."""
-    fragments, fragment_of_key = {}, {}
-    for key, verdict in record["verdicts"].items():
-        equal = verdict["equal"]
-        tag = (type(equal), equal, verdict["error"], verdict["exponent"],
-               verdict["valuation"])
-        fragment = fragments.get(tag)
-        if fragment is None:
-            fragment = fragments[tag] = json.dumps(verdict,
-                                                   sort_keys=True)[1:]
-        fragment_of_key[key] = fragment
+    made with no dict and no Python step per row.  Each verdict is
+    encoded once, and each key reads the fragment at its index; an alpha
+    of r + 2 ints prints as its JSON list through one %-format.  The rows
+    are joined in C."""
+    fragments = [json.dumps(verdict, sort_keys=True)[1:]
+                 for verdict in record["verdicts"]]
     form = '{"alpha": [' + ", ".join(["%d"] * (record["r"] + 2)) + "], "
     body = ", ".join(map(add, map(form.__mod__, record["vectors"]),
-                         map(fragment_of_key.__getitem__, record["keys"])))
+                         map(fragments.__getitem__, record["keys"])))
     header = {k: v for k, v in record.items()
               if k not in ("vectors", "keys", "verdicts")}
     head, _, end = json.dumps(

@@ -691,16 +691,16 @@ def stickelberger_check(p: int, m: int, r: int, *,
                         alpha_budget: int = DEFAULT_ALPHA_BUDGET,
                         table_budget: int = DEFAULT_TABLE_BUDGET) -> dict:
     """The record of ord_P(j(alpha)) against the Stickelberger exponent,
-    one verdict per exponent multiset: the header (p, m, r, f, q, total,
+    one verdict per distinct outcome: the header (p, m, r, f, q, total,
     equal_count, all_equal, precision_failures), the exponent vectors in
-    the order of exponent_vectors as "vectors", each vector's multiset
-    key (_multiset_weights) as "keys", and "verdicts" mapping every key
-    to {exponent, valuation, equal, error}.  The verdict of vectors[i]
-    is verdicts[keys[i]], so a caller that formats rows needs no dict
-    per vector.  The keys are ints, which a JSON object turns into
-    strings; the CLI's JSON writes the rows.  error and
-    precision_failures stay None and 0: every valuation is exact or the
-    call raises.
+    the order of exponent_vectors as "vectors", "verdicts" as a list of
+    {exponent, valuation, equal, error}, one per distinct (exponent,
+    valuation) pair in first-seen order, and "keys", each vector's index
+    into verdicts.  The verdict of vectors[i] is verdicts[keys[i]], so a
+    caller that formats rows needs no dict per vector, and the record
+    keeps that pairing through a JSON round trip.  equal_count counts
+    vectors.  error and precision_failures stay None and 0: every
+    valuation is exact or the call raises.
 
     Both sides are symmetric in alpha: the left side comes from the
     Jacobi sum through the lifted root of unity, once per member of the
@@ -723,7 +723,7 @@ def stickelberger_check(p: int, m: int, r: int, *,
     w = _multiset_weights(m, r)
     valuations = {beta: padic_valuation(beta, ctx)
                   for orbit in sums.orbits for beta in orbit}
-    verdicts, equal_count = {}, 0
+    outcomes, index_of, equal_count = {}, {}, 0
     for key, j in sums.items():
         val = valuations[j]
         if val is None:
@@ -731,11 +731,13 @@ def stickelberger_check(p: int, m: int, r: int, *,
                 f"ord_P(j) >= {ctx.k} for alpha = {key}, above f*r = "
                 f"{params.f * r}")
         exp = exponent(key)
-        verdicts[sum(map(w.__getitem__, key))] = {
-            "exponent": exp, "valuation": val, "equal": exp == val,
-            "error": None}
+        index_of[sum(map(w.__getitem__, key))] = outcomes.setdefault(
+            (exp, val), len(outcomes))
         equal_count += weights[key] * (exp == val)
+    verdicts = [{"exponent": exp, "valuation": val, "equal": exp == val,
+                 "error": None} for exp, val in outcomes]
     vectors, keys = _vector_walk(m, r, alpha_budget)
+    keys = list(map(index_of.__getitem__, keys))
     return {
         "p": params.p, "m": params.m, "r": params.r, "f": params.f,
         "q": params.q, "total": len(vectors), "equal_count": equal_count,

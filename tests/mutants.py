@@ -140,18 +140,19 @@ MUTANTS = [
     ("prime-field sum with the sign flipped", "src/cyheights/finite_field.py",
      "return (a + sign * b) % p", "return (a - sign * b) % p",
      ["test_finite_field.py", "test_fermat.py"]),
-    ("stickelberger fragment tag without equal", "src/cyheights/cli.py",
-     'tag = (type(equal), equal, verdict["error"]', 'tag = (verdict["error"]',
+    ("stickelberger outcomes keyed by the exponent alone",
+     "src/cyheights/fermat.py",
+     "(exp, val), len(outcomes))", "(exp, exp), len(outcomes))",
      ["test_cli.py"]),
-    ("first stickelberger fragment reused for every verdict",
+    ("one stickelberger fragment reused for every verdict",
      "src/cyheights/cli.py",
-     "fragment = fragments.get(tag)",
-     "fragment = next(iter(fragments.values()), None)",
+     'for verdict in record["verdicts"]]',
+     'for verdict in record["verdicts"][:1]] * len(record["verdicts"])',
      ["test_cli.py"]),
-    ("stickelberger row written with the next vector's verdict",
+    ("stickelberger rows read with the next vector's index",
      "src/cyheights/cli.py",
-     'map(fragment_of_key.__getitem__, record["keys"])',
-     'map(fragment_of_key.__getitem__, [*record["keys"][1:], '
+     'map(fragments.__getitem__, record["keys"])',
+     'map(fragments.__getitem__, [*record["keys"][1:], '
      'record["keys"][0]])',
      ["test_cli.py"]),
     ("equal_count counts multisets, not vectors", "src/cyheights/fermat.py",
