@@ -18,7 +18,6 @@ vectors[i] with verdicts[keys[i]], one verdict per distinct outcome.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -51,6 +50,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(schema: str, fieldnames: list[str], rows: list[dict]) -> None:
+    import csv  # here, so that a run that writes no csv never loads it
+
     sys.stdout.write(f"# schema=cyheights.{schema}\n")
     writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
     writer.writeheader()

@@ -7,8 +7,9 @@ canonical ordering used to select the modulus and the generator, so two
 constructions of the same field agree bit for bit, across runs and across
 machines.
 
-Polynomials over Z/n are coefficient lists with the constant term first;
-n is p here and p^k in the p-adic ring R_k, which shares the helpers.
+Polynomials over Z/n are coefficient lists with the constant term first.
+_Ring is Z/n[x]/(M) on packed integers, one digit per coordinate: n is p
+here and p^k in the p-adic ring R_k, which shares it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from array import array
 from collections.abc import Iterator
 from math import gcd, isqrt
 
-from .cyclotomic import _schoolbook_product
 from .errors import BudgetError, InputError, InternalCheckError, check_budget
 
 # Largest q of a field, whose walk may fill a q-entry table, in elements.
@@ -90,43 +90,7 @@ def _factorize(n: int) -> dict[int, int]:
     return facts
 
 
-# --- polynomial helpers over Z/n, constant term first ---
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    return _poly_trim([c % n for c in _schoolbook_product(a, b)])
-
-
-def _poly_rem(a: list[int], mod: list[int], n: int) -> list[int]:
-    # mod must be monic
-    a = list(a)
-    deg_m = len(mod) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
-        c = a[i] % n
-        if c:
-            for j in range(deg_m + 1):
-                a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % n
-    del a[deg_m:]
-    if not a:
-        a = [0]
-    return _poly_trim(a)
-
-
-def _poly_pow(a: list[int], e: int, mod: list[int], n: int) -> list[int]:
-    """a**e modulo the monic mod, by square and multiply."""
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_rem(_poly_mul(result, a, n), mod, n)
-        a = _poly_rem(_poly_mul(a, a, n), mod, n)
-        e >>= 1
-    return result
+# --- coefficient vectors and the packed ring Z/n[x]/(M) ---
 
 
 def _poly_from_enc(k: int, p: int) -> list[int]:
@@ -146,27 +110,153 @@ def _enc_from_poly(a: list[int], p: int) -> int:
     return enc
 
 
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for k in range(p**d):
-            low = _poly_from_enc(k, p)
-            div = low + [0] * (d - len(low)) + [1]
-            if _poly_rem(poly, div, p) == [0]:
-                return False
+def _barrett(n: int, top: int) -> tuple[int, int, int]:
+    """(width, shift, magic) that reduce packed digits mod n at once:
+    every 0 <= s <= top has s // n == s * magic >> shift and
+    s * magic < 2^width, so a digit of width bits times magic carries
+    into no other digit.  For n = 2^k, s // n is s >> k."""
+    if n & (n - 1) == 0:
+        shift, magic = n.bit_length() - 1, 1
+    else:
+        shift = ((top + 1) * n - 1).bit_length()  # 2^shift >= (top + 1) n
+        magic = -(-(1 << shift) // n)
+    return (top * magic).bit_length(), shift, magic
+
+
+class _Ring:
+    """Z/n[x]/(M) for a monic M of degree f, each element one int.
+
+    Coordinate i of an element, in [0, n), is the digit of width bits
+    at bit i * width.  A product is one big-integer multiply, a fold of
+    its f - 1 top digits, each times the packed row x^(f+j) mod M, and
+    one Barrett pass that reduces every digit mod n at once.  No digit
+    of the fold exceeds top = (n-1)^2 (f + (n-1) f(f-1)/2): digit i of
+    the product is a sum of at most f products of coordinates, the top
+    digits sum to f(f-1)/2 such products, and a row's coordinates are
+    below n.  The rows are made by the first product that has top
+    digits, so a ring whose products stay below degree f makes none.
+    """
+
+    __slots__ = ("n", "f", "width", "shift", "magic", "keep", "x_f", "rows")
+
+    def __init__(self, modulus, n: int):
+        f = len(modulus) - 1
+        self.n, self.f = n, f
+        top = (n - 1) ** 2 * (f + (n - 1) * f * (f - 1) // 2)
+        w, shift, self.magic = _barrett(n, top)
+        self.width, self.shift = w, shift
+        self.keep = ((1 << (w - shift)) - 1) * (
+            ((1 << f * w) - 1) // ((1 << w) - 1))  # quotient bits per digit
+        self.x_f = self.pack([-c for c in modulus[:f]])  # -(M - x^f)
+        self.rows = None
+
+    def _fold_rows(self) -> list[int]:
+        """x^f, ..., x^(2f-2) mod M, each the one before times x."""
+        w, cut = self.width, (self.f - 1) * self.width
+        rows = [self.x_f]
+        for _ in range(self.f - 2):
+            row = rows[-1]
+            rows.append(self._reduce(((row & ((1 << cut) - 1)) << w)
+                                     + (row >> cut) * self.x_f))
+        self.rows = rows
+        return rows
+
+    def pack(self, coeffs) -> int:
+        """The element c_0 + c_1 x + ..., each c_i read mod n."""
+        w, n = self.width, self.n
+        packed = 0
+        for c in reversed(coeffs):
+            packed = (packed << w) + c % n
+        return packed
+
+    def unpack(self, a: int) -> list[int]:
+        """The f coordinates of an element."""
+        w = self.width
+        digit = (1 << w) - 1
+        return [a >> i * w & digit for i in range(self.f)]
+
+    def images(self, y: int) -> list[list[int]]:
+        """The coordinates of y * x^i, i < f: the columns of the linear
+        map x -> y * x on coordinate vectors."""
+        return [self.unpack(self.mul(y, 1 << i * self.width))
+                for i in range(self.f)]
+
+    def _reduce(self, a: int) -> int:
+        """Every digit of a, each at most top, reduced mod n."""
+        return a - (a * self.magic >> self.shift & self.keep) * self.n
+
+    def mul(self, a: int, b: int) -> int:
+        w, cut = self.width, self.f * self.width
+        digit = (1 << w) - 1
+        acc = a * b
+        high = acc >> cut
+        if high:
+            acc &= (1 << cut) - 1
+            for row in self.rows or self._fold_rows():
+                acc += (high & digit) * row
+                high >>= w
+        return self._reduce(acc)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e by square and multiply, left to right."""
+        if self.f == 1:  # an element is its one coordinate
+            return pow(a, e, self.n)
+        if e == 0:
+            return 1
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def coprime(self, a: int, b: int) -> bool:
+        """gcd(a, b) is a unit, for n prime and a, b packed polynomials
+        with coordinates in [0, n) of degree at most f, not both 0.
+        Euclid's algorithm; each step cancels the top coordinate of a
+        against b made monic."""
+        w, n = self.width, self.n
+        while b:
+            bits = (b.bit_length() - 1) // w * w  # at b's top coordinate
+            # -(b - lead x^deg) / lead, so a + c x^j * b_neg cancels c x^j
+            b_neg = self._reduce((b & ((1 << bits) - 1))
+                                 * (n - pow(b >> bits, -1, n)))
+            while a >> bits:  # deg a >= deg b
+                cut = (a.bit_length() - 1) // w * w
+                a = self._reduce((a & ((1 << cut) - 1))
+                                 + (a >> cut) * (b_neg << cut - bits))
+            a, b = b, a
+        return a >> w == 0
+
+
+def _irreducible(modulus: list[int], p: int) -> bool:
+    """Ben-Or's test (1981) of a monic M of degree f over F_p: M is
+    irreducible iff gcd(x^(p^i) - x, M) = 1 for every i <= f/2, as
+    x^(p^i) - x is the product of the monic irreducibles whose degree
+    divides i.  Each x^(p^i) is the p-th power of the one before, so a
+    reducible M is refused once i reaches the degree of its smallest
+    factor; while p^i < f the power is x^(p^i) itself, and no product
+    folds."""
+    ring = _Ring(modulus, p)
+    packed, x = ring.pack(modulus), 1 << ring.width
+    h = x
+    for _ in range(ring.f // 2):  # i = 1, ..., f // 2
+        h = ring.pow(h, p)
+        if not ring.coprime(packed, ring._reduce(h + (p - 1) * x)):
+            return False
     return True
 
 
 def _smallest_irreducible(p: int, f: int) -> list[int]:
-    # Candidates x^f + (digits of k), scanned in increasing encoding order:
-    # this is exactly lexicographic order on the coefficient tuple read
-    # leading coefficient first.
+    """The first monic irreducible of degree f over F_p among x^f + (the
+    digits of k), k = 0, 1, ...: increasing encoding order is exactly
+    lexicographic order on the coefficient tuple read leading
+    coefficient first."""
     for k in range(p**f):
         low = _poly_from_enc(k, p)
-        poly = low + [0] * (f - len(low)) + [1]
-        if _is_irreducible(poly, p):
-            return poly
+        modulus = low + [0] * (f - len(low)) + [1]
+        if _irreducible(modulus, p):
+            return modulus
     raise InternalCheckError(  # pragma: no cover
         "no irreducible polynomial found; this cannot happen")
 
@@ -208,13 +298,13 @@ class FiniteField:
         with no Python-level work per element.  The first list is the
         start of a shorter walk, the lists of power_blocks(isqrt(length))
         joined and cut to length powers; every later one is the first
-        times h^k, h = g^length.  The closing check, last * g = 1, is
-        polynomial arithmetic that shares nothing with the kernel.
+        times h^k, h = g^length.  The closing check, last * g = 1, is a
+        product of _Ring, which shares only the Barrett helper with the
+        kernel.
         """
         if length < 1:
             raise InputError(f"list length must be >= 1, got {length}")
-        p, f, n, modulus, g = (self.p, self.f, self.q - 1, self.modulus,
-                               self.generator)
+        p, f, n = self.p, self.f, self.q - 1
         length = min(length, n)
         block = [1]
         if length > 1:
@@ -226,16 +316,17 @@ class FiniteField:
             del block[length:]
         yield block
         done = length
+        ring = _Ring(self.modulus, p)
+        g = ring.pack(_poly_from_enc(self.generator, p))
         if done < n:
-            h = _enc_mul(block[-1], g, modulus, p)
-            products = _block_products(p, f, block, _images(
-                p, f, modulus, _poly_from_enc(h, p)))
+            h = ring.mul(ring.pack(_poly_from_enc(block[-1], p)), g)
+            products = _block_products(p, f, block, ring.images(h))
         while done < n:
             block = next(products)
             del block[n - done:]
             done += len(block)
             yield block
-        if _enc_mul(block[-1], g, modulus, p) != 1:
+        if ring.mul(ring.pack(_poly_from_enc(block[-1], p)), g) != 1:
             raise InternalCheckError("generator order check failed")
 
     # --- element arithmetic on encodings ---
@@ -287,42 +378,15 @@ class FiniteField:
         return _enc_from_poly(coeffs, self.p)
 
 
-def _enc_mul(a: int, b: int, modulus, p: int) -> int:
-    """a * b on encodings, modulo the field's modulus."""
-    product = _poly_mul(_poly_from_enc(a, p), _poly_from_enc(b, p), p)
-    return _enc_from_poly(_poly_rem(product, modulus, p), p)
-
-
-def _enc_pow(enc: int, e: int, modulus, p: int) -> int:
-    """enc**e on encodings, modulo the field's modulus."""
-    if len(modulus) == 2:  # f = 1: elements are residues mod p
-        return pow(enc, e, p)
-    return _enc_from_poly(_poly_pow(_poly_from_enc(enc, p), e, modulus, p), p)
-
-
-def _has_full_order(enc: int, q: int, prime_factors: dict[int, int],
-                    modulus: list[int], p: int) -> bool:
-    """True iff enc has multiplicative order exactly q - 1.  The powers
-    (q-1)/ell come first, as most candidates fail one of them; x^(q-1) = 1
-    is then left only for a candidate that passes them all."""
+def _has_full_order(a: int, q: int, prime_factors: dict[int, int],
+                    ring: _Ring) -> bool:
+    """True iff the element a of ring has multiplicative order exactly
+    q - 1.  The powers (q-1)/ell come first, as most candidates fail one
+    of them; a^(q-1) = 1 is then left only for a candidate that passes
+    them all."""
     n = q - 1
-    return all(_enc_pow(enc, n // ell, modulus, p) != 1
-               for ell in prime_factors) and _enc_pow(enc, n, modulus, p) == 1
-
-
-def _images(n: int, f: int, modulus, y: list[int]) -> list[list[int]]:
-    """Coefficient lists of y * x^i modulo the modulus and n, i < f, for
-    y given by its coefficients: the columns of the linear map x -> y * x
-    on coefficient vectors.  Each is the one before times x, reduced by
-    the monic modulus."""
-    image = list(y) + [0] * (f - len(y))
-    images = [image]
-    for _ in range(f - 1):
-        lead = image[-1]
-        image = [(c - lead * r) % n
-                 for c, r in zip([0] + image[:-1], modulus)]
-        images.append(image)
-    return images
+    return all(ring.pow(a, n // ell) != 1
+               for ell in prime_factors) and ring.pow(a, n) == 1
 
 
 def _block_products(p: int, f: int, block: list[int],
@@ -345,11 +409,8 @@ def _block_products(p: int, f: int, block: list[int],
     n = len(cells)
     if p == 2:
         width, slots = 1, f
-    else:
-        top = f * (p - 1) ** 2  # the largest slot sum
-        shift = ((top + 1) * p - 1).bit_length()  # 2^shift >= (top + 1) p
-        magic = -(-(1 << shift) // p)
-        width = (top * magic).bit_length()
+    else:  # f * (p - 1)^2 is the largest slot sum
+        width, shift, magic = _barrett(p, f * (p - 1) ** 2)
         slots = 1 << (f - 1).bit_length()  # room for the pairwise merges
     cell = 8
     while cell < slots * width:
@@ -420,10 +481,12 @@ def build_field(p: int, f: int, *,
                  f"table-size budget exceeded: q = {p}^{f} = {{}}")
 
     modulus = _smallest_irreducible(p, f)  # x for f = 1: residues mod p
+    ring = _Ring(modulus, p)
     prime_factors = _factorize(q - 1)
     # For f > 1 the constants 1..p-1 have order dividing p - 1 < q - 1.
     for generator in range(p if f > 1 else 1, q):
-        if _has_full_order(generator, q, prime_factors, modulus, p):
+        if _has_full_order(ring.pack(_poly_from_enc(generator, p)), q,
+                           prime_factors, ring):
             break
     else:
         raise InternalCheckError(  # pragma: no cover

@@ -5,7 +5,7 @@ completion at a prime P above p is the unramified extension of Q_p of
 degree f.  We model its ring of integers truncated mod p^k as
 R_k = (Z/p^k)[x] / (M) where M is the field modulus of GF(p^f) read over
 Z/p^k.  This is the ring GF(p^f) is built as, with p replaced by p^k, so
-R_k arithmetic is the field's polynomial helpers run modulo p^k.  The
+R_k arithmetic is the field's packed ring kernel run modulo p^k.  The
 m-th roots of unity in R_k are Teichmuller lifts of those in
 GF(p^f); evaluating a cyclotomic integer at such a lift and taking the
 minimum p-adic valuation of its R_k coordinates computes ord_P exactly
@@ -23,8 +23,7 @@ from operator import mul
 
 from .cyclotomic import CycInt, degree
 from .errors import InputError, InternalCheckError
-from .finite_field import (FiniteField, _enc_pow, _images, _poly_from_enc,
-                           _poly_pow)
+from .finite_field import FiniteField, _poly_from_enc, _Ring
 
 
 class PadicContext:
@@ -50,28 +49,29 @@ class PadicContext:
         self.k = k
         self.pk = p**k
         self.modulus = tuple(c % self.pk for c in field.modulus)
-        mod, pk = list(self.modulus), self.pk
+        pk = self.pk
 
         # Teichmuller lift of the residue g^-((q-1)/m), by one power: if
         # a = b mod p^j then a^q = b^q mod p^(j+f), and the residue agrees
         # with its lift mod p, so its q^i-th power agrees mod p^(1+fi),
         # which is p^k or finer for i = ceil((k-1)/f).
-        root_enc = _enc_pow(field.generator, (q - 1) - (q - 1) // m,
-                            field.modulus, p)
-        z = _poly_pow(_poly_from_enc(root_enc, p), q**(-(-(k - 1) // f)),
-                      mod, pk)
-        if _poly_pow(z, q, mod, pk) != z:
+        residues = _Ring(field.modulus, p)
+        root = residues.unpack(residues.pow(
+            residues.pack(_poly_from_enc(field.generator, p)),
+            (q - 1) - (q - 1) // m))
+        ring = _Ring(self.modulus, pk)
+        z = ring.pow(ring.pack(root), q**(-(-(k - 1) // f)))
+        if ring.pow(z, q) != z:
             raise InternalCheckError("Teichmuller lift did not stabilize")
-        if _poly_pow(z, m, mod, pk) != [1]:
+        if ring.pow(z, m) != 1:
             raise InternalCheckError("lifted root of unity has wrong order")
-        if field.encode(d % p for d in z) != root_enc:
-            raise InternalCheckError("Teichmuller lift moved the residue")
-
-        # images[j] is zeta_hat * x^j, so images[0] is zeta_hat padded to
-        # f coordinates.  Each power of zeta_hat is the one before times
+        # images[j] is zeta_hat * x^j, so images[0] is zeta_hat's f
+        # coordinates.  Each power of zeta_hat is the one before times
         # this matrix of multiplication by zeta_hat on R_k: f dot
         # products, no remainder.
-        images = _images(pk, f, mod, z)
+        images = ring.images(z)
+        if [d % p for d in images[0]] != root:
+            raise InternalCheckError("Teichmuller lift moved the residue")
         self.zeta_hat = tuple(images[0])
         rows = tuple(zip(*images))
         power = [1] + [0] * (f - 1)

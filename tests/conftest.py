@@ -33,7 +33,7 @@ def walk_breakers():
                           lambda: [2] * len(block), None))
 
     def break_images(patch):
-        patch.setattr(finite_field, "_images", lambda p, f, modulus, y: [
-            [int(i == k) for i in range(f)] for k in range(f)])
+        patch.setattr(finite_field._Ring, "images", lambda ring, y: [
+            [int(i == k) for i in range(ring.f)] for k in range(ring.f)])
 
     return {"kernel": break_kernel, "images": break_images}

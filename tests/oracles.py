@@ -13,12 +13,96 @@ import cmath
 from collections import Counter, defaultdict
 from math import gcd
 
-from cyheights.cyclotomic import CycInt
+from cyheights.cyclotomic import CycInt, _schoolbook_product
 from cyheights.errors import BudgetError, InputError
-from cyheights.finite_field import (FiniteField, _poly_from_enc, _poly_mul,
-                                    _poly_pow, _poly_rem, frobenius_subgroup)
+from cyheights.finite_field import (FiniteField, _enc_from_poly, _factorize,
+                                    _poly_from_enc, frobenius_subgroup)
 
 DEFAULT_NAIVE_BUDGET = 10**7
+
+
+# --- polynomials over Z/n as coefficient lists, constant term first: the
+# reference for the packed ring of cyheights.finite_field ---
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    return _poly_trim([c % n for c in _schoolbook_product(a, b)])
+
+
+def _poly_rem(a: list[int], mod: list[int], n: int) -> list[int]:
+    # mod must be monic
+    a = list(a)
+    deg_m = len(mod) - 1
+    for i in range(len(a) - 1, deg_m - 1, -1):
+        c = a[i] % n
+        if c:
+            for j in range(deg_m + 1):
+                a[i - deg_m + j] = (a[i - deg_m + j] - c * mod[j]) % n
+    del a[deg_m:]
+    if not a:
+        a = [0]
+    return _poly_trim(a)
+
+
+def _poly_pow(a: list[int], e: int, mod: list[int], n: int) -> list[int]:
+    """a**e modulo the monic mod, by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_rem(_poly_mul(result, a, n), mod, n)
+        a = _poly_rem(_poly_mul(a, a, n), mod, n)
+        e >>= 1
+    return result
+
+
+def _enc_mul(a: int, b: int, modulus, p: int) -> int:
+    """a * b on encodings, modulo the field's modulus."""
+    product = _poly_mul(_poly_from_enc(a, p), _poly_from_enc(b, p), p)
+    return _enc_from_poly(_poly_rem(product, modulus, p), p)
+
+
+def _enc_pow(enc: int, e: int, modulus, p: int) -> int:
+    """enc**e on encodings, modulo the field's modulus."""
+    if len(modulus) == 2:  # f = 1: elements are residues mod p
+        return pow(enc, e, p)
+    return _enc_from_poly(_poly_pow(_poly_from_enc(enc, p), e, modulus, p), p)
+
+
+def _is_irreducible(poly: list[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for k in range(p**d):
+            low = _poly_from_enc(k, p)
+            div = low + [0] * (d - len(low)) + [1]
+            if _poly_rem(poly, div, p) == [0]:
+                return False
+    return True
+
+
+def field_by_trial_division(p: int, f: int) -> tuple[tuple[int, ...], int]:
+    """The modulus and generator of GF(p^f) by the definitions: the first
+    monic irreducible of degree f in encoding order, by trial division,
+    and the first encoding whose powers (q-1)/ell are not 1 and whose
+    power q - 1 is, by list arithmetic."""
+    q = p**f
+    for k in range(q):
+        low = _poly_from_enc(k, p)
+        modulus = low + [0] * (f - len(low)) + [1]
+        if _is_irreducible(modulus, p):
+            break
+    n = q - 1
+    generator = next(c for c in range(1, q)
+                     if _enc_pow(c, n, modulus, p) == 1
+                     and all(_enc_pow(c, n // ell, modulus, p) != 1
+                             for ell in _factorize(n)))
+    return tuple(modulus), generator
 
 
 def _check_alpha(alpha: tuple[int, ...], m: int) -> int:

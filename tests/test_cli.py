@@ -437,6 +437,16 @@ print(sorted(name for name in sys.modules
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_does_not_load_csv():
+    # a fresh interpreter, since this one has written csv in other tests
+    script = "import sys, cyheights.cli; print('csv' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_kummer_command(capsys):
     code, out, _ = run(capsys, "kummer", "--p", "7", "--format", "json")
     assert code == 0

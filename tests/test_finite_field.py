@@ -6,42 +6,30 @@ import pytest
 from cyheights import finite_field
 from cyheights.errors import BudgetError, InputError
 from cyheights.finite_field import (PRIMALITY_BOUND, _enc_from_poly,
-                                    _enc_mul, _factorize, _has_full_order,
-                                    _poly_from_enc, _poly_mul, _poly_rem,
-                                    _smallest_irreducible, build_field,
+                                    _factorize, _has_full_order,
+                                    _poly_from_enc, _Ring, build_field,
                                     frobenius_subgroup, is_prime)
+from oracles import _enc_mul, _poly_mul, _poly_rem, field_by_trial_division
 
 
 def _reference_field(p, f):
-    """GF(p^f) by polynomial arithmetic alone: the generator is found by
-    polynomial powering and the tables by one _poly_mul + _poly_rem per
-    element, the walk build_field made before it became a linear map."""
-    q = p**f
-    modulus = [0, 1] if f == 1 else _smallest_irreducible(p, f)
+    """GF(p^f) by polynomial arithmetic alone: the modulus by trial
+    division, the generator by list powers and the tables by one
+    _poly_mul + _poly_rem per element, the walk build_field made before
+    it became a linear map."""
+    modulus, generator = field_by_trial_division(p, f)
 
     def times(a, b):
-        return _poly_rem(_poly_mul(a, b, p), modulus, p)
+        return _poly_rem(_poly_mul(a, b, p), list(modulus), p)
 
-    def power(enc, e):
-        base, result = _poly_from_enc(enc, p), [1]
-        while e:
-            if e & 1:
-                result = times(result, base)
-            base = times(base, base)
-            e >>= 1
-        return _enc_from_poly(result, p)
-
-    n = q - 1
-    generator = 1 if q == 2 else next(
-        c for c in range(1, q) if power(c, n) == 1
-        and all(power(c, n // ell) != 1 for ell in _factorize(n)))
+    n = p**f - 1
     exp = []
     gen_poly, cur = _poly_from_enc(generator, p), [1]
     for _ in range(n):
         exp.append(_enc_from_poly(cur, p))
         cur = times(cur, gen_poly)
     assert _enc_from_poly(cur, p) == 1
-    return tuple(modulus), generator, tuple(exp)
+    return modulus, generator, tuple(exp)
 
 
 def _times(field, a, b):
@@ -115,9 +103,10 @@ def test_generator_search_may_skip_the_constants(p, f):
     field = build_field(p, f)
     q = p**f
     factors = _factorize(q - 1)
+    ring = _Ring(field.modulus, p)
     assert field.generator == next(
         c for c in range(1, q)
-        if _has_full_order(c, q, factors, list(field.modulus), p))
+        if _has_full_order(ring.pack(_poly_from_enc(c, p)), q, factors, ring))
     assert field.generator >= p
 
 
@@ -125,8 +114,9 @@ def test_full_order_needs_the_power_q_minus_1_to_be_1():
     # modulo the reducible x^2 over GF(2), x passes the only power test,
     # x^((q-1)/3) = x != 1, but x^3 = 0: the last check refuses it.  x is
     # a generator modulo the irreducible x^2 + x + 1
-    assert _has_full_order(2, 4, {3: 1}, [0, 0, 1], 2) is False
-    assert _has_full_order(2, 4, {3: 1}, [1, 1, 1], 2) is True
+    for modulus, full in (([0, 0, 1], False), ([1, 1, 1], True)):
+        ring = _Ring(modulus, 2)
+        assert _has_full_order(ring.pack([0, 1]), 4, {3: 1}, ring) is full
 
 
 def test_order_mod_examples():

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from cyheights import finite_field, padic
 from cyheights.cyclotomic import CycInt, degree, modulus_squared
-from cyheights.errors import InputError
+from cyheights.errors import InputError, InternalCheckError
 from cyheights.finite_field import build_field
 from cyheights.padic import PadicContext, default_precision, padic_valuation
 from oracles import teichmuller_by_iteration, zeta_columns_by_products
@@ -294,3 +295,22 @@ def test_lift_matches_iteration_for_every_degree(p, f):
     m = max(d for d in range(1, 401) if (field.q - 1) % d == 0)
     for k in (1, 2, default_precision(f, 3)):
         _lift_matches_iteration(field, m, k)
+
+
+def test_a_lift_one_round_short_does_not_stabilize(monkeypatch):
+    # GF(9), m = 8, k = 4: the lift is the residue to the power q^2; a
+    # ring that stops at q leaves a z with z^q != z, which the first of
+    # the three checks must name
+    field, m, k = build_field(3, 2), 8, 4
+
+    class ShortLift(finite_field._Ring):
+        __slots__ = ()
+
+        def pow(self, a, e):
+            if self.n == 3**k and e == field.q**2:
+                e = field.q
+            return super().pow(a, e)
+
+    monkeypatch.setattr(padic, "_Ring", ShortLift)
+    with pytest.raises(InternalCheckError, match="did not stabilize"):
+        PadicContext(field, m, k)

@@ -3,7 +3,7 @@ one BENCH_<n>.json.
 
 Run from anywhere, with pytest installed:
 
-    python tools/ladder.py --out BENCH_1.json
+    python tools/ladder.py --out BENCH_2.json
 
 The ladder copies src/, tests/, perfbench/ and README.md of this
 checkout into a temporary directory, leaving out every __pycache__, and
@@ -14,10 +14,18 @@ copy's src/ and no bytecode writes:
 
 * a command row times cyheights.cli.main(argv) with time.perf_counter,
   after the import, with stdout captured and stderr dropped;
-* the library row times the expression it names the same way;
+* a library row times the expression it names the same way;
 * the start-up row times `import cyheights.cli`;
 * the Tier-1 row times `python -m pytest -q` on the copy's tests/,
   from the outside, with its own timeout.
+
+The host's speed drifts by a third within minutes, so raw times compare
+only within one run phase.  Each child therefore also times
+perfbench/run.py's reference_time() before and after its row (for the
+start-up row both after it, since loading run.py loads modules the
+import would otherwise time), and records the row's time scaled to the
+reference host speed by run.py's host_scale, as the benchmark does.
+The Tier-1 row is not scaled.
 
 A run over its timeout (20 s, Tier-1 excepted) is killed and recorded
 as "timeout".  Each row runs RUNS times and records every time, the min
@@ -66,15 +74,19 @@ COMMANDS = [
     "stickelberger --p 7 --m 5 --r 3",
     "stickelberger --p 2 --m 73 --r 1",
     "stickelberger --p 2 --m 73 --r 1 --format json",
+    "stickelberger --p 2 --m 13 --r 1",
+    "stickelberger --p 197 --m 3 --r 3",
     "survey artin --m 8 --r 6 --p-max 50 --jobs 1",
     "kummer --p 999983",
     "survey kummer --p-min 900000 --p-max 1000000 --jobs 1",
 ]
 
-# a field near the table budget: one walk of GF(4093^2) for the character
+# fields near the table budget: one walk of GF(4093^2) for the
+# character, and the modulus and generator search of GF(2^24)
 LIBRARY_SETUP = ("from cyheights.character_sums import Character\n"
                  "from cyheights.finite_field import build_field\n")
-LIBRARY_CALL = "Character(build_field(4093, 2), 6).minus_one_exp"
+LIBRARY_CALLS = ["Character(build_field(4093, 2), 6).minus_one_exp",
+                 "build_field(2, 24)"]
 
 EXCLUDED = [
     {"row": "zeta --p 13 --m 6 --r 6",
@@ -83,11 +95,16 @@ EXCLUDED = [
 ]
 
 # The child: spec = {"argv": [...]} | {"setup": ..., "expr": ...} |
-# {"import": true}; it prints one JSON line of seconds, exit status and
-# the captured stdout's size and sha256.
+# {"import": true}; it prints one JSON line of seconds, the reference
+# times around them and the scaled seconds, exit status and the captured
+# stdout's size and sha256.
 CHILD = r"""
 import contextlib, hashlib, io, json, sys, time
 spec = json.loads(sys.argv[1])
+sys.path.insert(0, "perfbench")
+if "import" not in spec:
+    from run import host_scale, reference_time
+    before = reference_time()
 out = io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = 0
@@ -106,11 +123,19 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
         print(eval(spec["expr"]))
     seconds = time.perf_counter() - start
+if "import" in spec:
+    from run import host_scale, reference_time
+    before = reference_time()
+after = reference_time()
 data = out.getvalue().encode()
-print(json.dumps({"seconds": seconds, "exit_status": code,
-                  "stdout_bytes": len(data),
+print(json.dumps({"seconds": seconds, "reference_s": [before, after],
+                  "scaled_seconds": seconds * host_scale(before, after),
+                  "exit_status": code, "stdout_bytes": len(data),
                   "stdout_sha256": hashlib.sha256(data).hexdigest()}))
 """
+
+# what differs from run to run of one row, and is no outcome
+TIMINGS = ("seconds", "reference_s", "scaled_seconds")
 
 
 def copy_tree(into: Path) -> None:
@@ -157,17 +182,31 @@ def run_tier1(tree: Path) -> dict | str:
             "summary": summary.rsplit(" in ", 1)[0]}
 
 
+def times_of(runs: list, key: str) -> tuple[list, float | None,
+                                           float | None]:
+    """Each run's value of key, or "timeout", and the min and the median
+    of the runs that finished."""
+    values = [r if r == "timeout" else r[key] for r in runs]
+    done = [v for v in values if v != "timeout"]
+    return ([v if v == "timeout" else round(v, 6) for v in values],
+            round(min(done), 6) if done else None,
+            round(statistics.median(done), 6) if done else None)
+
+
 def row(name: str, runs: list) -> dict:
-    """One row of the file from its runs."""
+    """One row of the file from its runs: raw times, and for a child's
+    row the mean reference time around each run and the scaled times."""
     finished = [r for r in runs if r != "timeout"]
-    times = [r["seconds"] for r in finished]
-    record = {"row": name,
-              "runs_s": [r if r == "timeout" else round(r["seconds"], 6)
-                         for r in runs],
-              "min_s": round(min(times), 6) if times else None,
-              "median_s": (round(statistics.median(times), 6) if times
-                           else None)}
-    outcomes = {json.dumps({k: v for k, v in r.items() if k != "seconds"},
+    record = {"row": name}
+    record["runs_s"], record["min_s"], record["median_s"] = times_of(
+        runs, "seconds")
+    if finished and "reference_s" in finished[0]:
+        record["reference_s"] = [
+            r if r == "timeout" else round(sum(r["reference_s"]) / 2, 6)
+            for r in runs]
+        (record["scaled_runs_s"], record["scaled_min_s"],
+         record["scaled_median_s"]) = times_of(runs, "scaled_seconds")
+    outcomes = {json.dumps({k: v for k, v in r.items() if k not in TIMINGS},
                            sort_keys=True) for r in finished}
     if len(outcomes) == 1:
         record.update(json.loads(outcomes.pop()))
@@ -209,13 +248,15 @@ def main(argv=None) -> int:
         copy_tree(tree)
         plan = [(command, {"argv": command.split()})
                 for command in COMMANDS]
-        plan.append((LIBRARY_CALL,
-                     {"setup": LIBRARY_SETUP, "expr": LIBRARY_CALL}))
+        plan += [(call, {"setup": LIBRARY_SETUP, "expr": call})
+                 for call in LIBRARY_CALLS]
         plan.append(("start-up: import cyheights.cli", {"import": True}))
         for name, spec in plan:
             rows.append(row(name, [run_child(tree, spec)
                                    for _ in range(RUNS)]))
-            print(f"{rows[-1]['median_s']!s:>10} s  {name}", flush=True)
+            print(f"{rows[-1]['median_s']!s:>10} s "
+                  f"{rows[-1].get('scaled_median_s')!s:>10} s scaled  {name}",
+                  flush=True)
         rows.append(row("Tier-1: pytest -q",
                         [run_tier1(tree) for _ in range(RUNS)]))
         print(f"{rows[-1]['median_s']!s:>10} s  Tier-1", flush=True)
