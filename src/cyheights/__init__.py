@@ -9,12 +9,13 @@ from .cyclotomic import CycInt, cyclotomic_polynomial, modulus_squared
 from .padic import PadicContext, padic_valuation
 from .character_sums import Character, jacobi_sum, jacobi_sum_table
 from .fermat import (FermatParams, INFINITE, alpha_count, artin_comparison,
-                     brute_force_point_count, exponent_multisets,
-                     exponent_vectors, fully_rigged_fermat, height_fermat,
+                     artin_survey, brute_force_point_count,
+                     exponent_multisets, exponent_vectors,
+                     fully_rigged_fermat, height_fermat,
                      hodge_numbers_fermat, newton_slopes,
                      point_count_from_zeta, predicted_height,
-                     stickelberger_check, variety_report, zeta_fermat,
-                     zeta_report)
+                     stickelberger_check, variety_report, variety_survey,
+                     zeta_fermat, zeta_report)
 from .kummer import (QuadLattice, abelian_height, ec_count_points,
                      kummer_report, lattice_from_generators, lattice_index,
                      period_lattice, predicted_example_height,

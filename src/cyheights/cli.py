@@ -9,10 +9,11 @@ Exit codes: 0 all requested checks passed, 1 a computed value disagreed
 with a theorem prediction, 2 invalid input, 3 a size budget was
 exceeded, 4 an internal check failed (a bug, not a verdict).
 Every record and verdict comes from the library (variety_report,
-zeta_report, stickelberger_check, kummer_report); a command adds its
-name, formats the record and parses only the options it reads, besides
---format and the inert --cache-dir.  stickelberger writes row i as
-vectors[i] with verdicts[keys[i]], one verdict per distinct outcome.
+zeta_report, stickelberger_check, variety_survey, artin_survey,
+kummer_report); a command adds its name, formats the record and parses
+only the options it reads, besides --format and the inert --cache-dir.
+stickelberger writes row i as vectors[i] with verdicts[keys[i]], survey
+height|artin row p as the record of p mod m.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import time
 from contextlib import contextmanager
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt
 from operator import add
 
 from . import fermat, kummer
-from .errors import BudgetError, InputError, check_budget
-from .finite_field import DEFAULT_TABLE_BUDGET, is_prime
+from .errors import BudgetError, InputError
+from .finite_field import (DEFAULT_TABLE_BUDGET, _check_sieve, _least_prime,
+                           _primes_in)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -203,64 +204,19 @@ def _stickelberger_json(record: dict) -> str:
 # --- survey ---
 
 
-def _check_sieve(lo: int, hi: int) -> None:
-    """BudgetError (errors.check_budget) unless the hi - lo + isqrt(hi - 1)
-    + 1 bytes of the two tables sieving [lo, hi) fit DEFAULT_TABLE_BUDGET."""
-    lo = max(lo, 2)
-    size = max(hi - lo, 0) + isqrt(max(hi - 1, 0)) + 1
-    check_budget(size, DEFAULT_TABLE_BUDGET, "table-size budget exceeded: "
-                 f"sieving [{lo}, {hi}) takes {{}} bytes")
-
-
-def _primes_in(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), sieved over that window alone by the primes
-    up to isqrt(hi - 1), after _check_sieve."""
-    _check_sieve(lo, hi)
-    lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
-    base, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo)
-    for n in range(2, root + 1):
-        if base[n]:  # no smaller prime divides n
-            base[n * n::n] = bytes(len(range(n * n, root + 1, n)))
-            start = max(n * n, -(-lo // n) * n)
-            window[start - lo::n] = bytes(len(range(start, hi, n)))
-    return list(compress(range(lo, hi), window))
-
-
-def _least_prime(lo: int, hi: int, m: int = 1) -> int | None:
-    """The least prime in [lo, hi) prime to m, by an is_prime walk, or
-    None."""
-    if m == 0:  # gcd(n, 0) = n, so no n >= 2 is prime to 0
-        return None
-    return next((n for n in range(max(lo, 2), hi)
-                 if gcd(n, m) == 1 and is_prime(n)), None)
-
-
-def _height_row(task: tuple[int, int, int, int]) -> dict:
-    p, m, r, budget = task
-    report = fermat.variety_report(p, m, r, budget=budget)
-    return {k: report[k]
-            for k in ("p", "f", "height", "predicted_height", "agree")}
-
-
-def _artin_row(task: tuple[int, int, int, int]) -> dict:
-    p, m, r, budget = task
-    return {"p": p, **fermat.artin_comparison(p, m, r, budget=budget)}
-
-
-def _kummer_row(task: tuple[int]) -> dict:
-    # every p comes from a primality walk or the sieve, each a proof
-    report = kummer._report_at_prime(task[0], 0, 1)
-    return {"p": report["p"], "height": report["quotient_height"],
+def _kummer_row(p: int) -> dict:
+    report = kummer._report_at_prime(p, 0, 1)  # the sieve proved p prime
+    return {"p": p, "height": report["quotient_height"],
             "predicted_height": report["predicted_height"],
             "agree": report["agree"]}
 
 
 _SURVEY_KINDS = {
-    "height": (_height_row, "survey-height/v1",
+    "height": (fermat.variety_survey, "survey-height/v1",
                ["p", "f", "height", "predicted_height", "agree"]),
-    "artin": (_artin_row, "survey-artin/v1",
+    "artin": (fermat.artin_survey, "survey-artin/v1",
               ["p", "additive_type", "fully_rigged"]),
-    "kummer": (_kummer_row, "survey-kummer/v1",
+    "kummer": (None, "survey-kummer/v1",
                ["p", "height", "predicted_height", "agree"]),
 }
 
@@ -270,57 +226,42 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _cmd_survey(args) -> int:
-    """One row per prime of [p_min, p_max) prime to m.  The first row
-    is computed in process; the other row classes run in a pool of
-    _worker_count processes when that count exceeds 1.  Only then is
-    concurrent.futures imported, so no other call loads it or
-    multiprocessing."""
-    worker, schema, fields = _SURVEY_KINDS[args.kind]
-    if args.kind == "kummer":
-        lo, m, extra = max(args.p_min, 5), 1, ()
-    else:
-        lo, m, extra = args.p_min, args.m, (args.m, args.r, args.alpha_budget)
-    # Every error raises before the window is sieved: the sieve's own
-    # budget, then a kummer prime over its budget, uncounted, then an
-    # (m, r) error, which fails every row alike and so fails the first
-    # row, computed here on the least prime before any worker starts.
-    _check_sieve(lo, args.p_max)
-    if args.kind == "kummer":
-        over = _least_prime(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1),
-                            args.p_max)
-        if over is not None:
-            kummer.check_prime_budget(over)
-    first = _least_prime(lo, args.p_max, m)
-    if first is None:
+def _kummer_rows(lo: int, hi: int, jobs: int) -> tuple[list[dict], int]:
+    """One row per prime of [max(lo, 5), hi), and the _worker_count
+    processes that made them.  The sieve's budget, then a prime over the
+    point-count budget, uncounted, raise before the window is sieved."""
+    lo = max(lo, 5)
+    _check_sieve(lo, hi)
+    over = _least_prime(max(lo, kummer.DEFAULT_PRIME_BUDGET + 1), hi)
+    if over is not None:
+        kummer.check_prime_budget(over)
+    primes = _primes_in(lo, hi)
+    if not primes:
         raise InputError("empty prime range")
+    workers = _worker_count(jobs, len(primes))
+    if workers == 1:
+        return list(map(_kummer_row, primes)), 1
+    # Imported here, so no other call loads it or multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_kummer_row, primes, chunksize=-(
+            -len(primes) // (4 * workers)))), workers
 
-    # A height or artin row depends on p only through <p>, so through
-    # p mod m: one row is computed per class, on its least prime, and
-    # copied to the other primes of the class.
-    def row_class(p: int) -> int:
-        return p if args.kind == "kummer" else p % m
 
+def _cmd_survey(args) -> int:
+    """One row per prime of [p_min, p_max) prime to m.  A height or artin
+    row is its class's record from one library call, with its own p."""
+    survey, schema, fields = _SURVEY_KINDS[args.kind]
     started = time.monotonic()
-    computed = {row_class(first): worker((first, *extra))}
-    primes = [first] + [p for p in _primes_in(first + 1, args.p_max)
-                        if gcd(p, m) == 1]
-    todo: dict[int, int] = {}
-    for p in primes:
-        if row_class(p) not in computed:
-            todo.setdefault(row_class(p), p)
-    tasks = [(p, *extra) for p in todo.values()]
-    workers = _worker_count(args.jobs, len(tasks))
-    if workers > 1:
-        # Imported here, so no other call pays the pool's start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        chunksize = -(-len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed.update(zip(todo, pool.map(worker, tasks,
-                                               chunksize=chunksize)))
+    if args.kind == "kummer":
+        rows, workers = _kummer_rows(args.p_min, args.p_max, args.jobs)
     else:
-        computed.update(zip(todo, map(worker, tasks)))
-    rows = [{**computed[row_class(p)], "p": p} for p in primes]
+        primes, reports = survey(args.m, args.r, args.p_min, args.p_max,
+                                 budget=args.alpha_budget)
+        row_of_class = {c: {k: report[k] for k in fields[1:]}
+                        for c, report in reports.items()}
+        rows, workers = [{**row_of_class[p % args.m], "p": p}
+                         for p in primes], 1
     _diag(f"survey {args.kind}: {len(rows)} rows in "
           f"{time.monotonic() - started:.2f}s with {workers} worker(s)")
 
@@ -438,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = kinds.add_parser(kind, help=f"one {kind} row per prime")
         if kind == "kummer":
             sub.set_defaults(m=None, r=None)
+            sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                             help="worker processes, capped at the rows and "
+                                  "the CPU count (default: CPU count)")
         else:
             sub.add_argument("--m", type=int, required=True)
             sub.add_argument("--r", type=int, required=True)
@@ -445,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "profile")
         sub.add_argument("--p-min", type=int, default=2)
         sub.add_argument("--p-max", type=int, required=True)
-        sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="worker processes, capped at the rows left "
-                              "to compute and the CPU count (default: CPU "
-                              "count)")
         _add_common(sub)
 
     sub = subs.add_parser("kummer", help="elliptic-curve and Kummer heights")

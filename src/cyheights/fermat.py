@@ -34,8 +34,9 @@ from operator import add
 from .character_sums import Character, jacobi_sum_table
 from .cyclotomic import CycInt, _schoolbook_product, modulus_squared
 from .errors import InputError, InternalCheckError, check_budget
-from .finite_field import (DEFAULT_TABLE_BUDGET, build_field,
-                           frobenius_subgroup, is_prime)
+from .finite_field import (DEFAULT_TABLE_BUDGET, _check_sieve, _least_prime,
+                           _primes_in, build_field, frobenius_subgroup,
+                           is_prime)
 from .padic import PadicContext, default_precision, padic_valuation
 
 DEFAULT_ALPHA_BUDGET = 10**6
@@ -279,22 +280,25 @@ def _exponent_histogram(m: int, r: int, subgroup: tuple[int, ...]
 
 
 def _histograms(m: int, r: int, subgroups: tuple[tuple[int, ...], ...],
-                budget: int) -> list[Counter]:
-    """Each subgroup's _exponent_histogram, from one pass per distinct
-    subgroup (<p> = {1} is _LEVELS).  The budget bounds the transitions of
-    every histogram asked for, before any pass runs, and each must count
+                budget: int, passes: dict) -> list[Counter]:
+    """Each subgroup's _exponent_histogram, from passes, which maps each
+    subgroup as a set (<p> = {1} is _LEVELS) to its one pass and gains the
+    passes it lacks.  The budget bounds the transitions of every histogram
+    asked for, before any pass runs, and each new pass must count
     alpha_count(m, r) vectors.  Callers run _slope_budget_check first."""
     total = 0
     for subgroup in subgroups:
         bound = _transition_bound(m, r, subgroup, budget - total)
         check_budget(bound, budget, _SLOPE_BUDGET)
         total += bound
-    passes = {subgroup: _exponent_histogram(m, r, subgroup)
-              for subgroup in dict.fromkeys(subgroups)}
-    expected = alpha_count(m, r)
-    if any(sum(h.values()) != expected for h in passes.values()):
-        raise InternalCheckError("slope histograms disagree with closed form")
-    return [passes[subgroup] for subgroup in subgroups]
+    keys = [frozenset(subgroup) for subgroup in subgroups]
+    for key, subgroup in zip(keys, subgroups):
+        if key not in passes:
+            passes[key] = _exponent_histogram(m, r, subgroup)
+            if sum(passes[key].values()) != alpha_count(m, r):
+                raise InternalCheckError(
+                    "slope histograms disagree with closed form")
+    return [passes[key] for key in keys]
 
 
 def _height(slopes: Slopes) -> tuple[int, int | str]:
@@ -343,7 +347,7 @@ def newton_slopes(p: int, m: int, r: int, *,
     the exponent pass."""
     _slope_budget_check(m, r, budget)
     params = FermatParams.create(p, m, r)
-    exponents, = _histograms(m, r, (params.subgroup,), budget)
+    exponents, = _histograms(m, r, (params.subgroup,), budget, {})
     return _slopes(exponents, params.f, r)
 
 
@@ -354,7 +358,7 @@ def hodge_numbers_fermat(m: int, r: int, *,
     by the Griffiths-style count: alpha has level sum(a_j)/m - 1.  The
     budget bounds the transitions of the level pass."""
     _slope_budget_check(m, r, budget)
-    levels, = _histograms(m, r, (_LEVELS,), budget)
+    levels, = _histograms(m, r, (_LEVELS,), budget, {})
     return tuple(levels[k] for k in range(r + 1))
 
 
@@ -385,10 +389,17 @@ def artin_comparison(p: int, m: int, r: int, *,
     For r = 2 the two agree; in higher even dimension they provably can
     differ, which this record makes checkable prime by prime.
     """
+    _artin_shape(m, r)
+    return _artin(variety_report(p, m, r, budget=budget))
+
+
+def _artin_shape(m: int, r: int) -> None:
     if r % 2 or m != r + 2:
         raise InputError("comparison needs even r and the Calabi-Yau case "
                          f"m = r + 2, got m={m}, r={r}")
-    report = variety_report(p, m, r, budget=budget)
+
+
+def _artin(report: dict) -> dict:  # artin_comparison's record
     return {"additive_type": report["height"] == INFINITE,
             "fully_rigged": report["fully_rigged"]}
 
@@ -432,8 +443,53 @@ def variety_report(p: int, m: int, r: int, *,
     Timings are absent so identical inputs serialize identically.
     """
     _slope_budget_check(m, r, budget)
-    params = FermatParams.create(p, m, r)
-    exponents, levels = _histograms(m, r, (params.subgroup, _LEVELS), budget)
+    return _report(FermatParams.create(p, m, r), budget, {})
+
+
+def variety_survey(m: int, r: int, p_min: int, p_max: int, *,
+                   budget: int = DEFAULT_ALPHA_BUDGET
+                   ) -> tuple[list[int], dict[int, dict]]:
+    """The primes of [p_min, p_max) prime to m, and for each residue class
+    mod m that holds one, the variety_report of its least prime, from
+    one level pass and one exponent pass per distinct <p>, each class
+    admitted as variety_report would admit it.  The least prime of the
+    window, found by an is_prime walk, is reported before the sieve
+    proves the others, so an error of (m, r) or the budget raises first.
+    """
+    _check_sieve(p_min, p_max)
+    first = _least_prime(p_min, p_max, m)
+    if first is None:
+        raise InputError("empty prime range")
+    _slope_budget_check(m, r, budget)
+    passes: dict = {}
+    reports = {first % m: _report(FermatParams.create(first, m, r), budget,
+                                  passes)}
+    primes = [first] + [p for p in _primes_in(first + 1, p_max)
+                        if gcd(p, m) == 1]
+    for p in primes:
+        if p % m not in reports:
+            subgroup = frobenius_subgroup(p, m)  # the sieve proved p prime
+            reports[p % m] = _report(FermatParams(
+                p, m, r, subgroup, p ** len(subgroup)), budget, passes)
+    return primes, reports
+
+
+def artin_survey(m: int, r: int, p_min: int, p_max: int, *,
+                 budget: int = DEFAULT_ALPHA_BUDGET
+                 ) -> tuple[list[int], dict[int, dict]]:
+    """variety_survey with artin_comparison's record for each class, the
+    shape of (m, r) checked after the sieve's budget."""
+    _check_sieve(p_min, p_max)
+    _artin_shape(m, r)
+    primes, reports = variety_survey(m, r, p_min, p_max, budget=budget)
+    return primes, {c: _artin(report) for c, report in reports.items()}
+
+
+def _report(params: FermatParams, budget: int, passes: dict) -> dict:
+    """variety_report's record, its histograms from passes (_histograms)."""
+    p, m, r = params.p, params.m, params.r
+    exponents, levels = _histograms(m, r, (params.subgroup, _LEVELS), budget,
+                                    passes)
     hodge = [levels[k] for k in range(r + 1)]
     slopes = _slopes(exponents, params.f, r)
     count, height = _height(slopes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterator
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BudgetError, InputError, InternalCheckError, check_budget
@@ -53,6 +54,38 @@ def is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
             return False
     return True
+
+
+def _check_sieve(lo: int, hi: int) -> None:
+    """BudgetError (errors.check_budget) unless the hi - lo + isqrt(hi - 1)
+    + 1 bytes of the two tables sieving [lo, hi) fit DEFAULT_TABLE_BUDGET."""
+    lo = max(lo, 2)
+    size = max(hi - lo, 0) + isqrt(max(hi - 1, 0)) + 1
+    check_budget(size, DEFAULT_TABLE_BUDGET, "table-size budget exceeded: "
+                 f"sieving [{lo}, {hi}) takes {{}} bytes")
+
+
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), sieved over that window alone by the primes
+    up to isqrt(hi - 1), after _check_sieve: a proof of each."""
+    _check_sieve(lo, hi)
+    lo, root = max(lo, 2), isqrt(max(hi - 1, 0))
+    base, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo)
+    for n in range(2, root + 1):
+        if base[n]:  # no smaller prime divides n
+            base[n * n::n] = bytes(len(range(n * n, root + 1, n)))
+            start = max(n * n, -(-lo // n) * n)
+            window[start - lo::n] = bytes(len(range(start, hi, n)))
+    return list(compress(range(lo, hi), window))
+
+
+def _least_prime(lo: int, hi: int, m: int = 1) -> int | None:
+    """The least prime in [lo, hi) prime to m, by an is_prime walk, or
+    None."""
+    if m == 0:  # gcd(n, 0) = n, so no n >= 2 is prime to 0
+        return None
+    return next((n for n in range(max(lo, 2), hi)
+                 if gcd(n, m) == 1 and is_prime(n)), None)
 
 
 def frobenius_subgroup(p: int, m: int) -> tuple[int, ...]:

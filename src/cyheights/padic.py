@@ -49,7 +49,6 @@ class PadicContext:
         self.k = k
         self.pk = p**k
         self.modulus = tuple(c % self.pk for c in field.modulus)
-        pk = self.pk
 
         # Teichmuller lift of the residue g^-((q-1)/m), by one power: if
         # a = b mod p^j then a^q = b^q mod p^(j+f), and the residue agrees
@@ -59,26 +58,20 @@ class PadicContext:
         root = residues.unpack(residues.pow(
             residues.pack(_poly_from_enc(field.generator, p)),
             (q - 1) - (q - 1) // m))
-        ring = _Ring(self.modulus, pk)
+        ring = _Ring(self.modulus, self.pk)
         z = ring.pow(ring.pack(root), q**(-(-(k - 1) // f)))
         if ring.pow(z, q) != z:
             raise InternalCheckError("Teichmuller lift did not stabilize")
         if ring.pow(z, m) != 1:
             raise InternalCheckError("lifted root of unity has wrong order")
-        # images[j] is zeta_hat * x^j, so images[0] is zeta_hat's f
-        # coordinates.  Each power of zeta_hat is the one before times
-        # this matrix of multiplication by zeta_hat on R_k: f dot
-        # products, no remainder.
-        images = ring.images(z)
-        if [d % p for d in images[0]] != root:
+        self.zeta_hat = tuple(ring.unpack(z))
+        if [d % p for d in self.zeta_hat] != root:
             raise InternalCheckError("Teichmuller lift moved the residue")
-        self.zeta_hat = tuple(images[0])
-        rows = tuple(zip(*images))
-        power = [1] + [0] * (f - 1)
-        powers = [power]
+        # each power of zeta_hat is the one before times zeta_hat
+        power, powers = 1, [ring.unpack(1)]
         for _ in range(degree(m) - 1):
-            power = [sum(map(mul, row, power)) % pk for row in rows]
-            powers.append(power)
+            power = ring.mul(power, z)
+            powers.append(ring.unpack(power))
         # column i holds coordinate i of zeta_hat^0, ..., zeta_hat^(phi-1)
         self._zeta_columns = tuple(zip(*powers))
 

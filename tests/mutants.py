@@ -112,7 +112,7 @@ MUTANTS = [
     ("Kummer prime guard disabled", "src/cyheights/kummer.py",
      "check_budget(p, DEFAULT_PRIME_BUDGET,", "(p, DEFAULT_PRIME_BUDGET,",
      ["test_kummer.py"]),
-    ("sieve table guard disabled", "src/cyheights/cli.py",
+    ("sieve table guard disabled", "src/cyheights/finite_field.py",
      "check_budget(size, DEFAULT_TABLE_BUDGET,",
      "(size, DEFAULT_TABLE_BUDGET,",
      ["test_cli.py"]),
@@ -235,7 +235,7 @@ MUTANTS = [
      "image = [sum(map(mul, z.coeffs, column))",
      ["test_padic.py"]),
     ("sieve from the first multiple of n at or above lo",
-     "src/cyheights/cli.py",
+     "src/cyheights/finite_field.py",
      "start = max(n * n, -(-lo // n) * n)", "start = -(-lo // n) * n",
      ["test_cli.py"]),
     ("slope symmetry check dropped", "src/cyheights/fermat.py",
@@ -295,8 +295,16 @@ MUTANTS = [
      ["test_fermat.py"]),
     ("one slope pass per subgroup asked for, repeats included",
      "src/cyheights/fermat.py",
-     "for subgroup in dict.fromkeys(subgroups)}", "for subgroup in subgroups}",
+     "if key not in passes:", "if True:",
      ["test_fermat.py"]),
+    ("passes keyed by |<p>| instead of <p>", "src/cyheights/fermat.py",
+     "keys = [frozenset(subgroup) for", "keys = [len(subgroup) for",
+     ["test_cli.py"]),
+    ("budget unchecked after the first subgroup", "src/cyheights/fermat.py",
+     "for subgroup in subgroups:\n        bound = _transition_bound(",
+     "for subgroup in subgroups if not passes else ():\n"
+     "        bound = _transition_bound(",
+     ["test_cli.py"]),
     ("E's fold multiplies N_i' by N_i in place of D",
      "src/cyheights/fermat.py",
      "_schoolbook_product(derivative, d)",

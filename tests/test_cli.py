@@ -6,7 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -262,7 +262,7 @@ def test_stickelberger_csv_schema(capsys):
 
 def test_survey_height_matches_congruence(capsys):
     code, out, _ = run(capsys, "survey", "height", "--m", "5", "--r", "3",
-                       "--p-max", "100", "--format", "json", "--jobs", "1")
+                       "--p-max", "100", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     finite = sorted(row["p"] for row in rows if row["height"] != "inf")
@@ -271,8 +271,7 @@ def test_survey_height_matches_congruence(capsys):
 
 
 def test_survey_kummer_rows_prove_no_prime_again(capsys, monkeypatch):
-    # the window is sieved, a proof for every row; the first row's prime
-    # comes from cli's own is_prime walk
+    # the window is sieved, a proof for every row
     proofs = []
     real = kummer.is_prime
     monkeypatch.setattr(kummer, "is_prime",
@@ -286,7 +285,7 @@ def test_survey_kummer_rows_prove_no_prime_again(capsys, monkeypatch):
                                              "agree")}
                     | {"height": report["quotient_height"]}
                     for report in map(kummer.kummer_report,
-                                      cli._primes_in(900, 1300))]
+                                      finite_field._primes_in(900, 1300))]
     assert len(proofs) == 57
     # direct calls still prove p, and refuse a composite
     for call in (kummer.kummer_report, lambda p: kummer.ec_count_points(
@@ -299,7 +298,7 @@ def test_survey_kummer_rows_prove_no_prime_again(capsys, monkeypatch):
 
 def test_survey_artin_exhibits_counterexample(capsys):
     code, out, _ = run(capsys, "survey", "artin", "--m", "8", "--r", "6",
-                       "--p-max", "20", "--format", "json", "--jobs", "1")
+                       "--p-max", "20", "--format", "json")
     assert code == 0
     rows = {row["p"]: row for row in json.loads(out)["rows"]}
     assert rows[3]["additive_type"] is True
@@ -333,7 +332,7 @@ def test_survey_empty_range(capsys):
 def test_survey_with_m_0_has_no_prime_to_m(capsys):
     # gcd(p, 0) = p, so no prime is prime to 0
     code, out, _ = run(capsys, "survey", "height", "--m", "0", "--r", "1",
-                       "--p-max", "50", "--jobs", "1")
+                       "--p-max", "50")
     assert code == 2
     assert out == ""
 
@@ -381,13 +380,9 @@ def test_zeta_rejects_a_bad_check_list(capsys, checks, message):
     assert f"argument --check: {message}" in captured.err
 
 
-@pytest.mark.parametrize("kind", [["height", "--m", "5", "--r", "3"],
-                                  ["artin", "--m", "8", "--r", "6"],
-                                  ["kummer"]],
-                         ids=["height", "artin", "kummer"])
+@pytest.mark.parametrize("kind", [["kummer"]], ids=["kummer"])
 def test_survey_parallel_matches_serial(capsys, monkeypatch, kind):
-    # about 77 rows below 400: kummer computes each in 8 chunks of 10,
-    # height and artin one per class mod m, 3 after the first row's
+    # 76 rows below 400, in 8 chunks of at most 10
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["survey", *kind, "--p-max", "400", "--format", "json"]
     code1, serial, _ = run(capsys, *argv, "--jobs", "1")
@@ -400,21 +395,22 @@ def test_survey_parallel_matches_serial(capsys, monkeypatch, kind):
 @pytest.mark.parametrize("argv,code", [
     (["height", "--m", "100", "--r", "98"], cli.EXIT_BUDGET),
     (["artin", "--m", "5", "--r", "3"], cli.EXIT_INVALID),
-    (["kummer", "--p-min", "999900"], cli.EXIT_BUDGET)],
+    (["kummer", "--p-min", "999900", "--jobs", "4"], cli.EXIT_BUDGET)],
     ids=["height", "artin", "kummer"])
 def test_survey_fails_before_the_pool_starts(capsys, monkeypatch, argv, code):
-    # an (m, r) error fails every row, so the first row raises it in
-    # process, and a kummer prime over budget raises before any row; a
+    # an (m, r) error fails every row, so the report of the least prime
+    # raises it, and a kummer prime over budget raises before any row; a
     # sieve or a pool run first would work through every prime of the
     # window
     def never(*_, **__):
         raise AssertionError("window sieved or worker pool started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
-    monkeypatch.setattr(cli, "_primes_in", never)
+    for module in (finite_field, fermat, cli):
+        monkeypatch.setattr(module, "_primes_in", never)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert run(capsys, "survey", *argv, "--p-max", "16000000",
-               "--jobs", "4")[:2] == (code, "")
+    assert run(capsys, "survey", *argv,
+               "--p-max", "16000000")[:2] == (code, "")
 
 
 def test_serial_calls_never_load_the_pool():
@@ -599,16 +595,15 @@ def test_height_alpha_budget_bounds_transitions(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("kind,m,r,rows", [("height", "5", "3", 5),
                                            ("artin", "4", "2", 5)])
-def test_survey_alpha_budget_bounds_every_row(capsys, jobs, kind, m, r, rows):
+def test_survey_alpha_budget_bounds_every_row(capsys, kind, m, r, rows):
     # the most transitions are at p = 1 mod m, not at the first prime:
     # 101 + 101 at (5, 3), where p = 2 takes 65 + 101, and 34 + 34 at
     # (4, 2), where p = 3 takes 28 + 34
     transitions = {"5": 202, "4": 68}[m]
     args = ["survey", kind, "--m", m, "--r", r, "--p-max", "14",
-            "--jobs", jobs, "--format", "json", "--alpha-budget"]
+            "--format", "json", "--alpha-budget"]
     code, out, err = run(capsys, *args, str(transitions - 1))
     assert code == 3
     assert out == ""
@@ -657,7 +652,7 @@ def test_a_sum_frobenius_moves_exits_4(capsys, monkeypatch):
                                    (999000, 1001000),
                                    (10**9, 10**9 + 2000)])
 def test_primes_in_matches_trial_division(lo, hi):
-    assert cli._primes_in(lo, hi) == [
+    assert finite_field._primes_in(lo, hi) == [
         p for p in range(max(lo, 2), hi)
         if all(p % d for d in range(2, isqrt(p) + 1))]
 
@@ -710,25 +705,63 @@ def test_heights_in_dimension_10_to_12(capsys, deadline, p, m, r, height):
     assert payload["height"] == payload["predicted_height"] == height
 
 
-@pytest.mark.parametrize("kind,m,r", [("height", 5, 3), ("artin", 8, 6)])
-def test_survey_computes_one_profile_per_class(capsys, monkeypatch, kind, m,
-                                               r):
-    # a row depends on p only through <p>, so only through p mod m
+@pytest.mark.parametrize("m,r,p_max,passes", [(5, 3, 100, 3),
+                                              (652, 1, 20000, 20)])
+def test_survey_runs_one_slope_pass_per_subgroup(capsys, monkeypatch, m, r,
+                                                 p_max, passes):
+    # a row depends on p only through <p>: below 100 the 4 classes mod 5
+    # give <p> = {1}, {1, 4} and (Z/5)^*, below 20000 the 324 classes
+    # mod 652 give 20 subgroups, {1} among them; the level pass is the
+    # exponent pass of {1}
     calls = []
-    real = fermat.variety_report
-
-    def counted(p, m, r, **kwargs):
-        calls.append(p)
-        return real(p, m, r, **kwargs)
-
-    monkeypatch.setattr(fermat, "variety_report", counted)
-    code, out, _ = run(capsys, "survey", kind, "--m", str(m), "--r", str(r),
-                       "--p-max", "200", "--jobs", "1", "--format", "json")
+    real = fermat._exponent_histogram
+    monkeypatch.setattr(fermat, "_exponent_histogram",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run(capsys, "survey", "height", "--m", str(m), "--r",
+                       str(r), "--p-max", str(p_max), "--format", "json")
     assert code == 0
-    rows = json.loads(out)["rows"]
-    assert len(rows) > len(calls)
-    assert sorted(calls) == sorted({row["p"] % m: row["p"]
-                                    for row in reversed(rows)}.values())
+    primes = [row["p"] for row in json.loads(out)["rows"]]
+    subgroups = {frozenset(finite_field.frobenius_subgroup(p, m))
+                 for p in primes}
+    assert len(calls) == len(subgroups | {frozenset({1})}) == passes
+
+
+@pytest.mark.parametrize("kind,m,r", [
+    ("height", 5, 3), ("height", 8, 6), ("artin", 8, 6), ("height", 12, 10),
+    ("artin", 12, 10), ("height", 24, 22), ("artin", 24, 22),
+    ("height", 7, 1)])
+def test_survey_rows_are_the_library_records_at_every_prime(capsys, kind, m,
+                                                            r):
+    # (Z/8)^* and (Z/24)^* are not cyclic, so classes whose <p> have one
+    # size differ; each class's record is variety_report at its least
+    # prime, and each row the record of its own prime
+    primes = [p for p in range(2, 150)
+              if finite_field.is_prime(p) and gcd(p, m) == 1]
+    survey = fermat.variety_survey if kind == "height" else fermat.artin_survey
+    least = {}
+    for p in primes:
+        least.setdefault(p % m, p)
+    report = (fermat.variety_report if kind == "height"
+              else fermat.artin_comparison)
+    assert survey(m, r, 2, 150) == (
+        primes, {c: report(p, m, r) for c, p in least.items()})
+    code, out, _ = run(capsys, "survey", kind, "--m", str(m), "--r", str(r),
+                       "--p-max", "150", "--format", "json")
+    assert code == 0
+    fields = {"height": ("p", "f", "height", "predicted_height", "agree"),
+              "artin": ("p", "additive_type", "fully_rigged")}[kind]
+    records = [{"p": p, **report(p, m, r)} for p in primes]
+    assert json.loads(out)["rows"] == [
+        {k: record[k] for k in fields} for record in records]
+
+
+@pytest.mark.parametrize("kind", ["height", "artin"])
+def test_survey_height_and_artin_take_no_jobs(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", kind, "--m", "8", "--r", "6", "--p-max", "50",
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_height_at_a_prime_near_1e18(capsys, deadline):
@@ -752,14 +785,14 @@ def test_kummer_at_a_prime_near_1e18_hits_the_point_budget(capsys, deadline):
 def test_primes_in_bounds_its_tables_before_allocating(lo, hi):
     # the window, hi - lo bytes, and the base sieve, isqrt(hi) bytes
     with pytest.raises(BudgetError, match="table-size budget exceeded"):
-        cli._primes_in(lo, hi)
+        finite_field._primes_in(lo, hi)
 
 
 @pytest.mark.parametrize("kind", ["height", "kummer"])
 def test_survey_window_over_the_table_budget_exits_3(capsys, kind):
-    variety = ["--m", "5", "--r", "3"] if kind == "height" else []
-    code, out, err = run(capsys, "survey", kind, *variety,
-                         "--p-max", "100000000000", "--jobs", "1")
+    options = ["--m", "5", "--r", "3"] if kind == "height" else ["--jobs", "1"]
+    code, out, err = run(capsys, "survey", kind, *options,
+                         "--p-max", "100000000000")
     assert (code, out) == (cli.EXIT_BUDGET, "")
     assert "table-size budget exceeded" in err
 
@@ -904,7 +937,7 @@ def test_readme_commands_run(capsys):
     commands = _readme_commands()
     assert len(commands) == 11
     for argv in commands:
-        if argv[0] == "survey":
+        if argv[:2] == ["survey", "kummer"]:
             argv += ["--jobs", "1"]
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)

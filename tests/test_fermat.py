@@ -460,7 +460,7 @@ def test_slope_profile_matches_the_multiset_walk(m):
         multisets = exponent_multisets(m, r)
         for subgroup in subgroups:
             exponents, levels = fermat._histograms(
-                m, r, (subgroup, fermat._LEVELS), 10**6)
+                m, r, (subgroup, fermat._LEVELS), 10**6, {})
             assert ((exponents, [levels[k] for k in range(r + 1)])
                     == _walk_profile(multisets, m, r, subgroup))
 
@@ -473,7 +473,7 @@ def test_slope_profile_matches_the_walk_up_to_dimension_10(p, m, r):
     exponents, hodge = _walk_profile(exponent_multisets(m, r), m, r,
                                      params.subgroup)
     histograms, levels = fermat._histograms(
-        m, r, (params.subgroup, fermat._LEVELS), 10**6)
+        m, r, (params.subgroup, fermat._LEVELS), 10**6, {})
     assert (histograms, [levels[k] for k in range(r + 1)]) == (
         exponents, hodge)
     report = variety_report(p, m, r)  # and passes the slope checks
@@ -535,7 +535,7 @@ def test_slope_passes_refuse_a_large_subgroup_at_once(deadline):
 
 def _doctored(monkeypatch, exponents, hodge):
     monkeypatch.setattr(fermat, "_histograms",
-                        lambda m, r, subgroups, budget: [
+                        lambda m, r, subgroups, budget, passes: [
                             Counter(exponents),
                             Counter(dict(enumerate(hodge)))])
 

@@ -76,7 +76,7 @@ COMMANDS = [
     "stickelberger --p 2 --m 73 --r 1 --format json",
     "stickelberger --p 2 --m 13 --r 1",
     "stickelberger --p 197 --m 3 --r 3",
-    "survey artin --m 8 --r 6 --p-max 50 --jobs 1",
+    "survey artin --m 8 --r 6 --p-max 50",
     "kummer --p 999983",
     "survey kummer --p-min 900000 --p-max 1000000 --jobs 1",
 ]
